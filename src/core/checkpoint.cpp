@@ -12,21 +12,13 @@
 #include <fstream>
 #include <sstream>
 
+#include "core/hash.hpp"
 #include "obs/recorder.hpp"
 #include "obs/registry.hpp"
 
 namespace autonet::core {
 
 namespace fs = std::filesystem;
-
-std::uint64_t checkpoint_hash(std::string_view data) {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (unsigned char c : data) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 namespace {
 
@@ -211,7 +203,7 @@ bool CheckpointStore::has_phase(std::string_view phase) const {
   if (!in) return false;
   std::ostringstream buf;
   buf << in.rdbuf();
-  return checkpoint_hash(buf.str()) == it->second.hash;
+  return fnv1a(buf.str()) == it->second.hash;
 }
 
 std::string CheckpointStore::artifact(std::string_view phase) const {
@@ -226,7 +218,7 @@ std::string CheckpointStore::artifact(std::string_view phase) const {
   std::ostringstream buf;
   buf << in.rdbuf();
   std::string content = buf.str();
-  if (checkpoint_hash(content) != it->second.hash) {
+  if (fnv1a(content) != it->second.hash) {
     throw CheckpointError("corrupt checkpoint artifact " + it->second.artifact +
                           " (content hash mismatch)");
   }
@@ -247,11 +239,11 @@ void CheckpointStore::record_phase(const std::string& phase,
   write_file_atomic(dir_ + "/" + artifact_file, content);
   PhaseRecord rec;
   rec.artifact = artifact_file;
-  rec.hash = checkpoint_hash(content);
+  rec.hash = fnv1a(content);
   rec.ms = ms;
   if (events) {
     rec.events_file = phase + ".events.jsonl";
-    rec.events_hash = checkpoint_hash(*events);
+    rec.events_hash = fnv1a(*events);
     write_file_atomic(dir_ + "/" + rec.events_file, *events);
   }
   if (phases_.find(phase) == phases_.end()) order_.push_back(phase);
@@ -268,7 +260,7 @@ bool CheckpointStore::has_events(std::string_view phase) const {
   if (!in) return false;
   std::ostringstream buf;
   buf << in.rdbuf();
-  return checkpoint_hash(buf.str()) == it->second.events_hash;
+  return fnv1a(buf.str()) == it->second.events_hash;
 }
 
 std::string CheckpointStore::events(std::string_view phase) const {
@@ -283,7 +275,7 @@ std::string CheckpointStore::events(std::string_view phase) const {
   std::ostringstream buf;
   buf << in.rdbuf();
   std::string content = buf.str();
-  if (checkpoint_hash(content) != it->second.events_hash) {
+  if (fnv1a(content) != it->second.events_hash) {
     throw CheckpointError("corrupt event slice " + it->second.events_file +
                           " (content hash mismatch)");
   }

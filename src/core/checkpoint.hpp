@@ -30,10 +30,6 @@ class CheckpointError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// FNV-1a 64-bit content hash (stable across platforms); the checkpoint
-/// manifest stores it per artifact so resume detects corruption.
-[[nodiscard]] std::uint64_t checkpoint_hash(std::string_view data);
-
 /// Writes `content` to `path` crash-consistently: a temp file in the
 /// same directory is written, flushed with fsync, then renamed over the
 /// target (and the directory entry is fsynced). Throws CheckpointError
@@ -49,7 +45,7 @@ class CheckpointStore {
  public:
   struct PhaseRecord {
     std::string artifact;   // file name inside the directory
-    std::uint64_t hash = 0; // checkpoint_hash of the artifact content
+    std::uint64_t hash = 0; // fnv1a of the artifact content
     double ms = 0;          // the phase's span duration (restored timings)
     /// Flight-recorder event slice for the phase ("<phase>.events.jsonl";
     /// empty name = recorded before events existed). Replayed on restore

@@ -6,12 +6,12 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/hash.hpp"
 #include "deploy/archive.hpp"
 #include "incremental/hot_apply.hpp"
 #include "nidb/value.hpp"
 #include "obs/recorder.hpp"
 #include "obs/span.hpp"
-#include "verify/analysis/cache.hpp"
 
 namespace autonet::core {
 
@@ -154,6 +154,26 @@ deploy::DeployResult deploy_result_from_value(const nidb::Value& v) {
   return r;
 }
 
+// One decoder per phase artifact, shared by checkpoint restore and the
+// partial-mode baseline load. The NIDB decodes with Nidb::from_json.
+
+anm::AbstractNetworkModel anm_from_artifact(const std::string& artifact) {
+  anm::AbstractNetworkModel anm;
+  anm_from_value(nidb::parse_json(artifact), anm);
+  return anm;
+}
+
+render::ConfigTree configs_from_artifact(const std::string& artifact) {
+  const nidb::Value doc = nidb::parse_json(artifact);
+  const auto* files = doc.as_object();
+  if (files == nullptr) throw CheckpointError("render checkpoint is not an object");
+  render::ConfigTree tree;
+  for (const auto& [path, content] : *files) {
+    if (const auto* text = content.as_string()) tree.put(path, *text);
+  }
+  return tree;
+}
+
 verify::Report lint_report_from_json(const std::string& text) {
   const nidb::Value doc = nidb::parse_json(text);
   verify::Report report;
@@ -186,6 +206,25 @@ verify::Report lint_report_from_json(const std::string& text) {
   }
   report.finalize();
   return report;
+}
+
+/// How a store's recorded run compares with this one: same input and
+/// options (kExact), options that build the same design, compile, render
+/// and lint results (kBuild), or neither (kOther).
+enum class StoreMatch { kOther, kBuild, kExact };
+
+StoreMatch match_store(const CheckpointStore& store, const std::string& input_hash,
+                       const std::string& options_sig, const std::string& build_sig) {
+  if (store.meta("options") == options_sig) {
+    return store.meta("input_hash") == input_hash ? StoreMatch::kExact
+                                                  : StoreMatch::kBuild;
+  }
+  // Stores recorded before the signature split carry no "options_build"
+  // meta and match on the full signature only, which is strictly more
+  // conservative.
+  const std::string build = store.meta("options_build");
+  return !build.empty() && build == build_sig ? StoreMatch::kBuild
+                                              : StoreMatch::kOther;
 }
 
 }  // namespace
@@ -316,11 +355,11 @@ std::string Workflow::signature_text(bool include_deploy) const {
 }
 
 std::string Workflow::options_signature() const {
-  return std::to_string(checkpoint_hash(signature_text(true)));
+  return std::to_string(fnv1a(signature_text(true)));
 }
 
 std::string Workflow::build_signature() const {
-  return std::to_string(checkpoint_hash(signature_text(false)));
+  return std::to_string(fnv1a(signature_text(false)));
 }
 
 std::string Workflow::lint_signature() const {
@@ -334,7 +373,7 @@ std::string Workflow::lint_signature() const {
   for (const auto& [id, sev] : options_.lint.options.severity) {
     sig << ";S:" << id << "=" << static_cast<int>(sev);
   }
-  return std::to_string(checkpoint_hash(sig.str()));
+  return std::to_string(fnv1a(sig.str()));
 }
 
 incremental::DesignSpec Workflow::design_spec() const {
@@ -349,119 +388,95 @@ incremental::DesignSpec Workflow::design_spec() const {
   return spec;
 }
 
-// A checkpoint only describes one (input, options) pair; anything else
-// recorded in the directory is from a different run and must not leak
-// into this one.
-void Workflow::validate_checkpoint(const graph::Graph& input) {
+// Both attached stores are compared with this run the same way
+// (match_store). The own checkpoint resumes its recorded prefix on an
+// exact match and is discarded otherwise: it only describes one (input,
+// options) pair. The baseline is warm on an exact match, partial on a
+// build-only match with a readable snapshot.json, and cold otherwise.
+void Workflow::choose_reuse(const graph::Graph& input) {
   // The input signature is kept even without a store: run reports embed
   // it so two reports are comparable without the checkpoint directory.
-  input_hash_ =
-      std::to_string(checkpoint_hash(graph_to_value(input).to_json(false)));
+  input_hash_ = std::to_string(fnv1a(graph_to_value(input).to_json(false)));
+  const std::string options_sig = options_signature();
+  const std::string build_sig = build_signature();
+  auto match = [&](const CheckpointStore& store) {
+    return match_store(store, input_hash_, options_sig, build_sig);
+  };
   if (ckpt_ != nullptr) {
-    const std::string& input_hash = input_hash_;
-    const std::string options_sig = options_signature();
-    const std::string old_input = ckpt_->meta("input_hash");
-    const std::string old_options = ckpt_->meta("options");
-    if ((!old_input.empty() && old_input != input_hash) ||
-        (!old_options.empty() && old_options != options_sig)) {
+    if (!ckpt_->phases().empty() && match(*ckpt_) != StoreMatch::kExact) {
       ckpt_->discard();
     }
-    if (ckpt_->meta("input_hash") != input_hash) {
-      ckpt_->set_meta("input_hash", input_hash);
+    if (ckpt_->meta("input_hash") != input_hash_) {
+      ckpt_->set_meta("input_hash", input_hash_);
     }
     if (ckpt_->meta("options") != options_sig) {
       ckpt_->set_meta("options", options_sig);
     }
-    if (ckpt_->meta("options_build") != build_signature()) {
-      ckpt_->set_meta("options_build", build_signature());
+    if (ckpt_->meta("options_build") != build_sig) {
+      ckpt_->set_meta("options_build", build_sig);
     }
   }
-  prepare_incremental();
+  if (baseline_ == nullptr) return;
+  std::string cold_reason;
+  switch (match(*baseline_)) {
+    case StoreMatch::kExact:
+      reuse_ = ReuseMode::kWarm;
+      incr_.plan.explain.emplace_back(
+          "input unchanged: every phase restores from the baseline");
+      break;
+    case StoreMatch::kBuild:
+      cold_reason = load_baseline();
+      if (!cold_reason.empty()) break;
+      reuse_ = ReuseMode::kPartial;
+      if (baseline_->meta("input_hash") == input_hash_) {
+        incr_.plan.explain.emplace_back(
+            "input unchanged, deploy options differ: build phases reuse, "
+            "deploy runs fresh");
+      }
+      break;
+    case StoreMatch::kOther:
+      cold_reason = "baseline options differ (or baseline is empty)";
+      break;
+  }
+  if (!cold_reason.empty()) {
+    incr_.plan.explain.push_back(cold_reason + ": full recompute");
+  }
+  static constexpr const char* kModeNames[] = {"cold", "warm", "partial"};
+  incr_.mode = kModeNames[static_cast<int>(reuse_)];
 }
 
-// Decides, once per run, what the baseline can contribute: everything
-// ("warm"), the snapshot-planned subset ("partial"), or nothing
-// ("cold"). Partial mode eagerly loads the baseline's design/compile/
-// render/lint artifacts — each later phase consults them.
-void Workflow::prepare_incremental() {
-  if (baseline_ == nullptr) return;
-  incr_.enabled = true;
-  const std::string base_options = baseline_->meta("options");
-  const std::string base_input = baseline_->meta("input_hash");
-  // Build-phase compatibility is what reuse needs; the full signature
-  // (deploy knobs included) additionally gates warm deploy restore.
-  // Baselines recorded before the signature split carry no
-  // "options_build" meta — fall back to the full signature, which is
-  // strictly more conservative.
-  const std::string base_build = baseline_->meta("options_build");
-  const bool build_match =
-      base_build.empty() ? (!base_options.empty() &&
-                            base_options == options_signature())
-                         : base_build == build_signature();
-  if (!build_match) {
-    incr_.mode = incr_.plan.mode = "cold";
-    incr_.plan.explain.push_back(
-        "baseline options differ (or baseline is empty): full recompute");
-    return;
-  }
-  if (base_input == input_hash_ && base_options == options_signature()) {
-    incr_warm_ = true;
-    incr_.mode = incr_.plan.mode = "warm";
-    incr_.plan.explain.push_back(
-        "input unchanged: every phase restores from the baseline");
-    return;
-  }
+// Partial mode consults the baseline in every build phase, so its
+// snapshot and artifacts are decoded once, here, and kept only when all
+// of them decode.
+std::string Workflow::load_baseline() {
+  BaselineState base;
   std::ifstream snap_in(baseline_->dir() + "/snapshot.json", std::ios::binary);
+  std::optional<incremental::Snapshot> snap;
   if (snap_in) {
-    std::ostringstream ss;
-    ss << snap_in.rdbuf();
-    base_snap_ = incremental::Snapshot::from_json(ss.str());
+    std::ostringstream text;
+    text << snap_in.rdbuf();
+    snap = incremental::Snapshot::from_json(text.str());
   }
-  if (!base_snap_) {
-    incr_.mode = incr_.plan.mode = "cold";
-    incr_.plan.explain.push_back(
-        "baseline left no usable snapshot.json: full recompute");
-    return;
-  }
+  if (!snap) return "baseline left no usable snapshot.json";
+  base.snap = std::move(*snap);
   try {
     if (baseline_->has_phase("design")) {
-      anm::AbstractNetworkModel fresh;
-      anm_from_value(nidb::parse_json(baseline_->artifact("design")), fresh);
-      baseline_anm_.emplace(std::move(fresh));
+      base.anm = anm_from_artifact(baseline_->artifact("design"));
     }
     if (baseline_->has_phase("compile")) {
-      baseline_nidb_ = nidb::Nidb::from_json(baseline_->artifact("compile"));
+      base.nidb = nidb::Nidb::from_json(baseline_->artifact("compile"));
     }
     if (baseline_->has_phase("render")) {
-      const nidb::Value doc = nidb::parse_json(baseline_->artifact("render"));
-      if (const auto* files = doc.as_object()) {
-        render::ConfigTree tree;
-        for (const auto& [path, content] : *files) {
-          if (const auto* text = content.as_string()) tree.put(path, *text);
-        }
-        baseline_configs_ = std::move(tree);
-      }
+      base.configs = configs_from_artifact(baseline_->artifact("render"));
     }
     if (baseline_->has_phase("lint")) {
-      baseline_lint_ = lint_report_from_json(baseline_->artifact("lint"));
+      base.lint = lint_report_from_json(baseline_->artifact("lint"));
     }
   } catch (const std::exception&) {
-    baseline_anm_.reset();
-    baseline_nidb_.reset();
-    baseline_configs_.reset();
-    baseline_lint_.reset();
-    base_snap_.reset();
-    incr_.mode = incr_.plan.mode = "cold";
-    incr_.plan.explain.push_back("baseline artifacts unreadable: full recompute");
-    return;
+    return "baseline artifacts unreadable";
   }
-  incr_partial_ = true;
-  incr_.mode = incr_.plan.mode = "partial";
-  if (base_input == input_hash_) {
-    incr_.plan.explain.push_back(
-        "input unchanged, deploy options differ: build phases reuse, "
-        "deploy runs fresh");
-  }
+  base_ = std::move(base);
+  return "";
 }
 
 bool Workflow::try_restore(const std::string& phase) {
@@ -469,12 +484,10 @@ bool Workflow::try_restore(const std::string& phase) {
   // Own checkpoint first (resume); in warm incremental mode a phase the
   // own store lacks restores from the baseline instead.
   CheckpointStore* src = nullptr;
-  bool from_baseline = false;
   if (ckpt_ != nullptr && ckpt_->has_phase(phase)) {
     src = ckpt_.get();
-  } else if (incr_warm_ && baseline_ != nullptr && baseline_->has_phase(phase)) {
+  } else if (reuse_ == ReuseMode::kWarm && baseline_->has_phase(phase)) {
     src = baseline_.get();
-    from_baseline = true;
   }
   if (src == nullptr) return false;
   obs::Registry& registry = telemetry();
@@ -499,16 +512,13 @@ bool Workflow::try_restore(const std::string& phase) {
   timings_.ms[phase] = src->phase_ms(phase);
   restored_.push_back(phase);
   registry.counter("ckpt.phase_restored").inc();
-  if (from_baseline) {
+  if (src == baseline_.get()) {
     registry.counter("incr.phase_reused").inc();
     // Chain: record the phase into this run's own store so the next run
     // in a campaign can use this directory as its baseline.
     if (ckpt_ != nullptr) save_phase(phase);
   }
-  if (!resume_counted_) {
-    registry.counter("ckpt.resume").inc();
-    resume_counted_ = true;
-  }
+  if (restored_.size() == 1) registry.counter("ckpt.resume").inc();
   return true;
 }
 
@@ -603,9 +613,7 @@ std::string Workflow::phase_artifact(const std::string& phase) const {
 void Workflow::restore_phase_state(const std::string& phase,
                                    const std::string& artifact) {
   if (phase == "load" || phase == "design") {
-    anm::AbstractNetworkModel fresh;
-    anm_from_value(nidb::parse_json(artifact), fresh);
-    anm_ = std::move(fresh);
+    anm_ = anm_from_artifact(artifact);
     loaded_ = true;
     return;
   }
@@ -614,14 +622,7 @@ void Workflow::restore_phase_state(const std::string& phase,
     return;
   }
   if (phase == "render") {
-    const nidb::Value doc = nidb::parse_json(artifact);
-    const auto* files = doc.as_object();
-    if (files == nullptr) throw CheckpointError("render checkpoint is not an object");
-    render::ConfigTree tree;
-    for (const auto& [path, content] : *files) {
-      if (const auto* text = content.as_string()) tree.put(path, *text);
-    }
-    configs_ = std::move(tree);
+    configs_ = configs_from_artifact(artifact);
     return;
   }
   if (phase == "lint") {
@@ -684,17 +685,16 @@ void Workflow::rehydrate_network() {
 // record), plus the phy-node annotations the rr-auto selector leaves
 // behind. Returns false when the rule must run fresh.
 bool Workflow::copy_design_rule(const std::string& name) {
-  if (!incr_partial_ || !baseline_anm_ || !incr_.plan.rule_reused(name)) {
+  if (!base_.anm || !incr_.plan.rule_reused(name) || !base_.anm->has_overlay(name)) {
     return false;
   }
-  if (!baseline_anm_->has_overlay(name)) return false;
   if (!anm_.has_overlay(name)) anm_.add_overlay(name);
-  anm_[name].unwrap() = (*baseline_anm_)[name].unwrap();
+  anm_[name].unwrap() = (*base_.anm)[name].unwrap();
   if (name == "ibgp" && options_.ibgp == "rr-auto") {
     // The selector also marks phy nodes (rr, rr_cluster); carry those
     // over so the designed model matches a fresh run byte for byte.
     auto phy = anm_["phy"];
-    for (const auto& base_node : (*baseline_anm_)["phy"].nodes()) {
+    for (const auto& base_node : (*base_.anm)["phy"].nodes()) {
       auto cur = phy.node(base_node.name());
       if (!cur) continue;
       for (const char* key : {"rr", "rr_cluster"}) {
@@ -705,14 +705,14 @@ bool Workflow::copy_design_rule(const std::string& name) {
   return true;
 }
 
-// Persists this run's snapshot next to its phase checkpoints once both
-// halves exist (rule projections from design entry, device signatures
-// from compile entry, NIDB hashes from render entry) — the data a later
-// `--incremental --since <this dir>` run plans against.
+// Persists this run's snapshot next to its phase checkpoints once its
+// hashes exist (rule projections from design entry, device signatures
+// from compile entry, the data() hash from render entry) — the data a
+// later `--incremental --since <this dir>` run plans against. Rule
+// projections are taken whenever a store is attached at design entry,
+// and device signatures then follow at compile entry.
 void Workflow::maybe_write_snapshot() {
-  if (ckpt_ == nullptr || !snap_has_rules_ || !snap_has_sigs_) return;
-  cur_snap_.input_hash = input_hash_;
-  cur_snap_.platform = options_.platform;
+  if (ckpt_ == nullptr || cur_snap_.rule_hashes.empty()) return;
   cur_snap_.lint_sig = lint_signature();
   cur_snap_.template_hashes =
       incremental::template_base_hashes(render::TemplateStore::builtins());
@@ -722,7 +722,7 @@ void Workflow::maybe_write_snapshot() {
 // --- Phases ----------------------------------------------------------------
 
 Workflow& Workflow::load(const graph::Graph& input) {
-  validate_checkpoint(input);
+  choose_reuse(input);
   if (try_restore("load")) return *this;
   begin_phase("load");
   timed("load", [this, &input]() {
@@ -753,14 +753,13 @@ Workflow& Workflow::design() {
   // here — a checkpoint restore replaces anm_ with the designed state.
   // Consumers: the partial-mode design plan, and snapshot.json (own
   // store only) — a warm run without a checkpoint needs neither.
-  if (ckpt_ != nullptr || incr_partial_) {
+  if (ckpt_ != nullptr || reuse_ == ReuseMode::kPartial) {
     cur_snap_.rule_hashes = incremental::rule_projections(anm_, design_spec());
-    snap_has_rules_ = true;
   }
-  if (incr_partial_ && baseline_anm_) {
-    incr_.delta = incremental::diff_graphs((*baseline_anm_)["input"].unwrap(),
+  if (base_.anm) {
+    incr_.delta = incremental::diff_graphs((*base_.anm)["input"].unwrap(),
                                            anm_["input"].unwrap());
-    incremental::plan_design(*base_snap_, cur_snap_.rule_hashes,
+    incremental::plan_design(base_.snap, cur_snap_.rule_hashes,
                              design_spec().rule_order(), incr_.plan);
   }
   if (try_restore("design")) return *this;
@@ -805,15 +804,14 @@ Workflow& Workflow::compile() {
   // Device signatures read the fully designed model — available here
   // whether design() ran fresh or restored. Same consumers as the rule
   // projections: the device plan and snapshot.json.
-  if ((ckpt_ != nullptr || incr_partial_) && !snap_has_sigs_) {
+  const bool partial = reuse_ == ReuseMode::kPartial;
+  if ((ckpt_ != nullptr || partial) && cur_snap_.device_sigs.empty()) {
     incremental::DeviceSignatures sigs =
         incremental::device_signatures(anm_, options_.platform);
     cur_snap_.global_digest = sigs.global_digest;
     cur_snap_.device_sigs = sigs.sigs;
-    snap_has_sigs_ = true;
-    if (incr_partial_ && !incr_planned_devices_) {
-      incr_planned_devices_ = true;
-      incremental::plan_devices(*base_snap_, sigs, incr_.plan);
+    if (partial) {
+      incremental::plan_devices(base_.snap, sigs, incr_.plan);
       // Published outside any phase: visible in the registry export but
       // never in the (byte-compared) run report timeline.
       obs::Registry& registry = telemetry();
@@ -827,9 +825,9 @@ Workflow& Workflow::compile() {
   begin_phase("compile");
   timed("compile", [this]() {
     const auto& pc = compiler::platform_compiler_for(options_.platform);
-    if (incr_partial_ && baseline_nidb_ && !incr_.plan.reused_devices.empty()) {
+    if (base_.nidb && !incr_.plan.reused_devices.empty()) {
       compiler::CompileReuse reuse;
-      reuse.baseline = &*baseline_nidb_;
+      reuse.baseline = &*base_.nidb;
       reuse.devices = &incr_.plan.reused_devices;
       reuse.reused_out = &incr_.devices_reused_compile;
       nidb_ = pc.compile(anm_, {}, &reuse);
@@ -843,15 +841,10 @@ Workflow& Workflow::compile() {
 
 Workflow& Workflow::render() {
   if (!nidb_) throw std::logic_error("Workflow::render before compile");
-  // The full-NIDB content hash is only persisted (snapshot.json); the
-  // data()-section hash additionally drives render reuse in partial
-  // mode. Hashing the whole NIDB is the expensive one — skip it when
-  // nothing will be written.
-  if (ckpt_ != nullptr) {
-    cur_snap_.nidb_hash = verify::analysis::nidb_content_hash(*nidb_);
-  }
-  if (ckpt_ != nullptr || incr_partial_) {
-    cur_snap_.data_hash = incremental::fnv1a(nidb_->data().to_json(false));
+  // The data()-section hash drives render reuse in partial mode and is
+  // persisted in snapshot.json for the next run's.
+  if (ckpt_ != nullptr || reuse_ == ReuseMode::kPartial) {
+    cur_snap_.data_hash = fnv1a(nidb_->data().to_json(false));
   }
   if (try_restore("render")) {
     maybe_write_snapshot();
@@ -859,12 +852,11 @@ Workflow& Workflow::render() {
   }
   begin_phase("render");
   timed("render", [this]() {
-    if (incr_partial_ && baseline_configs_ && !incr_.plan.reused_devices.empty()) {
+    if (base_.configs && !incr_.plan.reused_devices.empty()) {
       render::RenderReuse reuse;
-      reuse.baseline = &*baseline_configs_;
+      reuse.baseline = &*base_.configs;
       reuse.devices = &incr_.plan.reused_devices;
-      reuse.data_changed =
-          base_snap_ && base_snap_->data_hash != cur_snap_.data_hash;
+      reuse.data_changed = base_.snap.data_hash != cur_snap_.data_hash;
       reuse.reused_out = &incr_.devices_reused_render;
       configs_ = render::render_configs(*nidb_, render::TemplateStore::builtins(),
                                         control_, &reuse);
@@ -880,10 +872,10 @@ Workflow& Workflow::render() {
 
 Workflow& Workflow::lint() {
   if (!nidb_) throw std::logic_error("Workflow::lint before compile");
-  if (incr_partial_ && !incr_planned_lint_) {
+  if (reuse_ == ReuseMode::kPartial && !incr_planned_lint_) {
     incr_planned_lint_ = true;
     incremental::plan_lint(
-        *base_snap_, lint_signature(),
+        base_.snap, lint_signature(),
         incremental::template_base_hashes(render::TemplateStore::builtins()),
         incr_.plan);
   }
@@ -896,9 +888,9 @@ Workflow& Workflow::lint() {
       const verify::RuleRegistry& registry =
           options_.lint.analysis ? verify::RuleRegistry::with_analysis()
                                  : verify::RuleRegistry::builtin();
-      if (incr_.plan.lint_reusable && baseline_lint_) {
+      if (incr_.plan.lint_reusable && base_.lint) {
         verify::LintReuse reuse;
-        reuse.baseline = &*baseline_lint_;
+        reuse.baseline = &*base_.lint;
         reuse.reused_out = &incr_.lint_rules_reused;
         lint_report_ = verify::run_lint(input, options_.lint.options, registry,
                                         control_, &reuse);
@@ -928,23 +920,22 @@ Workflow& Workflow::deploy() {
   // settles the applied actions. Excluded from the byte-equivalence
   // contract — its deploy artifact is a synthesis, validated by the
   // FIB-equivalence tests instead.
-  if (hot_apply_ && incr_partial_ && baseline_nidb_ && baseline_configs_ &&
-      !incr_.delta.empty()) {
+  if (hot_apply_ && base_.nidb && base_.configs && !incr_.delta.empty()) {
     const incremental::HotApplyPlan hplan =
         incremental::plan_hot_apply(incr_.delta, options_.ospf.cost_attr);
     if (hplan.applicable()) {
       begin_phase("deploy");
       timed("deploy", [this, &hplan]() {
         host_ = std::make_unique<deploy::EmulationHost>("localhost");
-        host_->receive(deploy::pack(*baseline_configs_));
+        host_->receive(deploy::pack(*base_.configs));
         host_->extract();
-        host_->start_network(*baseline_nidb_, host_->filesystem(), {}, nullptr);
+        host_->start_network(*base_.nidb, host_->filesystem(), {}, nullptr);
         const incremental::HotApplyResult result =
             incremental::hot_apply(*host_->network(), hplan, 128, control_);
         deploy_result_ = {};
         deploy_result_.success =
             result.failed == 0 && result.convergence.converged;
-        for (const auto* rec : baseline_nidb_->devices()) {
+        for (const auto* rec : base_.nidb->devices()) {
           deploy_result_.booted.push_back(rec->name);
         }
         deploy_result_.convergence = result.convergence;

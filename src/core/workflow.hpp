@@ -275,11 +275,19 @@ class Workflow {
   template <typename F>
   void timed(const std::string& phase, F&& f);
 
-  // Checkpoint/resume plumbing (all no-ops when ckpt_ is null).
-  void validate_checkpoint(const graph::Graph& input);
+  /// What the incremental_from() baseline contributes to this run:
+  /// nothing (cold), every phase (warm), or the snapshot-planned subset
+  /// (partial). IncrementalReport::mode is its name.
+  enum class ReuseMode { kCold, kWarm, kPartial };
+
+  /// The one reuse decision, taken as load() starts: compares this run's
+  /// input hash and option signatures with the own checkpoint (resume
+  /// or discard) and with the baseline (warm, partial or cold).
+  void choose_reuse(const graph::Graph& input);
+  /// Decodes the baseline's snapshot and build-phase artifacts into
+  /// base_ for partial mode; returns why they are unusable, or "".
+  std::string load_baseline();
   bool try_restore(const std::string& phase);
-  // Incremental plumbing (all no-ops when baseline_ is null).
-  void prepare_incremental();
   /// Canonical option text hashed into the signatures; the deploy knobs
   /// are separable because they affect no phase before deploy().
   [[nodiscard]] std::string signature_text(bool include_deploy) const;
@@ -331,7 +339,6 @@ class Workflow {
   /// Once any phase executes fresh, downstream checkpoint records are
   /// stale — restores stop and save_phase() invalidates them.
   bool fresh_executed_ = false;
-  bool resume_counted_ = false;
   /// Measure-phase counter values, snapshotted so a restored measure
   /// phase can replay its registry contributions exactly.
   std::uint64_t measure_probes_ = 0;
@@ -339,19 +346,22 @@ class Workflow {
 
   // --- Incremental state -------------------------------------------------
   std::unique_ptr<CheckpointStore> baseline_;  // incremental_from() source
-  bool incr_warm_ = false;     // baseline input+options match: full restore
-  bool incr_partial_ = false;  // options match, input differs: plan reuse
+  ReuseMode reuse_ = ReuseMode::kCold;
   bool hot_apply_ = false;
-  std::optional<incremental::Snapshot> base_snap_;
+  /// The baseline as partial mode reads it (empty in other modes); a
+  /// phase the baseline never recorded stays unset.
+  struct BaselineState {
+    incremental::Snapshot snap;
+    std::optional<anm::AbstractNetworkModel> anm;
+    std::optional<nidb::Nidb> nidb;
+    std::optional<render::ConfigTree> configs;
+    std::optional<verify::Report> lint;
+  };
+  BaselineState base_;
+  /// This run's snapshot: rule projections (design), device signatures
+  /// (compile) and the data() hash (render); written with the checkpoint.
   incremental::Snapshot cur_snap_;
-  bool snap_has_rules_ = false;
-  bool snap_has_sigs_ = false;
-  bool incr_planned_devices_ = false;
   bool incr_planned_lint_ = false;
-  std::optional<anm::AbstractNetworkModel> baseline_anm_;
-  std::optional<nidb::Nidb> baseline_nidb_;
-  std::optional<render::ConfigTree> baseline_configs_;
-  std::optional<verify::Report> baseline_lint_;
   IncrementalReport incr_;
 };
 

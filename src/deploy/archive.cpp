@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "core/hash.hpp"
+
 namespace autonet::deploy {
 
 namespace {
@@ -24,15 +26,6 @@ std::uint64_t get_u64(std::string_view in, std::size_t& pos) {
 
 }  // namespace
 
-std::uint64_t checksum(std::string_view payload) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : payload) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 std::string pack(const render::ConfigTree& tree) {
   std::string payload;
   put_u64(payload, tree.file_count());
@@ -43,7 +36,7 @@ std::string pack(const render::ConfigTree& tree) {
     payload += content;
   }
   std::string out(kMagic, sizeof kMagic);
-  put_u64(out, checksum(payload));
+  put_u64(out, fnv1a(payload));
   out += payload;
   return out;
 }
@@ -56,7 +49,7 @@ render::ConfigTree unpack(const std::string& blob) {
   std::size_t pos = sizeof kMagic;
   std::uint64_t want = get_u64(blob, pos);
   std::string_view payload(blob.data() + pos, blob.size() - pos);
-  if (checksum(payload) != want) throw ArchiveError("archive checksum mismatch");
+  if (fnv1a(payload) != want) throw ArchiveError("archive checksum mismatch");
 
   render::ConfigTree tree;
   std::uint64_t count = get_u64(blob, pos);

@@ -24,7 +24,4 @@ class ArchiveError : public std::runtime_error {
 /// Restores a tree from a blob; throws ArchiveError on corruption.
 [[nodiscard]] render::ConfigTree unpack(const std::string& blob);
 
-/// The checksum pack() embeds (FNV-1a over the payload).
-[[nodiscard]] std::uint64_t checksum(std::string_view payload);
-
 }  // namespace autonet::deploy

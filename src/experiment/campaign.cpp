@@ -4,6 +4,7 @@
 #include <set>
 #include <sstream>
 
+#include "core/hash.hpp"
 #include "topology/builtin.hpp"
 #include "topology/generators.hpp"
 #include "topology/load.hpp"
@@ -214,15 +215,6 @@ CampaignSpec load_campaign_file(const std::string& path) {
   return parse_campaign(text.str());
 }
 
-std::uint64_t fnv1a64(std::string_view data, std::uint64_t basis) {
-  std::uint64_t hash = basis;
-  for (const char c : data) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
 std::vector<RunSpec> expand(const CampaignSpec& spec) {
   std::vector<RunSpec> runs;
   runs.reserve(spec.run_count());
@@ -257,7 +249,7 @@ std::vector<RunSpec> expand(const CampaignSpec& spec) {
       }
       if (id.empty()) id = "base";
       run.id = id + "/rep" + std::to_string(rep);
-      run.seed = fnv1a64(run.id, fnv1a64(spec.name) ^ spec.seed);
+      run.seed = fnv1a(run.id, fnv1a(spec.name) ^ spec.seed);
       run.workflow.deploy.backoff_seed = run.seed;
       runs.push_back(std::move(run));
     }

@@ -111,8 +111,4 @@ struct RunSpec {
 /// grid:WxH, multi-as:N), or a topology file path.
 [[nodiscard]] graph::Graph resolve_topology(const std::string& spec);
 
-/// FNV-1a 64-bit, the seed-derivation hash (stable across platforms).
-[[nodiscard]] std::uint64_t fnv1a64(std::string_view data,
-                                    std::uint64_t basis = 14695981039346656037ull);
-
 }  // namespace autonet::experiment

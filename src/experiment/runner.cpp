@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "core/checkpoint.hpp"
+#include "core/hash.hpp"
 #include "measure/client.hpp"
 #include "obs/span.hpp"
 #include "obs/stats.hpp"
@@ -88,7 +89,7 @@ std::string checkpoint_dir_name(const std::string& run_id) {
     out.push_back(std::isalnum(static_cast<unsigned char>(c)) != 0 ? c : '_');
   }
   out += '-';
-  out += std::to_string(core::checkpoint_hash(run_id) % 1000000000ULL);
+  out += std::to_string(fnv1a(run_id) % 1000000000ULL);
   return out;
 }
 

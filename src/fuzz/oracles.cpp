@@ -1,8 +1,12 @@
 #include "fuzz/oracles.hpp"
 
+#include <cerrno>
+#include <cstdlib>
+#include <cstring>
 #include <exception>
 #include <filesystem>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -44,17 +48,18 @@ std::unique_ptr<obs::Registry> virtual_registry() {
   return std::make_unique<obs::Registry>(std::make_unique<obs::VirtualClock>(1));
 }
 
-/// Scratch directory under the system temp root, unique per (purpose,
-/// seed); recreated empty.
+/// A fresh empty directory under the system temp root, private to this
+/// instance: evaluations of the same seed in other threads or processes
+/// (a campaign and a corpus replay, say) never share one.
 class ScratchDir {
  public:
   ScratchDir(const std::string& purpose, std::uint64_t seed) {
     path_ = (fs::temp_directory_path() /
-             ("autonet-fuzz-" + purpose + "-" + std::to_string(seed)))
+             ("autonet-fuzz-" + purpose + "-" + std::to_string(seed) + "-XXXXXX"))
                 .string();
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-    fs::create_directories(path_, ec);
+    if (::mkdtemp(path_.data()) == nullptr) {
+      throw std::runtime_error("cannot create " + path_ + ": " + std::strerror(errno));
+    }
   }
   ~ScratchDir() {
     std::error_code ec;

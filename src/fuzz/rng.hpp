@@ -1,5 +1,5 @@
 // Deterministic random stream for the fuzzing subsystem. Hand-rolled
-// splitmix64 over an FNV-seeded state: unlike
+// splitmix64 over an FNV-seeded state (core/hash.hpp): unlike
 // std::uniform_int_distribution (whose output is implementation-defined
 // across standard libraries), every draw here is a pure function of the
 // seed on every platform — the property the byte-deterministic fuzz
@@ -7,32 +7,23 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
+
+#include "core/hash.hpp"
 
 namespace autonet::fuzz {
 
-/// FNV-1a 64 over a byte string; the same hash the checkpoint and
-/// incremental layers use for content addressing.
-[[nodiscard]] constexpr std::uint64_t fnv1a(std::string_view data) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : data) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-/// Mixes two 64-bit values into one (FNV-style fold); used to derive
-/// per-run seeds from the campaign seed and the run index.
+/// Mixes two 64-bit values into one (FNV-1a over their little-endian
+/// bytes); used to derive per-run seeds from the campaign seed and the
+/// run index.
 [[nodiscard]] constexpr std::uint64_t mix(std::uint64_t a, std::uint64_t b) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+  std::uint64_t h = kFnvOffsetBasis;
   for (int i = 0; i < 8; ++i) {
     h ^= (a >> (i * 8)) & 0xff;
-    h *= 0x100000001b3ULL;
+    h *= kFnvPrime;
   }
   for (int i = 0; i < 8; ++i) {
     h ^= (b >> (i * 8)) & 0xff;
-    h *= 0x100000001b3ULL;
+    h *= kFnvPrime;
   }
   return h;
 }

@@ -1,18 +1,18 @@
 #include "fuzz/session.hpp"
 
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
-#include <stdexcept>
 #include <fstream>
-#include <sstream>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/checkpoint.hpp"
 #include "fuzz/corpus.hpp"
 #include "fuzz/rng.hpp"
+#include "nidb/value.hpp"
+#include "obs/export.hpp"
 #include "obs/registry.hpp"
 
 namespace autonet::fuzz {
@@ -27,49 +27,22 @@ std::string campaign_header(const FuzzOptions& options) {
   return "{\"campaign\":{\"seed\":" + std::to_string(options.seed) +
          ",\"runs\":" + std::to_string(options.runs) +
          ",\"max_nodes\":" + std::to_string(options.max_nodes) +
-         ",\"oracle\":\"" + json_escape(options.oracle) + "\"}}";
+         ",\"oracle\":\"" + obs::json_escape(options.oracle) + "\"}}";
 }
 
 std::string record_line(const FuzzRunRecord& r) {
   return "{\"run\":" + std::to_string(r.run) +
          ",\"seed\":" + std::to_string(r.seed) + ",\"oracle\":\"" +
-         json_escape(r.oracle) + "\",\"scenario\":\"" +
-         json_escape(r.scenario) + "\",\"status\":\"" + r.status +
-         "\",\"detail\":\"" + json_escape(r.detail) + "\",\"corpus\":\"" +
-         json_escape(r.corpus_path) + "\"}";
+         obs::json_escape(r.oracle) + "\",\"scenario\":\"" +
+         obs::json_escape(r.scenario) + "\",\"status\":\"" + r.status +
+         "\",\"detail\":\"" + obs::json_escape(r.detail) + "\",\"corpus\":\"" +
+         obs::json_escape(r.corpus_path) + "\"}";
 }
 
-/// Minimal field extraction from our own journal lines (the writer and
-/// reader share the exact format; this is not a general JSON parser).
-std::string extract_string(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\":\"";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return "";
-  std::string out;
-  for (std::size_t i = at + needle.size(); i < line.size(); ++i) {
-    const char c = line[i];
-    if (c == '\\' && i + 1 < line.size()) {
-      const char esc = line[++i];
-      if (esc == 'n') {
-        out += '\n';
-      } else if (esc == 't') {
-        out += '\t';
-      } else {
-        out += esc;
-      }
-      continue;
-    }
-    if (c == '"') break;
-    out += c;
-  }
-  return out;
-}
-
-std::int64_t extract_int(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return -1;
-  return std::strtoll(line.c_str() + at + needle.size(), nullptr, 10);
+std::string string_field(const nidb::Value& record, const char* key) {
+  const nidb::Value* v = record.find(key);
+  const std::string* s = v != nullptr ? v->as_string() : nullptr;
+  return s != nullptr ? *s : "";
 }
 
 std::vector<std::string> read_lines(const std::string& path) {
@@ -95,36 +68,6 @@ std::vector<const Oracle*> enabled_oracles(const FuzzOptions& options) {
 
 }  // namespace
 
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 OracleResult replay_scenario(const Scenario& s, const Oracle& oracle) {
   return oracle.run(s);
 }
@@ -143,16 +86,23 @@ FuzzReport run_fuzz(const FuzzOptions& options, core::RunControl* control) {
 
   // Resume: adopt the existing journal's recorded runs when it belongs
   // to this exact campaign; otherwise start the journal over.
-  std::vector<std::string> done(options.runs);  // run index -> line or ""
+  std::vector<std::optional<nidb::Value>> done(options.runs);  // by run index
   bool fresh = true;
   if (fs::exists(journal_path)) {
     const std::vector<std::string> lines = read_lines(journal_path);
     if (!lines.empty() && lines.front() == header) {
       fresh = false;
       for (std::size_t i = 1; i < lines.size(); ++i) {
-        const std::int64_t run = extract_int(lines[i], "run");
-        if (run >= 0 && static_cast<std::size_t>(run) < options.runs) {
-          done[static_cast<std::size_t>(run)] = lines[i];
+        nidb::Value record;
+        try {
+          record = nidb::parse_json(lines[i]);
+        } catch (const std::exception&) {
+          continue;  // a line torn by a kill mid-append: run it again
+        }
+        const nidb::Value* run = record.find("run");
+        const std::int64_t index = run != nullptr ? run->as_int().value_or(-1) : -1;
+        if (index >= 0 && static_cast<std::size_t>(index) < options.runs) {
+          done[static_cast<std::size_t>(index)] = std::move(record);
         }
       }
     }
@@ -173,23 +123,23 @@ FuzzReport run_fuzz(const FuzzOptions& options, core::RunControl* control) {
 
     FuzzRunRecord record;
     record.run = i;
+    // The journalled seed is this same value: the header pins the
+    // campaign seed.
+    record.seed = mix(options.seed, i);
 
-    if (!done[i].empty()) {
+    if (done[i]) {
       // Satisfied from the journal: count it without re-executing.
-      const std::string& line = done[i];
-      record.seed = static_cast<std::uint64_t>(extract_int(line, "seed"));
-      record.oracle = extract_string(line, "oracle");
-      record.scenario = extract_string(line, "scenario");
-      record.status = extract_string(line, "status");
-      record.detail = extract_string(line, "detail");
-      record.corpus_path = extract_string(line, "corpus");
+      record.oracle = string_field(*done[i], "oracle");
+      record.scenario = string_field(*done[i], "scenario");
+      record.status = string_field(*done[i], "status");
+      record.detail = string_field(*done[i], "detail");
+      record.corpus_path = string_field(*done[i], "corpus");
       ++report.resumed;
     } else {
       if (out_of_budget()) {
         report.out_of_time = true;
         break;
       }
-      record.seed = mix(options.seed, i);
       const Oracle& oracle = *oracles[i % oracles.size()];
       record.oracle = oracle.name;
 

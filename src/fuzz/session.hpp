@@ -76,7 +76,4 @@ FuzzReport run_fuzz(const FuzzOptions& options,
 [[nodiscard]] OracleResult replay_scenario(const Scenario& s,
                                            const Oracle& oracle);
 
-/// JSON string escaping shared by the journal writer (exposed for tests).
-[[nodiscard]] std::string json_escape(std::string_view text);
-
 }  // namespace autonet::fuzz

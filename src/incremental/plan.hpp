@@ -7,6 +7,7 @@
 
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "incremental/snapshot.hpp"
@@ -14,9 +15,6 @@
 namespace autonet::incremental {
 
 struct RecomputePlan {
-  /// "warm" (full restore), "partial" (per-phase reuse), or "cold".
-  std::string mode = "cold";
-
   std::vector<std::string> reused_rules;  // design rules, pipeline order
   std::vector<std::string> dirty_rules;
   std::set<std::string> reused_devices;   // compile + render reuse set

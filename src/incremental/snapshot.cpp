@@ -3,18 +3,10 @@
 #include <algorithm>
 #include <functional>
 
+#include "core/hash.hpp"
 #include "nidb/value.hpp"
 
 namespace autonet::incremental {
-
-std::uint64_t fnv1a(std::string_view data) {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (unsigned char c : data) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 std::vector<std::string> DesignSpec::rule_order() const {
   std::vector<std::string> order{"ospf"};
@@ -334,10 +326,7 @@ std::map<std::string, std::uint64_t> hash_map_from_value(const nidb::Value* v) {
 std::string Snapshot::to_json() const {
   nidb::Object out;
   out["version"] = std::int64_t{1};
-  out["input_hash"] = input_hash;
-  out["platform"] = platform;
   out["lint_sig"] = lint_sig;
-  out["nidb_hash"] = std::to_string(nidb_hash);
   out["data_hash"] = std::to_string(data_hash);
   out["global_digest"] = std::to_string(global_digest);
   out["rule_hashes"] = hash_map_to_value(rule_hashes);
@@ -356,17 +345,8 @@ std::optional<Snapshot> Snapshot::from_json(const std::string& text) {
   if (!doc.is_object()) return std::nullopt;
   Snapshot snap;
   try {
-    if (const auto* s = doc.find("input_hash"); s != nullptr && s->as_string()) {
-      snap.input_hash = *s->as_string();
-    }
-    if (const auto* s = doc.find("platform"); s != nullptr && s->as_string()) {
-      snap.platform = *s->as_string();
-    }
     if (const auto* s = doc.find("lint_sig"); s != nullptr && s->as_string()) {
       snap.lint_sig = *s->as_string();
-    }
-    if (const auto* s = doc.find("nidb_hash"); s != nullptr && s->as_string()) {
-      snap.nidb_hash = std::stoull(*s->as_string());
     }
     if (const auto* s = doc.find("data_hash"); s != nullptr && s->as_string()) {
       snap.data_hash = std::stoull(*s->as_string());

@@ -1,8 +1,8 @@
 // Content-addressed snapshots of the pipeline's inputs: per-design-rule
 // projection hashes over the post-load ANM, per-device neighborhood
 // signatures over the designed ANM, and per-template-base version
-// hashes — all FNV-1a 64, byte-compatible with core::checkpoint_hash and
-// the analysis FibCache keys. Two snapshots diff into a minimal
+// hashes — all FNV-1a 64 (core/hash.hpp), like the checkpoint manifests
+// and the analysis FibCache keys. Two snapshots diff into a minimal
 // recompute plan (see plan.hpp): a design rule whose projection hash is
 // unchanged re-reads nothing it has not already read, so its baseline
 // overlay can be copied; a device whose signature is unchanged compiles
@@ -19,7 +19,6 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "anm/anm.hpp"
@@ -29,10 +28,6 @@
 #include "render/renderer.hpp"
 
 namespace autonet::incremental {
-
-/// FNV-1a 64-bit, restated (autonet_core depends on this library, not
-/// the other way round) — the same scheme as core::checkpoint_hash.
-[[nodiscard]] std::uint64_t fnv1a(std::string_view data);
 
 /// What the design phase is about to run, as snapshot input. Mirrors the
 /// design-relevant subset of core::WorkflowOptions without depending on
@@ -63,11 +58,8 @@ struct DeviceSignatures {
 /// One pipeline snapshot, persisted as snapshot.json next to the phase
 /// checkpoints it describes.
 struct Snapshot {
-  std::string input_hash;   // decimal FNV of the serialized input graph
-  std::string platform;
-  std::string lint_sig;     // lint-option slice of the options signature
-  std::uint64_t nidb_hash = 0;   // content hash of the compiled NIDB
-  std::uint64_t data_hash = 0;   // NIDB data() section alone
+  std::string lint_sig;          // lint-option slice of the options signature
+  std::uint64_t data_hash = 0;   // NIDB data() section
   std::uint64_t global_digest = 0;
   std::map<std::string, std::uint64_t> rule_hashes;
   std::map<std::string, std::uint64_t> device_sigs;

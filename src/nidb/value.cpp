@@ -422,6 +422,13 @@ class JsonCursor {
     }
     std::int64_t i = 0;
     auto [p, ec] = std::from_chars(first, last, i);
+    if (ec == std::errc::result_out_of_range && p == last) {
+      // JSON puts no bound on integers (unsigned 64-bit seeds, say):
+      // beyond int64 the magnitude is kept as a double.
+      double d = 0;
+      std::from_chars(first, last, d);
+      return Value(d);
+    }
     if (ec != std::errc{} || p != last) fail("bad number '" + std::string(raw) + "'");
     return Value(i);
   }

@@ -2,23 +2,9 @@
 
 #include <string>
 
+#include "core/hash.hpp"
+
 namespace autonet::verify::analysis {
-
-namespace {
-
-// FNV-1a 64-bit — byte-for-byte the same scheme as
-// core::checkpoint_hash (not linked from here: autonet_core depends on
-// autonet_verify, so the hash is restated rather than imported).
-std::uint64_t fnv1a(std::string_view data) {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (unsigned char c : data) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-}  // namespace
 
 std::uint64_t nidb_content_hash(const nidb::Nidb& nidb) {
   return fnv1a(nidb.to_json(false));

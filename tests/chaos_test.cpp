@@ -17,6 +17,7 @@
 
 #include "core/cancel.hpp"
 #include "core/checkpoint.hpp"
+#include "core/hash.hpp"
 #include "core/workflow.hpp"
 #include "experiment/aggregate.hpp"
 #include "experiment/campaign.hpp"
@@ -191,7 +192,7 @@ TEST(ChaosResume, KillAtEverySubPhaseBoundaryThenResumeByteIdentical) {
   for (const std::string& where : boundaries) {
     const std::string dir =
         temp_dir("autonet_chaos_sub_" +
-                 std::to_string(core::checkpoint_hash(where) % 1000000));
+                 std::to_string(fnv1a(where) % 1000000));
     ASSERT_TRUE(run_until_trip(dir, where)) << where;
 
     obs::Registry registry(std::make_unique<obs::VirtualClock>());

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/checkpoint.hpp"
+#include "core/hash.hpp"
 #include "core/workflow.hpp"
 #include "experiment/journal.hpp"
 #include "graph/graph.hpp"
@@ -46,12 +47,11 @@ std::uint64_t counter_value(obs::Registry& registry, const std::string& name) {
 // --- Primitives -----------------------------------------------------------
 
 TEST(CheckpointHash, DeterministicAndContentSensitive) {
-  EXPECT_EQ(core::checkpoint_hash("abc"), core::checkpoint_hash("abc"));
-  EXPECT_NE(core::checkpoint_hash("abc"), core::checkpoint_hash("abd"));
-  EXPECT_NE(core::checkpoint_hash(""),
-            core::checkpoint_hash(std::string_view("\0", 1)));
+  EXPECT_EQ(fnv1a("abc"), fnv1a("abc"));
+  EXPECT_NE(fnv1a("abc"), fnv1a("abd"));
+  EXPECT_NE(fnv1a(""), fnv1a(std::string_view("\0", 1)));
   // FNV-1a offset basis for the empty string (stable across platforms).
-  EXPECT_EQ(core::checkpoint_hash(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(fnv1a(""), 0xcbf29ce484222325ull);
 }
 
 TEST(WriteFileAtomic, WritesAndReplacesWithoutTemps) {

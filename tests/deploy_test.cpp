@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "core/hash.hpp"
 #include "core/workflow.hpp"
 #include "deploy/archive.hpp"
 #include "deploy/deployer.hpp"
@@ -43,8 +44,8 @@ TEST(Archive, DetectsCorruption) {
 }
 
 TEST(Archive, ChecksumIsStable) {
-  EXPECT_EQ(checksum("abc"), checksum("abc"));
-  EXPECT_NE(checksum("abc"), checksum("abd"));
+  EXPECT_EQ(fnv1a("abc"), fnv1a("abc"));
+  EXPECT_NE(fnv1a("abc"), fnv1a("abd"));
 }
 
 class DeployFixture : public ::testing::Test {

@@ -16,6 +16,7 @@
 #include "fuzz/scenario.hpp"
 #include "fuzz/session.hpp"
 #include "fuzz/shrink.hpp"
+#include "obs/export.hpp"
 #include "obs/registry.hpp"
 #include "topology/builtin.hpp"
 #include "topology/graphml.hpp"
@@ -59,8 +60,8 @@ TEST(FuzzRng, SplitmixIsDeterministicAndSeedSensitive) {
 TEST(FuzzRng, MixAndFnvAreStableAcrossPlatforms) {
   // Pinned values: the corpus addresses and journal seeds depend on
   // these never changing.
-  EXPECT_EQ(fuzz::fnv1a(""), 0xcbf29ce484222325ULL);
-  EXPECT_EQ(fuzz::fnv1a("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(fnv1a(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(fnv1a("a"), 0xaf63dc4c8601ec8cULL);
   EXPECT_NE(fuzz::mix(1, 2), fuzz::mix(2, 1));
   EXPECT_EQ(fuzz::mix(1, 2), fuzz::mix(1, 2));
 }
@@ -243,8 +244,36 @@ TEST(FuzzCorpus, SaveListLoadRoundTrip) {
 // --- Campaign driver -------------------------------------------------------
 
 TEST(FuzzSession, JsonEscapeHandlesControlCharacters) {
-  EXPECT_EQ(fuzz::json_escape("a\"b\\c\nd\te"), "a\\\"b\\\\c\\nd\\te");
-  EXPECT_EQ(fuzz::json_escape(std::string(1, '\x01')), "\\u0001");
+  EXPECT_EQ(obs::json_escape("a\"b\\c\nd\te"), "a\\\"b\\\\c\\nd\\te");
+  EXPECT_EQ(obs::json_escape(std::string(1, '\x01')), "\\u0001");
+}
+
+TEST(FuzzSession, ResumedDetailEqualsTheJournalledOne) {
+  // Loader-robustness details can quote corrupted input bytes. Run 0 of
+  // campaign seed 3 also has a seed beyond the int64 range.
+  const std::string dir = temp_dir("autonet_fuzz_detail");
+  const std::string detail = "byte \x01 then \r\n \"quoted\" \\ and \t";
+  std::ofstream(dir + "/journal.jsonl", std::ios::binary)
+      << "{\"campaign\":{\"seed\":3,\"runs\":1,\"max_nodes\":10,\"oracle\":\"\"}}\n"
+      << "{\"run\":0,\"seed\":" << fuzz::mix(3, 0)
+      << ",\"oracle\":\"loader-robustness\",\"scenario\":\"s\",\"status\":\"fail\","
+      << "\"detail\":\"" << obs::json_escape(detail)
+      << "\",\"corpus\":\"loader-robustness/1.graphml\"}\n";
+  fuzz::FuzzOptions options;
+  options.seed = 3;
+  options.runs = 1;
+  options.max_nodes = 10;
+  options.corpus_dir = dir;
+
+  const fuzz::FuzzReport report = fuzz::run_fuzz(options);
+  EXPECT_EQ(report.executed, 0u);
+  EXPECT_EQ(report.resumed, 1u);
+  ASSERT_EQ(report.violations.size(), 1u);
+  EXPECT_EQ(report.violations[0].detail, detail);
+  EXPECT_EQ(report.violations[0].seed, fuzz::mix(3, 0));
+  EXPECT_EQ(report.violations[0].oracle, "loader-robustness");
+  EXPECT_EQ(report.violations[0].corpus_path, "loader-robustness/1.graphml");
+  fs::remove_all(dir);
 }
 
 TEST(FuzzSession, CampaignJournalIsByteDeterministic) {

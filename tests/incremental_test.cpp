@@ -152,10 +152,7 @@ TEST(DiffGraphs, TypedDeltasComeOutInDeterministicOrder) {
 
 TEST(Snapshot, JsonRoundTripPreservesEveryField) {
   incremental::Snapshot snap;
-  snap.input_hash = "12345";
-  snap.platform = "netkit";
   snap.lint_sig = "67890";
-  snap.nidb_hash = 0xdeadbeefull;
   snap.data_hash = 42;
   snap.global_digest = 7;
   snap.rule_hashes = {{"ospf", 1}, {"ip", 2}};
@@ -164,10 +161,7 @@ TEST(Snapshot, JsonRoundTripPreservesEveryField) {
 
   const auto back = incremental::Snapshot::from_json(snap.to_json());
   ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->input_hash, snap.input_hash);
-  EXPECT_EQ(back->platform, snap.platform);
   EXPECT_EQ(back->lint_sig, snap.lint_sig);
-  EXPECT_EQ(back->nidb_hash, snap.nidb_hash);
   EXPECT_EQ(back->data_hash, snap.data_hash);
   EXPECT_EQ(back->global_digest, snap.global_digest);
   EXPECT_EQ(back->rule_hashes, snap.rule_hashes);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 
@@ -15,9 +16,12 @@ namespace fs = std::filesystem;
 
 class LoadDispatch : public ::testing::Test {
  protected:
+  // A private directory per test: ctest runs these tests as concurrent
+  // processes, and each TearDown removes its own.
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "autonet_load_test";
-    fs::create_directories(dir_);
+    std::string pattern = (fs::temp_directory_path() / "autonet_load_test_XXXXXX").string();
+    ASSERT_NE(mkdtemp(pattern.data()), nullptr);
+    dir_ = pattern;
   }
   void TearDown() override { fs::remove_all(dir_); }
 

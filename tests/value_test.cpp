@@ -102,6 +102,14 @@ TEST(Json, ParseScalars) {
   EXPECT_EQ(*parse_json("\"hi\"").as_string(), "hi");
 }
 
+TEST(Json, IntegersBeyondInt64ParseAsDouble) {
+  EXPECT_EQ(parse_json("9223372036854775807").as_int(), INT64_MAX);
+  const Value big = parse_json("18446744073709551615");
+  EXPECT_FALSE(big.is_int());
+  EXPECT_EQ(big.as_double(), 18446744073709551615.0);
+  EXPECT_EQ(parse_json("-18446744073709551616").as_double(), -18446744073709551616.0);
+}
+
 TEST(Json, ParseNested) {
   Value v = parse_json(R"({"a": [1, 2, {"b": null}], "c": "x"})");
   ASSERT_TRUE(v.is_object());

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
+#include <string>
+
 #include "core/workflow.hpp"
 #include "topology/builtin.hpp"
 #include "topology/generators.hpp"
@@ -41,6 +45,66 @@ TEST(Workflow, TimingsRecorded) {
   }
   EXPECT_GT(t.total(), 0.0);
   EXPECT_NE(t.to_string().find("render="), std::string::npos);
+}
+
+// Every cell of the reuse decision (docs/incremental.md): the own
+// checkpoint and the incremental_from() baseline, each against a run
+// with the same options (exact), other deploy knobs (build-only), or
+// other build options (other).
+TEST(Workflow, ReuseDecisionCoversEveryStoreAndMatch) {
+  namespace fs = std::filesystem;
+  std::string root = (fs::temp_directory_path() / "autonet_reuse_XXXXXX").string();
+  ASSERT_NE(mkdtemp(root.data()), nullptr);
+  const graph::Graph input = topology::figure5();
+  core::WorkflowOptions deploy_differs;
+  deploy_differs.deploy.max_boot_attempts += 1;
+  core::WorkflowOptions build_differs;
+  build_differs.lint.fail_fast = false;
+  auto explains = [](const core::Workflow& wf, const std::string& reason) {
+    return wf.incremental_report().to_text().find(reason) != std::string::npos;
+  };
+
+  const std::string base = root + "/base";
+  core::Workflow(core::WorkflowOptions{}).checkpoint_to(base).run(input);
+  const std::string bare = root + "/bare";  // the baseline minus its snapshot
+  fs::copy(base, bare, fs::copy_options::recursive);
+  fs::remove(bare + "/snapshot.json");
+
+  core::Workflow warm;
+  warm.incremental_from(base).run(input);
+  EXPECT_EQ(warm.incremental_report().mode, "warm");
+  EXPECT_EQ(warm.restored_phases().size(), 6u);
+
+  core::Workflow partial(deploy_differs);
+  partial.incremental_from(base).run(input);
+  EXPECT_EQ(partial.incremental_report().mode, "partial");
+  EXPECT_TRUE(explains(partial, "deploy options differ"));
+  EXPECT_TRUE(partial.restored_phases().empty());
+
+  core::Workflow no_snapshot(deploy_differs);
+  no_snapshot.incremental_from(bare).run(input);
+  EXPECT_EQ(no_snapshot.incremental_report().mode, "cold");
+  EXPECT_TRUE(explains(no_snapshot, "no usable snapshot.json"));
+
+  core::Workflow other(build_differs);
+  other.incremental_from(base).run(input);
+  EXPECT_EQ(other.incremental_report().mode, "cold");
+  EXPECT_TRUE(explains(other, "baseline options differ"));
+
+  core::Workflow resume;
+  resume.checkpoint_to(base).run(input);
+  EXPECT_EQ(resume.restored_phases().size(), 6u);
+  EXPECT_FALSE(resume.incremental_report().enabled);
+
+  // A mismatched own store is discarded: nothing restores, and the run
+  // records its own phases in place.
+  for (const core::WorkflowOptions& opts : {deploy_differs, build_differs}) {
+    core::Workflow discard(opts);
+    discard.checkpoint_to(bare).run(input);
+    EXPECT_TRUE(discard.restored_phases().empty());
+    EXPECT_EQ(discard.checkpoint_store()->meta("options"), discard.options_signature());
+  }
+  fs::remove_all(root);
 }
 
 TEST(Workflow, UnknownPlatformThrows) {
@@ -100,6 +164,11 @@ struct PlatformCase {
   bool expect_osc;  // bad-gadget oscillation expectation (§7.2)
 };
 
+// gtest_discover_tests names each case by how gtest prints its parameter
+// (".../netkit"). The default print is a byte dump of the struct, whose
+// pointer moves from build to build, so the name would too.
+void PrintTo(const PlatformCase& c, std::ostream* os) { *os << c.platform; }
+
 class PlatformMatrix : public ::testing::TestWithParam<PlatformCase> {};
 
 TEST_P(PlatformMatrix, SmallInternetConvergesAndValidates) {
@@ -127,10 +196,7 @@ TEST_P(PlatformMatrix, BadGadgetVendorBehaviour) {
 INSTANTIATE_TEST_SUITE_P(
     Platforms, PlatformMatrix,
     ::testing::Values(PlatformCase{"netkit", false}, PlatformCase{"dynagen", true},
-                      PlatformCase{"junosphere", true}, PlatformCase{"cbgp", true}),
-    [](const ::testing::TestParamInfo<PlatformCase>& info) {
-      return info.param.platform;
-    });
+                      PlatformCase{"junosphere", true}, PlatformCase{"cbgp", true}));
 
 class ScaleSweep : public ::testing::TestWithParam<std::size_t> {};
 
