@@ -1025,10 +1025,6 @@ measure::MeasurementClient Workflow::measurement() const {
   return measure::MeasurementClient(*host_->network(), *nidb_);
 }
 
-verify::Report Workflow::static_check() const {
-  return verify::static_check(nidb());
-}
-
 const verify::Report& Workflow::lint_report() const {
   if (!lint_report_) throw std::logic_error("lint() has not run");
   return *lint_report_;

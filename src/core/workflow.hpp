@@ -34,7 +34,7 @@
 #include "nidb/nidb.hpp"
 #include "obs/registry.hpp"
 #include "render/renderer.hpp"
-#include "verify/static_check.hpp"
+#include "verify/rules.hpp"
 
 namespace autonet::core {
 
@@ -266,8 +266,6 @@ class Workflow {
   [[nodiscard]] measure::ValidationReport validate_ospf() const;
   /// Results of the measure() phase; throws before measure() has run.
   [[nodiscard]] const measure::ValidationReport& measure_report() const;
-  /// Pre-deployment static verification of the compiled NIDB (§8).
-  [[nodiscard]] verify::Report static_check() const;
   /// Report recorded by the lint() phase; throws before lint() has run.
   [[nodiscard]] const verify::Report& lint_report() const;
 

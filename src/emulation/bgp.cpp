@@ -28,23 +28,13 @@ namespace autonet::emulation {
 using addressing::Ipv4Addr;
 using addressing::Ipv4Prefix;
 
-namespace {
-
-/// Returns the local address a router uses on a session to `peer_addr`:
-/// its interface on the shared subnet for direct sessions, else its
-/// loopback.
-Ipv4Addr session_source(const RouterConfig& cfg, Ipv4Addr peer_addr,
-                        bool update_source_loopback) {
-  if (!update_source_loopback) {
-    for (const auto& iface : cfg.interfaces) {
-      if (iface.address.prefix.contains(peer_addr)) return iface.address.address;
-    }
-  }
-  if (cfg.loopback) return cfg.loopback->address;
-  return cfg.interfaces.empty() ? Ipv4Addr{} : cfg.interfaces[0].address.address;
+std::string BgpRoute::fingerprint() const {
+  std::string out = prefix.to_string() + "|";
+  for (auto as : as_path) out += std::to_string(as) + ",";
+  out += "|" + next_hop.to_string() + "|" + from_peer.to_string() + "|" +
+         std::to_string(local_pref);
+  return out;
 }
-
-}  // namespace
 
 ConvergenceReport EmulatedNetwork::run_bgp(std::size_t max_rounds,
                                            core::RunControl* control) {
@@ -64,7 +54,7 @@ ConvergenceReport EmulatedNetwork::run_bgp(std::size_t max_rounds,
       // our addresses with the right AS (sessions are bidirectional).
       bool matched = false;
       for (const auto& pn : pc.bgp_neighbors) {
-        if (routers_[r].owns_address(pn.neighbor) && pn.remote_as == cfg.asn &&
+        if (owns_address(cfg, pn.neighbor) && pn.remote_as == cfg.asn &&
             n.remote_as == pc.asn) {
           matched = true;
           break;
@@ -130,10 +120,10 @@ ConvergenceReport EmulatedNetwork::run_bgp(std::size_t max_rounds,
     for (const auto& prefix : cfg.bgp_networks) {
       BgpRoute route;
       route.prefix = prefix;
-      route.next_hop = routers_[r].router_id();
+      route.next_hop = router_id(cfg);
       route.weight = 32768;
       route.local_originated = true;
-      route.originator_id = routers_[r].router_id();
+      route.originator_id = router_id(cfg);
       routers_[r].rib_in()[{prefix.to_string(), 0}] = route;
     }
   }
@@ -167,7 +157,7 @@ ConvergenceReport EmulatedNetwork::run_bgp(std::size_t max_rounds,
     for (const auto& [key, route] : routers_[r].rib_in()) {
       // Next hop must resolve (connected, IGP-known, or self).
       if (!route.local_originated) {
-        bool resolvable = routers_[r].owns_address(route.next_hop);
+        bool resolvable = owns_address(routers_[r].config(), route.next_hop);
         if (!resolvable) {
           for (const auto& iface : routers_[r].config().interfaces) {
             if (iface.address.prefix.contains(route.next_hop)) resolvable = true;
@@ -281,7 +271,7 @@ ConvergenceReport EmulatedNetwork::run_bgp(std::size_t max_rounds,
               }
               // The speaker's id serves as the tie-break identity for
               // non-reflected iBGP advertisements.
-              out.originator_id = routers_[r].router_id();
+              out.originator_id = router_id(routers_[r].config());
             } else {
               // iBGP-learned: reflect per RFC 4456.
               const bool learned_from_client = [&]() {
@@ -293,7 +283,7 @@ ConvergenceReport EmulatedNetwork::run_bgp(std::size_t max_rounds,
               }();
               advertise = learned_from_client || s.peer_is_client;
               if (advertise) {
-                out.cluster_list.push_back(routers_[r].router_id());
+                out.cluster_list.push_back(router_id(routers_[r].config()));
                 // ORIGINATOR_ID is preserved; next hop unchanged.
               }
             }
@@ -310,9 +300,10 @@ ConvergenceReport EmulatedNetwork::run_bgp(std::size_t max_rounds,
               if (as == routers_[s.peer].asn()) drop = true;
             }
           } else {
-            if (out.originator_id == routers_[s.peer].router_id()) drop = true;
+            const Ipv4Addr peer_id = router_id(routers_[s.peer].config());
+            if (out.originator_id == peer_id) drop = true;
             for (const auto& cluster : out.cluster_list) {
-              if (cluster == routers_[s.peer].router_id()) drop = true;
+              if (cluster == peer_id) drop = true;
             }
           }
           ++report.updates;

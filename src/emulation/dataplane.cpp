@@ -1,7 +1,8 @@
-// Hop-by-hop packet forwarding over the converged FIBs. traceroute
-// reports, per TTL, the address the probe's ICMP reply comes from — the
-// *incoming* interface of each transit router, exactly as the real Linux
-// traceroute binary the paper runs would see.
+// Hop-by-hop packet forwarding over the converged FIBs, through the
+// shared walk in emulation/forwarding.hpp. traceroute reports, per TTL,
+// the address the probe's ICMP reply comes from — the *incoming*
+// interface of each transit router, exactly as the real Linux traceroute
+// binary the paper runs would see.
 #include <stdexcept>
 
 #include "emulation/network.hpp"
@@ -10,61 +11,45 @@ namespace autonet::emulation {
 
 using addressing::Ipv4Addr;
 
-TracerouteResult EmulatedNetwork::traceroute(std::string_view src_router,
-                                             Ipv4Addr dst, int max_ttl) const {
-  const VirtualRouter* src = router(src_router);
-  if (src == nullptr) {
-    throw std::invalid_argument("traceroute: unknown router " +
-                                std::string(src_router));
+namespace {
+
+/// The hop callback of ping and the reachability matrix: only the
+/// outcome matters, so no hop is recorded.
+constexpr auto kNoHops = [](std::size_t, Ipv4Addr) {};
+
+}  // namespace
+
+std::size_t EmulatedNetwork::probe_source(std::string_view name) const {
+  auto it = by_name_.find(name);
+  if (it == by_name_.end()) {
+    throw std::invalid_argument("traceroute: unknown router " + std::string(name));
   }
+  return it->second;
+}
+
+template <typename OnHop>
+WalkOutcome EmulatedNetwork::forward(std::size_t src, Ipv4Addr dst, int max_ttl,
+                                     OnHop&& on_hop) const {
   if (!started_) {
     throw std::logic_error("traceroute: network not started");
   }
-
-  // A failed router neither sources probes nor answers them.
-  auto is_down = [this](const VirtualRouter* r) {
-    auto it = by_name_.find(r->name());
-    return it != by_name_.end() && router_failed(it->second);
+  const auto router_at = [this](std::size_t r) {
+    return ForwardingRouter{routers_[r].config(), routers_[r].fib(), router_failed(r)};
   };
+  return walk(src, dst, max_ttl, by_address_, router_at, on_hop);
+}
 
+TracerouteResult EmulatedNetwork::traceroute(std::string_view src_router,
+                                             Ipv4Addr dst, int max_ttl) const {
   TracerouteResult result;
-  const VirtualRouter* current = src;
-  double rtt = 0.0;
-  if (is_down(current)) return result;
-  if (current->owns_address(dst)) {
-    result.hops.push_back({dst, current->name(), 0.1});
-    result.reached = true;
-    return result;
-  }
-  for (int ttl = 0; ttl < max_ttl; ++ttl) {
-    const FibEntry* route = current->lookup(dst);
-    if (route == nullptr) return result;  // !N — network unreachable
+  double rtt = 0.0;  // synthetic: 0.1 ms per hop
+  const auto record = [&](std::size_t r, Ipv4Addr reply) {
     rtt += 0.1;
-    const VirtualRouter* next = nullptr;
-    if (!route->next_hop) {
-      // On-link: deliver if some router owns dst on that subnet.
-      auto owner = owner_of(dst);
-      if (!owner) return result;
-      next = router(*owner);
-    } else {
-      auto owner = owner_of(*route->next_hop);
-      if (!owner) return result;
-      next = router(*owner);
-    }
-    if (is_down(next)) return result;  // dead node: probe goes unanswered
-    if (next->owns_address(dst)) {
-      // Destination hop: the reply comes from the probed address itself.
-      result.hops.push_back({dst, next->name(), rtt});
-      result.reached = true;
-      return result;
-    }
-    // Transit hop: the reply source is the address the packet arrived
-    // on — the next hop's interface address on the shared segment.
-    result.hops.push_back({route->next_hop ? *route->next_hop : dst,
-                           next->name(), rtt});
-    current = next;
-  }
-  return result;  // TTL exceeded (forwarding loop)
+    result.hops.push_back({reply, routers_[r].name(), rtt});
+  };
+  result.reached = forward(probe_source(src_router), dst, max_ttl, record).end ==
+                   WalkEnd::kReached;
+  return result;
 }
 
 TracerouteResult EmulatedNetwork::traceroute(std::string_view src_router,
@@ -75,20 +60,52 @@ TracerouteResult EmulatedNetwork::traceroute(std::string_view src_router,
     throw std::invalid_argument("traceroute: unknown router " +
                                 std::string(dst_router));
   }
-  Ipv4Addr target;
-  if (dst->config().loopback) {
-    target = dst->config().loopback->address;
-  } else if (!dst->config().interfaces.empty()) {
-    target = dst->config().interfaces[0].address.address;
-  } else {
+  const auto target = trace_target(dst->config());
+  if (!target) {
     throw std::invalid_argument("traceroute: " + std::string(dst_router) +
                                 " has no addresses");
   }
-  return traceroute(src_router, target, max_ttl);
+  return traceroute(src_router, *target, max_ttl);
 }
 
 bool EmulatedNetwork::ping(std::string_view src_router, Ipv4Addr dst) const {
-  return traceroute(src_router, dst).reached;
+  return forward(probe_source(src_router), dst, 30, kNoHops).end ==
+         WalkEnd::kReached;
+}
+
+ReachabilityMatrix EmulatedNetwork::reachability() const {
+  ReachabilityMatrix m;
+  std::vector<std::size_t> order;  // router index of each name, sorted
+  for (const auto& [name, r] : by_name_) {
+    m.routers.push_back(name);
+    order.push_back(r);
+  }
+  const std::size_t n = order.size();
+  m.reached.assign(n, std::vector<bool>(n, false));
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      const auto& loopback = routers_[order[j]].config().loopback;
+      if (i == j || !loopback) continue;
+      m.reached[i][j] =
+          forward(order[i], loopback->address, 30, kNoHops).end == WalkEnd::kReached;
+    }
+  }
+  return m;
+}
+
+std::size_t ReachabilityMatrix::reachable_pairs() const {
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < reached.size(); ++i) {
+    for (std::size_t j = 0; j < reached[i].size(); ++j) {
+      if (i != j && reached[i][j]) ++count;
+    }
+  }
+  return count;
+}
+
+bool ReachabilityMatrix::fully_connected() const {
+  const std::size_t n = routers.size();
+  return n < 2 || reachable_pairs() == n * (n - 1);
 }
 
 }  // namespace autonet::emulation

@@ -54,35 +54,9 @@ std::vector<IncidentStep> parse_incident_script(std::string_view text) {
   return steps;
 }
 
-std::size_t ReachabilitySnapshot::reachable_pairs() const {
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < reached.size(); ++i) {
-    for (std::size_t j = 0; j < reached[i].size(); ++j) {
-      if (i != j && reached[i][j]) ++count;
-    }
-  }
-  return count;
-}
-
-ReachabilitySnapshot IncidentRunner::snapshot() const {
-  ReachabilitySnapshot s;
-  s.routers = net_->router_names();
-  const std::size_t n = s.routers.size();
-  s.reached.assign(n, std::vector<bool>(n, false));
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (i == j) continue;
-      const VirtualRouter* dst = net_->router(s.routers[j]);
-      if (dst == nullptr || !dst->config().loopback) continue;
-      s.reached[i][j] = net_->ping(s.routers[i], dst->config().loopback->address);
-    }
-  }
-  return s;
-}
-
 IncidentReport IncidentRunner::run(const std::vector<IncidentStep>& timeline) {
   IncidentReport report;
-  ReachabilitySnapshot before = snapshot();
+  ReachabilityMatrix before = net_->reachability();
   report.baseline_pairs = before.reachable_pairs();
 
   for (const IncidentStep& step : timeline) {
@@ -145,7 +119,7 @@ IncidentReport IncidentRunner::run(const std::vector<IncidentStep>& timeline) {
       rounds *= 2;  // oscillation recovery: retry with a larger budget
     }
 
-    ReachabilitySnapshot after = snapshot();
+    ReachabilityMatrix after = net_->reachability();
     out.pairs_after = after.reachable_pairs();
     for (std::size_t i = 0; i < before.routers.size(); ++i) {
       for (std::size_t j = 0; j < before.routers.size(); ++j) {

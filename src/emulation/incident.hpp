@@ -49,15 +49,6 @@ struct ConvergenceBudget {
   int recovery_retries = 1;
 };
 
-/// Loopback reachability over the network's routers — computed without
-/// the measurement layer so the emulation subsystem stays self-contained.
-struct ReachabilitySnapshot {
-  std::vector<std::string> routers;
-  /// reached[i][j]: router i reaches router j's loopback.
-  std::vector<std::vector<bool>> reached;
-  [[nodiscard]] std::size_t reachable_pairs() const;
-};
-
 struct IncidentStepOutcome {
   IncidentStep step;
   /// False when the step was a no-op (unknown router, non-adjacent pair,
@@ -93,14 +84,12 @@ class IncidentRunner {
       : net_(&network), budget_(budget) {}
 
   /// Executes the timeline step by step. The network must have been
-  /// start()ed already (the baseline snapshot needs converged FIBs).
+  /// start()ed already (the baseline reachability needs converged FIBs).
   IncidentReport run(const std::vector<IncidentStep>& timeline);
   /// Parses `script` (see parse_incident_script) and runs it.
   IncidentReport run_script(std::string_view script);
 
  private:
-  [[nodiscard]] ReachabilitySnapshot snapshot() const;
-
   EmulatedNetwork* net_;
   ConvergenceBudget budget_;
 };

@@ -364,14 +364,15 @@ std::string EmulatedNetwork::exec(std::string_view router_name,
     std::string out = "Neighbor ID     State\n";
     for (const auto& n : r->ospf_neighbors()) {
       const VirtualRouter* peer = router(n);
-      out += (peer ? peer->router_id().to_string() : n) + "  Full  # " + n + "\n";
+      const std::string id = peer ? router_id(peer->config()).to_string() : n;
+      out += id + "  Full  # " + n + "\n";
     }
     return out;
   }
   if (command == "show ip bgp") {
     // One line per best route: ">" marker, prefix, next hop, AS path.
     std::string out = "BGP table version is 1, local router ID is " +
-                      r->router_id().to_string() + "\n";
+                      router_id(r->config()).to_string() + "\n";
     for (const auto& [prefix, route] : r->bgp_best()) {
       out += ">  " + prefix + "  " + route.next_hop.to_string() + "  ";
       for (auto as : route.as_path) out += std::to_string(as) + " ";
@@ -380,8 +381,9 @@ std::string EmulatedNetwork::exec(std::string_view router_name,
     return out;
   }
   if (command == "show ip bgp summary") {
-    std::string out = "BGP router identifier " + r->router_id().to_string() +
-                      ", local AS number " + std::to_string(r->asn()) + "\n";
+    std::string out = "BGP router identifier " +
+                      router_id(r->config()).to_string() + ", local AS number " +
+                      std::to_string(r->asn()) + "\n";
     for (const auto& s : sessions_) {
       if (routers_[s.local].name() != router_name) continue;
       out += s.peer_addr.to_string() + "  AS" +

@@ -57,6 +57,15 @@ struct EmulationStats {
   [[nodiscard]] std::string to_text() const;
 };
 
+/// Loopback reachability over the network's routers, in name order.
+struct ReachabilityMatrix {
+  std::vector<std::string> routers;
+  /// reached[i][j]: router i reaches router j's loopback.
+  std::vector<std::vector<bool>> reached;
+  [[nodiscard]] std::size_t reachable_pairs() const;
+  [[nodiscard]] bool fully_connected() const;
+};
+
 struct TracerouteHop {
   addressing::Ipv4Addr address;
   std::string router;  // resolved from the emulation's address table
@@ -152,33 +161,16 @@ class EmulatedNetwork {
                                             int max_ttl = 30) const;
   [[nodiscard]] bool ping(std::string_view src_router,
                           addressing::Ipv4Addr dst) const;
+  /// Pings every router's loopback from every other router (routers
+  /// without a loopback are never reached). The summary measurement
+  /// behind MeasurementClient::reachability() and IncidentRunner.
+  [[nodiscard]] ReachabilityMatrix reachability() const;
 
   /// Runs a command against a router, emulating the measurement client's
   /// remote execution: supports "traceroute -naU <ip>" and
   /// "show ip ospf neighbor". Returns raw text output.
   [[nodiscard]] std::string exec(std::string_view router_name,
                                  std::string_view command) const;
-
-  // Internals shared by the ospf/bgp/dataplane translation units.
-  struct SegmentMember {
-    std::size_t router;
-    std::size_t iface;  // index into RouterConfig::interfaces
-  };
-  struct Segment {
-    addressing::Ipv4Prefix subnet;
-    std::vector<SegmentMember> members;
-  };
-  struct BgpSession {
-    std::size_t local;           // router index
-    std::size_t peer;            // router index
-    addressing::Ipv4Addr local_addr;
-    addressing::Ipv4Addr peer_addr;
-    bool ebgp = false;
-    bool peer_is_client = false;  // local reflects to peer
-    bool next_hop_self = false;
-    bool only_local_out = false;  // "^$" export policy on this session
-    std::int64_t med_out = -1;    // egress MED; -1 = none
-  };
 
  private:
   EmulatedNetwork() = default;
@@ -189,6 +181,15 @@ class EmulatedNetwork {
   ConvergenceReport run_bgp(std::size_t max_rounds,
                             core::RunControl* control);  // bgp.cpp
   void install_bgp_routes();  // bgp.cpp
+
+  /// Index of a probe's source router; throws on unknown names.
+  [[nodiscard]] std::size_t probe_source(std::string_view name) const;
+  /// emulation::walk over the converged FIBs from router `src`, where a
+  /// failed router neither sources nor answers probes (dataplane.cpp).
+  /// Throws std::logic_error before start().
+  template <typename OnHop>
+  WalkOutcome forward(std::size_t src, addressing::Ipv4Addr dst, int max_ttl,
+                      OnHop&& on_hop) const;
 
   /// IGP metric from router r to address `addr`; infinity when unknown.
   [[nodiscard]] double igp_metric_to(std::size_t r, addressing::Ipv4Addr addr) const;

@@ -142,13 +142,13 @@ void EmulatedNetwork::compute_ospf() {
   for (const auto& segment : segments_) {
     for (const auto& a : segment.members) {
       std::int64_t area_a = 0;
-      if (!routers_[a.router].ospf_covers(segment.subnet, &area_a)) continue;
+      if (!ospf_covers(routers_[a.router].config(), segment.subnet, &area_a)) continue;
       router_areas[a.router].insert(area_a);
       const auto& iface_a = routers_[a.router].config().interfaces[a.iface];
       for (const auto& b : segment.members) {
         if (a.router == b.router) continue;
         std::int64_t area_b = 0;
-        if (!routers_[b.router].ospf_covers(segment.subnet, &area_b)) continue;
+        if (!ospf_covers(routers_[b.router].config(), segment.subnet, &area_b)) continue;
         if (area_a != area_b) continue;  // mismatched areas: no adjacency
         const auto& iface_b = routers_[b.router].config().interfaces[b.iface];
         area_adj[area_a][a.router].push_back(
@@ -163,7 +163,7 @@ void EmulatedNetwork::compute_ospf() {
     if (!cfg.ospf_enabled) continue;
     if (cfg.loopback) {
       std::int64_t area = 0;
-      if (routers_[r].ospf_covers(cfg.loopback->prefix, &area)) {
+      if (ospf_covers(cfg, cfg.loopback->prefix, &area)) {
         router_areas[r].insert(area);
       }
     }
@@ -219,7 +219,7 @@ void EmulatedNetwork::compute_ospf() {
     std::set<std::pair<std::size_t, std::int64_t>> done;
     for (const auto& m : segment.members) {
       std::int64_t area = 0;
-      if (!routers_[m.router].ospf_covers(segment.subnet, &area)) continue;
+      if (!ospf_covers(routers_[m.router].config(), segment.subnet, &area)) continue;
       if (done.insert({m.router, area}).second) {
         prefixes.push_back({m.router, segment.subnet, area});
       }
@@ -228,7 +228,7 @@ void EmulatedNetwork::compute_ospf() {
   for (std::size_t r = 0; r < n; ++r) {
     const RouterConfig& cfg = routers_[r].config();
     std::int64_t area = 0;
-    if (cfg.loopback && routers_[r].ospf_covers(cfg.loopback->prefix, &area)) {
+    if (cfg.loopback && ospf_covers(cfg, cfg.loopback->prefix, &area)) {
       prefixes.push_back({r, cfg.loopback->prefix, area});
     }
   }

@@ -7,35 +7,13 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "emulation/config_parse.hpp"
+#include "emulation/forwarding.hpp"
 
 namespace autonet::emulation {
-
-/// Route source, with conventional administrative distances.
-enum class RouteSource { kConnected, kOspf, kEbgp, kIbgp };
-
-[[nodiscard]] constexpr int admin_distance(RouteSource s) {
-  switch (s) {
-    case RouteSource::kConnected: return 0;
-    case RouteSource::kEbgp: return 20;
-    case RouteSource::kOspf: return 110;
-    case RouteSource::kIbgp: return 200;
-  }
-  return 255;
-}
-
-struct FibEntry {
-  addressing::Ipv4Prefix prefix;
-  RouteSource source = RouteSource::kConnected;
-  std::string out_interface;  // "" for loopback-owned prefixes
-  /// Immediate next hop; nullopt when the destination is on-link.
-  std::optional<addressing::Ipv4Addr> next_hop;
-  double metric = 0;
-};
 
 /// A BGP route as held in Adj-RIB-In (attributes after ingress policy).
 struct BgpRoute {
@@ -72,23 +50,13 @@ class VirtualRouter {
   void rename(std::string hostname) { config_.hostname = std::move(hostname); }
   [[nodiscard]] std::int64_t asn() const { return config_.asn; }
 
-  /// The router id: explicit, else loopback, else highest interface.
-  [[nodiscard]] addressing::Ipv4Addr router_id() const;
-
-  /// True when this router's OSPF process covers `subnet` (a network
-  /// statement matches it); `area` receives the configured area.
-  [[nodiscard]] bool ospf_covers(const addressing::Ipv4Prefix& subnet,
-                                 std::int64_t* area = nullptr) const;
-
-  /// Does any local address (interface or loopback) equal `addr`?
-  [[nodiscard]] bool owns_address(addressing::Ipv4Addr addr) const;
-
   // --- FIB --------------------------------------------------------------
   [[nodiscard]] const std::vector<FibEntry>& fib() const { return fib_; }
   std::vector<FibEntry>& mutable_fib() { return fib_; }
-  /// Longest-prefix match (ties: lowest admin distance, then metric);
-  /// nullptr when no route covers `dst`.
-  [[nodiscard]] const FibEntry* lookup(addressing::Ipv4Addr dst) const;
+  /// Longest-prefix match over this router's FIB (emulation::lookup).
+  [[nodiscard]] const FibEntry* lookup(addressing::Ipv4Addr dst) const {
+    return emulation::lookup(fib_, dst);
+  }
 
   // --- OSPF state -------------------------------------------------------
   [[nodiscard]] const std::vector<std::string>& ospf_neighbors() const {

@@ -90,38 +90,6 @@ TraceResult MeasurementClient::traceroute(const std::string& src,
   return out;
 }
 
-std::size_t MeasurementClient::ReachabilityMatrix::reachable_pairs() const {
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < reached.size(); ++i) {
-    for (std::size_t j = 0; j < reached[i].size(); ++j) {
-      if (i != j && reached[i][j]) ++count;
-    }
-  }
-  return count;
-}
-
-bool MeasurementClient::ReachabilityMatrix::fully_connected() const {
-  const std::size_t n = routers.size();
-  return n < 2 || reachable_pairs() == n * (n - 1);
-}
-
-MeasurementClient::ReachabilityMatrix MeasurementClient::reachability() const {
-  ReachabilityMatrix m;
-  m.routers = network_->router_names();
-  const std::size_t n = m.routers.size();
-  m.reached.assign(n, std::vector<bool>(n, false));
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (i == j) continue;
-      const auto* dst = network_->router(m.routers[j]);
-      if (dst == nullptr || !dst->config().loopback) continue;
-      m.reached[i][j] =
-          network_->ping(m.routers[i], dst->config().loopback->address);
-    }
-  }
-  return m;
-}
-
 std::vector<TraceResult> MeasurementClient::traceroute_all(
     const std::string& dst_ip) const {
   std::vector<TraceResult> out;

@@ -70,16 +70,12 @@ class MeasurementClient {
   [[nodiscard]] std::int64_t asn_of(const std::string& device) const;
 
   /// Full loopback reachability matrix over the emulated routers:
-  /// result[src][dst] (src != dst). The summary measurement behind
+  /// reached[src][dst] (src != dst), computed by the emulation
+  /// (EmulatedNetwork::reachability). The summary measurement behind
   /// what-if/resilience studies.
-  struct ReachabilityMatrix {
-    std::vector<std::string> routers;
-    /// reached[i][j]: router i reaches router j's loopback.
-    std::vector<std::vector<bool>> reached;
-    [[nodiscard]] std::size_t reachable_pairs() const;
-    [[nodiscard]] bool fully_connected() const;
-  };
-  [[nodiscard]] ReachabilityMatrix reachability() const;
+  [[nodiscard]] emulation::ReachabilityMatrix reachability() const {
+    return network_->reachability();
+  }
 
  private:
   const emulation::EmulatedNetwork* network_;

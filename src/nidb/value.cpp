@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "core/json_escape.hpp"
+
 namespace autonet::nidb {
 
 Value Value::from_attr(const graph::AttrValue& attr) {
@@ -170,25 +172,9 @@ std::string format_double(double v) {
   return buf;
 }
 
-void escape_json_to(std::string& out, const std::string& s) {
+void escape_json_to(std::string& out, std::string_view s) {
   out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+  append_json_escaped(out, s);
   out += '"';
 }
 

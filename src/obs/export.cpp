@@ -1,7 +1,8 @@
 #include "obs/export.hpp"
 
-#include <cstdio>
 #include <sstream>
+
+#include "core/json_escape.hpp"
 
 namespace autonet::obs {
 
@@ -77,23 +78,7 @@ void append_event_object(std::ostringstream& out, const LogEvent& event) {
 std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+  append_json_escaped(out, s);
   return out;
 }
 

@@ -34,7 +34,8 @@ namespace autonet::obs {
 /// the bench harness for BENCH_<name>.json).
 [[nodiscard]] std::string events_to_json(const Registry& registry);
 
-/// JSON string escaping, shared by the exporters and the bench harness.
+/// JSON string escaping (core/json_escape.hpp, returned as a new
+/// string), shared by the exporters and the bench harness.
 [[nodiscard]] std::string json_escape(std::string_view s);
 
 }  // namespace autonet::obs

@@ -6,6 +6,7 @@
 #include <queue>
 #include <utility>
 
+#include "emulation/router.hpp"
 #include "nidb/value.hpp"
 
 namespace autonet::verify::analysis {
@@ -15,11 +16,19 @@ using addressing::Ipv4Interface;
 using addressing::Ipv4Prefix;
 using emulation::BgpNeighborConfig;
 using emulation::BgpRoute;
+using emulation::BgpSession;
 using emulation::FibEntry;
 using emulation::InterfaceConfig;
+using emulation::lookup;
 using emulation::OspfNetworkConfig;
+using emulation::ospf_covers;
+using emulation::owns_address;
 using emulation::RouteSource;
+using emulation::router_id;
 using emulation::RouterConfig;
+using emulation::Segment;
+using emulation::SegmentMember;
+using emulation::session_source;
 using nidb::Array;
 using nidb::Value;
 
@@ -45,52 +54,6 @@ std::optional<Ipv4Interface> parse_interface_addr(std::string_view with_len) {
   auto prefix = Ipv4Prefix::parse(with_len);
   if (!addr || !prefix) return std::nullopt;
   return Ipv4Interface{*addr, *prefix};
-}
-
-/// VirtualRouter::router_id over a bare config: explicit, else loopback,
-/// else highest interface address.
-Ipv4Addr router_id(const RouterConfig& cfg) {
-  if (cfg.router_id) return *cfg.router_id;
-  if (cfg.loopback) return cfg.loopback->address;
-  Ipv4Addr best;
-  for (const auto& iface : cfg.interfaces) {
-    best = std::max(best, iface.address.address);
-  }
-  return best;
-}
-
-/// VirtualRouter::ospf_covers: the first matching network statement wins.
-bool ospf_covers(const RouterConfig& cfg, const Ipv4Prefix& subnet,
-                 std::int64_t* area = nullptr) {
-  if (!cfg.ospf_enabled) return false;
-  for (const auto& net : cfg.ospf_networks) {
-    if (net.network.contains(subnet)) {
-      if (area != nullptr) *area = net.area;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool owns_address(const RouterConfig& cfg, Ipv4Addr addr) {
-  if (cfg.loopback && cfg.loopback->address == addr) return true;
-  for (const auto& iface : cfg.interfaces) {
-    if (iface.address.address == addr) return true;
-  }
-  return false;
-}
-
-/// The local address a router uses on a session to `peer_addr`
-/// (emulation session_source).
-Ipv4Addr session_source(const RouterConfig& cfg, Ipv4Addr peer_addr,
-                        bool update_source_loopback) {
-  if (!update_source_loopback) {
-    for (const auto& iface : cfg.interfaces) {
-      if (iface.address.prefix.contains(peer_addr)) return iface.address.address;
-    }
-  }
-  if (cfg.loopback) return cfg.loopback->address;
-  return cfg.interfaces.empty() ? Ipv4Addr{} : cfg.interfaces[0].address.address;
 }
 
 struct Adjacency {
@@ -131,15 +94,6 @@ SpfResult spf(std::size_t src,
   }
   return out;
 }
-
-struct SegmentMember {
-  std::size_t router;
-  std::size_t iface;
-};
-struct Segment {
-  Ipv4Prefix subnet;
-  std::vector<SegmentMember> members;
-};
 
 std::vector<Segment> build_segments(const std::vector<RouterConfig>& routers,
                                     const std::set<Ipv4Prefix>& failed_subnets) {
@@ -539,18 +493,7 @@ Prediction predict(const Model& model, const std::set<Ipv4Prefix>& failed_subnet
     return it == dist.end() ? kInf : it->second;
   };
 
-  struct Session {
-    std::size_t local;
-    std::size_t peer;
-    Ipv4Addr local_addr;
-    Ipv4Addr peer_addr;
-    bool ebgp = false;
-    bool peer_is_client = false;
-    bool next_hop_self = false;
-    bool only_local_out = false;
-    std::int64_t med_out = -1;
-  };
-  std::vector<Session> sessions;
+  std::vector<BgpSession> sessions;
   for (std::size_t r = 0; r < n; ++r) {
     const RouterConfig& cfg = routers[r];
     if (!cfg.bgp_enabled) continue;
@@ -570,7 +513,7 @@ Prediction predict(const Model& model, const std::set<Ipv4Prefix>& failed_subnet
         }
       }
       if (!matched) continue;
-      Session s;
+      BgpSession s;
       s.local = r;
       s.peer = peer;
       s.peer_addr = neighbor.neighbor;
@@ -679,7 +622,7 @@ Prediction predict(const Model& model, const std::set<Ipv4Prefix>& failed_subnet
         (void)old_route;
         if (best.contains(prefix)) continue;
         for (std::size_t si : sessions_of[r]) {
-          const Session& s = sessions[si];
+          const BgpSession& s = sessions[si];
           rib_in[s.peer].erase({prefix, s.local_addr.value()});
         }
         changed = true;
@@ -693,7 +636,7 @@ Prediction predict(const Model& model, const std::set<Ipv4Prefix>& failed_subnet
         if (!is_new) continue;
         changed = true;
         for (std::size_t si : sessions_of[r]) {
-          const Session& s = sessions[si];
+          const BgpSession& s = sessions[si];
           const auto rib_key = std::make_pair(prefix, s.local_addr.value());
           if (!route.local_originated && route.from_peer == s.peer_addr) {
             rib_in[s.peer].erase(rib_key);
@@ -729,7 +672,7 @@ Prediction predict(const Model& model, const std::set<Ipv4Prefix>& failed_subnet
             } else {
               const bool learned_from_client = [&]() {
                 for (std::size_t lj : sessions_of[r]) {
-                  const Session& ls = sessions[lj];
+                  const BgpSession& ls = sessions[lj];
                   if (ls.peer_addr == route.from_peer) return ls.peer_is_client;
                 }
                 return false;
@@ -825,66 +768,28 @@ Prediction predict(const Model& model, const std::set<Ipv4Prefix>& failed_subnet
   return out;
 }
 
-const FibEntry* lookup(const std::vector<FibEntry>& fib, Ipv4Addr dst) {
-  const FibEntry* best = nullptr;
-  for (const auto& entry : fib) {
-    if (!entry.prefix.contains(dst)) continue;
-    if (best == nullptr) {
-      best = &entry;
-      continue;
-    }
-    if (entry.prefix.length() != best->prefix.length()) {
-      if (entry.prefix.length() > best->prefix.length()) best = &entry;
-      continue;
-    }
-    const int ad_new = emulation::admin_distance(entry.source);
-    const int ad_best = emulation::admin_distance(best->source);
-    if (ad_new != ad_best) {
-      if (ad_new < ad_best) best = &entry;
-      continue;
-    }
-    if (entry.metric < best->metric) best = &entry;
-  }
-  return best;
-}
-
 Path trace(const Model& model, const Prediction& prediction,
            std::string_view src_router, Ipv4Addr dst, int max_ttl) {
   Path path;
-  auto current = model.index_of(src_router);
-  if (!current) {
+  const auto src = model.index_of(src_router);
+  if (!src) {
     path.dropped_at = std::string(src_router);
     return path;
   }
   const auto& routers = model.routers();
-  if (owns_address(routers[*current], dst)) {
-    path.hops.push_back({dst, routers[*current].hostname});
-    path.reached = true;
-    return path;
+  const auto router_at = [&](std::size_t r) {
+    return emulation::ForwardingRouter{routers[r], prediction.fibs[r]};
+  };
+  const emulation::WalkOutcome outcome = emulation::walk(
+      *src, dst, max_ttl, model.by_address(), router_at,
+      [&](std::size_t r, Ipv4Addr reply) {
+        path.hops.push_back({reply, routers[r].hostname});
+      });
+  path.reached = outcome.end == emulation::WalkEnd::kReached;
+  path.looped = outcome.end == emulation::WalkEnd::kTtlExceeded;
+  if (outcome.end == emulation::WalkEnd::kDropped) {
+    path.dropped_at = routers[outcome.at].hostname;
   }
-  for (int ttl = 0; ttl < max_ttl; ++ttl) {
-    const FibEntry* route = lookup(prediction.fibs[*current], dst);
-    if (route == nullptr) {
-      path.dropped_at = routers[*current].hostname;
-      return path;
-    }
-    std::optional<std::size_t> next;
-    const Ipv4Addr hop_target = route->next_hop ? *route->next_hop : dst;
-    auto owner = model.by_address().find(hop_target.value());
-    if (owner != model.by_address().end()) next = owner->second;
-    if (!next) {
-      path.dropped_at = routers[*current].hostname;
-      return path;
-    }
-    if (owns_address(routers[*next], dst)) {
-      path.hops.push_back({dst, routers[*next].hostname});
-      path.reached = true;
-      return path;
-    }
-    path.hops.push_back({hop_target, routers[*next].hostname});
-    current = next;
-  }
-  path.looped = true;  // TTL exceeded: forwarding cycle
   return path;
 }
 
@@ -892,21 +797,13 @@ Path trace_to_router(const Model& model, const Prediction& prediction,
                      std::string_view src_router, std::string_view dst_router,
                      int max_ttl) {
   const RouterConfig* dst = model.router(dst_router);
-  Path path;
-  if (dst == nullptr) {
+  const auto target = dst != nullptr ? emulation::trace_target(*dst) : std::nullopt;
+  if (!target) {
+    Path path;
     path.dropped_at = std::string(src_router);
     return path;
   }
-  Ipv4Addr target;
-  if (dst->loopback) {
-    target = dst->loopback->address;
-  } else if (!dst->interfaces.empty()) {
-    target = dst->interfaces[0].address.address;
-  } else {
-    path.dropped_at = std::string(src_router);
-    return path;
-  }
-  return trace(model, prediction, src_router, target, max_ttl);
+  return trace(model, prediction, src_router, *target, max_ttl);
 }
 
 std::vector<std::string> router_sequence(std::string_view src, const Path& path) {

@@ -2,10 +2,18 @@
 // the NIDB straight into per-router configurations (no rendering, no
 // emulation boot) and derives predicted FIBs offline — link-state SPF
 // per OSPF area, the full iBGP/eBGP decision process, connected routes,
-// and admin-distance arbitration. The algorithms deliberately mirror
-// src/emulation/ semantics step for step so `--cross-check` can use the
-// emulation as a differential oracle; only the *inputs* differ (NIDB
-// records here, rendered-and-reparsed configs there).
+// and admin-distance arbitration.
+//
+// The forwarding plane is the emulation's own (emulation/forwarding.hpp):
+// the FIB entry and its longest-prefix lookup, the per-config primitives
+// (router id, OSPF coverage, address ownership, session source, trace
+// target), the segment and session records, and the hop-by-hop walk
+// behind trace(). The control plane that fills the FIBs — segment
+// grouping, SPF, the BGP decision process and FIB install — is written
+// separately here, mirroring src/emulation/ step for step, so that
+// `--cross-check` can use the emulation as a differential oracle; only
+// the *inputs* differ (NIDB records here, rendered-and-reparsed configs
+// there).
 #pragma once
 
 #include <cstdint>
@@ -17,7 +25,7 @@
 #include <vector>
 
 #include "addressing/ipv4.hpp"
-#include "emulation/router.hpp"
+#include "emulation/forwarding.hpp"
 #include "nidb/nidb.hpp"
 
 namespace autonet::verify::analysis {
@@ -79,21 +87,18 @@ struct Prediction {
                                  const std::set<addressing::Ipv4Prefix>& failed_subnets = {},
                                  std::size_t max_bgp_rounds = 128);
 
-/// Longest-prefix match over one predicted FIB (ties: lowest admin
-/// distance, then metric) — VirtualRouter::lookup over a plain vector.
-[[nodiscard]] const emulation::FibEntry* lookup(
-    const std::vector<emulation::FibEntry>& fib, addressing::Ipv4Addr dst);
-
 struct PathHop {
   addressing::Ipv4Addr address;
   std::string router;
 };
 
-/// A predicted forwarding path, hop semantics identical to the
-/// emulation's traceroute.
+/// A predicted forwarding path: the emulation's traceroute walk over the
+/// predicted FIBs.
 struct Path {
   bool reached = false;
-  /// TTL exhausted: the predicted FIBs forward in a cycle.
+  /// TTL exhausted: the predicted FIBs forward in a cycle, or a simple
+  /// path is longer than max_ttl hops (the forwarding-loop rule skips
+  /// paths that visit no router twice).
   bool looped = false;
   /// Router whose FIB dropped the packet when !reached && !looped; equal
   /// to the source router when the source itself had no route.
@@ -101,7 +106,8 @@ struct Path {
   std::vector<PathHop> hops;
 };
 
-/// Walks the predicted FIBs from `src_router` towards `dst`.
+/// Walks the predicted FIBs from `src_router` towards `dst`
+/// (emulation::walk).
 [[nodiscard]] Path trace(const Model& model, const Prediction& prediction,
                          std::string_view src_router, addressing::Ipv4Addr dst,
                          int max_ttl = 30);

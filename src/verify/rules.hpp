@@ -57,7 +57,7 @@ struct LintInput {
   const render::TemplateStore* templates = nullptr;
   /// Raw template texts (name, text) linted from source — additionally
   /// catches parse errors such as unterminated blocks.
-  std::vector<std::pair<std::string, std::string>> template_files;
+  std::vector<std::pair<std::string, std::string>> template_files{};
 };
 
 /// Everything a rule sees. `index` is the shared gather pass over the

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/workflow.hpp"
+#include "emulation/network.hpp"
 #include "obs/export.hpp"
 #include "obs/registry.hpp"
 #include "topology/builtin.hpp"
@@ -479,6 +480,53 @@ TEST(AnalysisCrossCheck, MatchesEmulationOnFigure5) {
                               << (result.divergences.empty()
                                       ? ""
                                       : result.divergences[0].detail);
+}
+
+TEST(AnalysisCrossCheck, TtlRunsOutOnLongChainInBothWalks) {
+  // A 35-router single-AS chain c0 - c1 - ... - c34: paths longer than
+  // the 30-hop TTL end unreached in the emulation and the predictor
+  // alike, and a path of exactly 30 hops is still reached.
+  graph::Graph g(false, "chain35");
+  std::vector<graph::NodeId> chain;
+  for (int i = 0; i < 35; ++i) {
+    graph::NodeId n = g.add_node("c" + std::to_string(i));
+    g.set_node_attr(n, "asn", 1);
+    g.set_node_attr(n, "device_type", "router");
+    if (!chain.empty()) g.add_edge(chain.back(), n);
+    chain.push_back(n);
+  }
+  core::Workflow wf;
+  wf.load(g).design().compile().render();
+  auto result = verify::analysis::cross_check(wf.nidb(), wf.configs());
+  EXPECT_EQ(result.pairs, 1190u);  // 35 routers, ordered pairs
+  EXPECT_TRUE(result.clean()) << result.divergences.size()
+                              << " divergences, first: "
+                              << (result.divergences.empty()
+                                      ? ""
+                                      : result.divergences[0].src + "->" +
+                                            result.divergences[0].dst + ": " +
+                                            result.divergences[0].detail);
+
+  const Model model = Model::from_nidb(wf.nidb());
+  const auto prediction = verify::analysis::predict(model);
+  auto network = emulation::EmulatedNetwork::from_nidb(wf.nidb(), wf.configs());
+  network.start();
+
+  const Path far = verify::analysis::trace_to_router(model, prediction, "c0", "c34");
+  EXPECT_FALSE(far.reached);
+  EXPECT_TRUE(far.looped);
+  EXPECT_TRUE(far.dropped_at.empty());
+  EXPECT_EQ(far.hops.size(), 30u);
+  const auto far_emulated = network.traceroute("c0", "c34");
+  EXPECT_FALSE(far_emulated.reached);
+  EXPECT_EQ(far_emulated.hops.size(), 30u);
+
+  const Path near = verify::analysis::trace_to_router(model, prediction, "c0", "c30");
+  EXPECT_TRUE(near.reached);
+  EXPECT_EQ(near.hops.size(), 30u);
+  const auto near_emulated = network.traceroute("c0", "c30");
+  EXPECT_TRUE(near_emulated.reached);
+  EXPECT_EQ(near_emulated.hops.size(), 30u);
 }
 
 }  // namespace

@@ -91,7 +91,7 @@ TEST(Lan, ValidationHoldsOnLanTopology) {
   // so no design edges exist across the LAN: running adjacencies would be
   // "unexpected". This is a known semantic of LAN validation; assert the
   // static check instead.
-  auto report = wf.static_check();
+  auto report = verify::run_lint({.nidb = &wf.nidb()});
   EXPECT_TRUE(report.ok()) << report.to_string();
 }
 

@@ -9,7 +9,6 @@
 #include "render/renderer.hpp"
 #include "topology/builtin.hpp"
 #include "verify/rules.hpp"
-#include "verify/static_check.hpp"
 
 namespace {
 
@@ -142,7 +141,7 @@ TEST(LintOptions, DisablingARuleSuppressesItsFindings) {
   nidb.device("r2")->data["hostname"] = "r1";
   verify::LintOptions opts;
   opts.enabled["dup-hostname"] = false;
-  auto report = verify::static_check(nidb, opts);
+  auto report = verify::run_lint({.nidb = &nidb}, opts);
   EXPECT_EQ(find_code(report, "dup-hostname"), nullptr);
   EXPECT_TRUE(report.ok()) << report.to_string();
 }
@@ -152,7 +151,7 @@ TEST(LintOptions, SeverityOverrideDowngradesToWarning) {
   nidb.device("r2")->data["hostname"] = "r1";
   verify::LintOptions opts;
   opts.severity["dup-hostname"] = Severity::kWarning;
-  auto report = verify::static_check(nidb, opts);
+  auto report = verify::run_lint({.nidb = &nidb}, opts);
   const auto* f = find_code(report, "dup-hostname");
   ASSERT_NE(f, nullptr);
   EXPECT_EQ(f->severity, Severity::kWarning);
@@ -169,7 +168,7 @@ TEST(Report, ByteDeterministicGolden) {
   add_router(nidb, "a", 1, "10.0.0.1");
   add_router(nidb, "b", 1, "10.0.0.2");
   nidb.device("b")->data["hostname"] = "a";
-  auto report = verify::static_check(nidb);
+  auto report = verify::run_lint({.nidb = &nidb});
   EXPECT_EQ(report.to_string(),
             "static check: 1 error(s), 0 warning(s)\n"
             "  [ERROR] dup-hostname (a): hostname 'a' used by: a, b "
@@ -180,8 +179,8 @@ TEST(Report, SortedAndDeduplicated) {
   auto nidb = compiled(topology::figure5());
   nidb.device("r2")->data["hostname"] = "r1";
   nidb.device("r4")->data["hostname"] = "r3";
-  auto first = verify::static_check(nidb);
-  auto second = verify::static_check(nidb);
+  auto first = verify::run_lint({.nidb = &nidb});
+  auto second = verify::run_lint({.nidb = &nidb});
   EXPECT_EQ(first.to_string(), second.to_string());
   EXPECT_EQ(first.to_json(), second.to_json());
   EXPECT_TRUE(std::is_sorted(first.findings.begin(), first.findings.end()));
@@ -197,7 +196,7 @@ TEST(Report, FindingsCarryProvenance) {
   auto& neighbors = nidb.device("r3")->data["bgp"]["ebgp_neighbors"].array();
   ASSERT_FALSE(neighbors.empty());
   neighbors[0]["remote_as"] = 999;
-  auto report = verify::static_check(nidb);
+  auto report = verify::run_lint({.nidb = &nidb});
   const auto* f = find_code(report, "bgp-wrong-as");
   ASSERT_NE(f, nullptr);
   EXPECT_EQ(f->device, "r3");
@@ -213,7 +212,8 @@ TEST(Report, FindingsCarryProvenance) {
 
 TEST(Signaling, CleanOnGeneratedTopologies) {
   for (const char* ibgp : {"mesh", "rr-auto"}) {
-    auto report = verify::static_check(compiled(topology::small_internet(), ibgp));
+    const auto nidb = compiled(topology::small_internet(), ibgp);
+    auto report = verify::run_lint({.nidb = &nidb});
     EXPECT_TRUE(report.ok()) << ibgp << ": " << report.to_string();
   }
 }
@@ -227,7 +227,7 @@ TEST(Signaling, DetectsIbgpPartition) {
   add_router(nidb, "r3", 1, "10.0.0.3");
   add_ibgp(nidb, "r1", "10.0.0.2", 1);
   add_ibgp(nidb, "r2", "10.0.0.1", 1);
-  auto report = verify::static_check(nidb);
+  auto report = verify::run_lint({.nidb = &nidb});
   const auto* f = find_code(report, "ibgp-partition");
   ASSERT_NE(f, nullptr) << report.to_string();
   EXPECT_EQ(f->severity, Severity::kError);
@@ -245,7 +245,7 @@ TEST(Signaling, RouteReflectorClusterIsConnected) {
   add_ibgp(nidb, "rr", "10.0.0.3", 1, /*rr_client=*/true);
   add_ibgp(nidb, "c1", "10.0.0.1", 1);
   add_ibgp(nidb, "c2", "10.0.0.1", 1);
-  auto report = verify::static_check(nidb);
+  auto report = verify::run_lint({.nidb = &nidb});
   EXPECT_EQ(find_code(report, "ibgp-partition"), nullptr) << report.to_string();
 }
 
@@ -261,7 +261,7 @@ TEST(Signaling, PlainMeshOfNonReflectorsDoesNotForward) {
   add_ibgp(nidb, "r2", "10.0.0.1", 1);
   add_ibgp(nidb, "r2", "10.0.0.3", 1);
   add_ibgp(nidb, "r3", "10.0.0.2", 1);
-  auto report = verify::static_check(nidb);
+  auto report = verify::run_lint({.nidb = &nidb});
   const auto* f = find_code(report, "ibgp-partition");
   ASSERT_NE(f, nullptr) << report.to_string();
   EXPECT_EQ(f->severity, Severity::kError);
@@ -274,7 +274,7 @@ TEST(Signaling, DetectsRrClusterLoop) {
   // Mutual reflection: each treats the other as its client.
   add_ibgp(nidb, "r1", "10.0.0.2", 1, /*rr_client=*/true);
   add_ibgp(nidb, "r2", "10.0.0.1", 1, /*rr_client=*/true);
-  auto report = verify::static_check(nidb);
+  auto report = verify::run_lint({.nidb = &nidb});
   const auto* f = find_code(report, "rr-cluster-loop");
   ASSERT_NE(f, nullptr) << report.to_string();
   EXPECT_EQ(f->severity, Severity::kError);
@@ -292,7 +292,7 @@ TEST(Signaling, DetectsUnresolvableNexthop) {
     const auto* s = network != nullptr ? network->as_string() : nullptr;
     return s != nullptr && s->starts_with(lo);
   });
-  auto report = verify::static_check(nidb);
+  auto report = verify::run_lint({.nidb = &nidb});
   const auto* f = find_code(report, "ibgp-nexthop-unresolved");
   ASSERT_NE(f, nullptr) << report.to_string();
   EXPECT_EQ(f->severity, Severity::kError);
@@ -305,7 +305,7 @@ TEST(Signaling, CbgpNodeIdPeeringIsExemptFromAdjacency) {
   core::Workflow wf;
   wf.load(topology::small_internet()).design().compile();
   auto nidb = compiler::platform_compiler_for("cbgp").compile(wf.anm());
-  auto report = verify::static_check(nidb);
+  auto report = verify::run_lint({.nidb = &nidb});
   EXPECT_EQ(find_code(report, "ebgp-peer-not-adjacent"), nullptr)
       << report.to_string();
 }
@@ -317,7 +317,7 @@ TEST(Signaling, DetectsEbgpPeerWithoutSharedSubnet) {
   // Point the session at r5's loopback: owned by the right AS, but on no
   // collision domain r3 attaches to.
   neighbors[0]["neighbor"] = bare_loopback(nidb, "r5");
-  auto report = verify::static_check(nidb);
+  auto report = verify::run_lint({.nidb = &nidb});
   const auto* f = find_code(report, "ebgp-peer-not-adjacent");
   ASSERT_NE(f, nullptr) << report.to_string();
   EXPECT_EQ(f->severity, Severity::kError);
@@ -336,7 +336,8 @@ TEST(Lint, AnycastStubPrefixesAreNotDuplicateAddresses) {
     g.set_node_attr(n, "advertise_prefix", "203.0.113.0/24");
   }
   g.add_edge("a", "b");
-  auto report = verify::static_check(compiled(g));
+  const auto nidb = compiled(g);
+  auto report = verify::run_lint({.nidb = &nidb});
   EXPECT_EQ(find_code(report, "dup-address"), nullptr) << report.to_string();
   EXPECT_EQ(find_code(report, "subnet-overlap"), nullptr) << report.to_string();
 }
@@ -414,7 +415,7 @@ TEST(TemplateLint, DetectsUnterminatedBlockInRawSource) {
 TEST(Sarif, EmitsValidSarifWithRuleMetadata) {
   auto nidb = compiled(topology::figure5());
   nidb.device("r2")->data["hostname"] = "r1";
-  auto report = verify::static_check(nidb);
+  auto report = verify::run_lint({.nidb = &nidb});
   const std::string sarif = verify::to_sarif(report);
   auto doc = nidb::parse_json(sarif);
   EXPECT_EQ(*doc.find("version")->as_string(), "2.1.0");

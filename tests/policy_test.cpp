@@ -135,7 +135,7 @@ TEST(Policy, LocalPrefBeatsShorterAsPath) {
 TEST(Policy, StaticCheckCleanWithPolicies) {
   core::Workflow wf;
   wf.load(prefer_r4_input()).design().compile();
-  auto report = wf.static_check();
+  auto report = verify::run_lint({.nidb = &wf.nidb()});
   EXPECT_TRUE(report.ok()) << report.to_string();
 }
 

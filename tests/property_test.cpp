@@ -97,7 +97,8 @@ TEST_P(PipelineProperty, StaticCheckAndValidationBothClean) {
   const auto input = input_for(GetParam());
   core::Workflow wf;
   wf.run(input);
-  EXPECT_TRUE(wf.static_check().ok()) << wf.static_check().to_string();
+  const auto report = verify::run_lint({.nidb = &wf.nidb()});
+  EXPECT_TRUE(report.ok()) << report.to_string();
   EXPECT_TRUE(wf.validate_ospf().ok) << wf.validate_ospf().to_string();
 }
 

@@ -3,7 +3,7 @@
 #include "core/workflow.hpp"
 #include "topology/builtin.hpp"
 #include "topology/generators.hpp"
-#include "verify/static_check.hpp"
+#include "verify/rules.hpp"
 
 namespace {
 
@@ -24,7 +24,8 @@ bool has_code(const verify::Report& report, std::string_view code) {
 }
 
 TEST(StaticCheck, CleanOnGeneratedNidb) {
-  auto report = verify::static_check(compiled(topology::small_internet()));
+  const auto nidb = compiled(topology::small_internet());
+  auto report = verify::run_lint({.nidb = &nidb});
   EXPECT_TRUE(report.ok()) << report.to_string();
   EXPECT_EQ(report.error_count(), 0u);
   EXPECT_EQ(report.to_string(), "static check: OK, no findings");
@@ -35,7 +36,8 @@ TEST(StaticCheck, CleanAcrossGeneratedTopologies) {
     topology::MultiAsOptions opts;
     opts.as_count = 5;
     opts.seed = seed;
-    auto report = verify::static_check(compiled(topology::make_multi_as(opts)));
+    const auto nidb = compiled(topology::make_multi_as(opts));
+    auto report = verify::run_lint({.nidb = &nidb});
     EXPECT_TRUE(report.ok()) << "seed " << seed << ": " << report.to_string();
   }
 }
@@ -45,7 +47,7 @@ TEST(StaticCheck, DetectsDuplicateAddress) {
   // Give r2 r1's loopback.
   const auto* r1 = nidb.device("r1");
   nidb.device("r2")->data["loopback"] = *r1->data.find("loopback");
-  auto report = verify::static_check(nidb);
+  auto report = verify::run_lint({.nidb = &nidb});
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(has_code(report, "dup-address"));
 }
@@ -53,7 +55,7 @@ TEST(StaticCheck, DetectsDuplicateAddress) {
 TEST(StaticCheck, DetectsDuplicateHostname) {
   auto nidb = compiled(topology::figure5());
   nidb.device("r2")->data["hostname"] = "r1";
-  auto report = verify::static_check(nidb);
+  auto report = verify::run_lint({.nidb = &nidb});
   EXPECT_TRUE(has_code(report, "dup-hostname"));
 }
 
@@ -62,7 +64,7 @@ TEST(StaticCheck, DetectsUnknownBgpPeer) {
   auto& neighbors = nidb.device("r3")->data["bgp"]["ebgp_neighbors"].array();
   ASSERT_FALSE(neighbors.empty());
   neighbors[0]["neighbor"] = "203.0.113.77";  // nobody owns this
-  auto report = verify::static_check(nidb);
+  auto report = verify::run_lint({.nidb = &nidb});
   EXPECT_TRUE(has_code(report, "bgp-unknown-peer"));
 }
 
@@ -71,7 +73,7 @@ TEST(StaticCheck, DetectsWrongRemoteAs) {
   auto& neighbors = nidb.device("r3")->data["bgp"]["ebgp_neighbors"].array();
   ASSERT_FALSE(neighbors.empty());
   neighbors[0]["remote_as"] = 999;
-  auto report = verify::static_check(nidb);
+  auto report = verify::run_lint({.nidb = &nidb});
   EXPECT_TRUE(has_code(report, "bgp-wrong-as"));
 }
 
@@ -79,7 +81,7 @@ TEST(StaticCheck, DetectsAsymmetricSession) {
   auto nidb = compiled(topology::figure5());
   // Drop r5's side of the r3<->r5 session.
   nidb.device("r5")->data["bgp"]["ebgp_neighbors"] = nidb::Value(nidb::Array{});
-  auto report = verify::static_check(nidb);
+  auto report = verify::run_lint({.nidb = &nidb});
   EXPECT_TRUE(has_code(report, "bgp-asym-session"));
 }
 
@@ -89,7 +91,7 @@ TEST(StaticCheck, DetectsOspfAreaMismatch) {
   auto& links = nidb.device("r1")->data["ospf"]["ospf_links"].array();
   ASSERT_FALSE(links.empty());
   links[0]["area"] = 7;
-  auto report = verify::static_check(nidb);
+  auto report = verify::run_lint({.nidb = &nidb});
   EXPECT_TRUE(has_code(report, "ospf-area-mismatch"));
 }
 
@@ -98,14 +100,14 @@ TEST(StaticCheck, DetectsHalfOspfLink) {
   // Remove r2's OSPF coverage entirely: its intra-AS links become
   // half-links from the peers' perspective.
   nidb.device("r2")->data["ospf"]["ospf_links"] = nidb::Value(nidb::Array{});
-  auto report = verify::static_check(nidb);
+  auto report = verify::run_lint({.nidb = &nidb});
   EXPECT_TRUE(has_code(report, "ospf-half-link"));
 }
 
 TEST(StaticCheck, WarnsOnMissingRenderAttributes) {
   nidb::Nidb nidb;
   nidb.add_device("bare");
-  auto report = verify::static_check(nidb);
+  auto report = verify::run_lint({.nidb = &nidb});
   EXPECT_TRUE(report.ok());  // warning, not error
   EXPECT_EQ(report.warning_count(), 1u);
   EXPECT_TRUE(has_code(report, "render-missing"));
@@ -114,14 +116,15 @@ TEST(StaticCheck, WarnsOnMissingRenderAttributes) {
 TEST(StaticCheck, ServersDoNotTriggerHalfLink) {
   auto input = topology::figure5();
   topology::attach_servers(input, 3, 5);
-  auto report = verify::static_check(compiled(input));
+  const auto nidb = compiled(input);
+  auto report = verify::run_lint({.nidb = &nidb});
   EXPECT_FALSE(has_code(report, "ospf-half-link")) << report.to_string();
 }
 
 TEST(StaticCheck, ReportFormatting) {
   auto nidb = compiled(topology::figure5());
   nidb.device("r2")->data["hostname"] = "r1";
-  auto report = verify::static_check(nidb);
+  auto report = verify::run_lint({.nidb = &nidb});
   auto text = report.to_string();
   EXPECT_NE(text.find("ERROR"), std::string::npos);
   EXPECT_NE(text.find("dup-hostname"), std::string::npos);

@@ -10,20 +10,21 @@
 //   autonet lint  [<topology>] [--platform P] [--ibgp MODE] [--templates DIR]
 //                 [--config FILE] [--disable IDS] [--enable IDS]
 //                 [--severity ID=SEV,...] [--fail-on error|warning]
-//                 [--format text|json|sarif] [--out FILE] [--list-rules]
+//                 [--format text|json|sarif] [--out FILE] [--trace FILE]
+//                 [--list-rules]
 //   autonet analyze <topology> [--platform P] [--ibgp MODE] [--jobs N]
 //                 [--config FILE] [--disable IDS] [--enable IDS]
 //                 [--severity ID=SEV,...] [--fail-on error|warning]
-//                 [--format text|json|sarif] [--out FILE] [--list-rules]
-//                 [--cross-check]
+//                 [--format text|json|sarif] [--out FILE] [--trace FILE]
+//                 [--list-rules] [--cross-check]
 //   autonet run   <topology> [--platform P] [--ibgp MODE]
-//                 [--trace SRC DST | --trace out.json] [--validate]
+//                 [--traceroute SRC DST] [--trace FILE] [--validate]
 //                 [--metrics FILE] [--checkpoint DIR] [--resume DIR]
 //                 [--incremental] [--since DIR] [--explain] [--hot-apply]
 //                 [--deadline MS] [--report FILE]
 //   autonet diff  <topologyA> <topologyB> [--format text|json] [--out FILE]
 //   autonet exp run <campaign.file> [--out DIR] [--jobs N] [--fresh]
-//                 [--checkpoints] [--incremental] [--deadline MS]
+//                 [--checkpoints] [--incremental] [--deadline MS] [--trace FILE]
 //   autonet exp report <DIR|journal.jsonl> [--format text|csv|jsonl]
 //   autonet events <run_report.json|events.jsonl> [--phase P]
 //                 [--category C] [--severity info|warning|error]
@@ -71,7 +72,7 @@
 #include "topology/graphml.hpp"
 #include "topology/load.hpp"
 #include "verify/analysis/crosscheck.hpp"
-#include "verify/static_check.hpp"
+#include "verify/rules.hpp"
 #include "viz/export.hpp"
 
 namespace {
@@ -93,15 +94,15 @@ int usage() {
                "               [--disable IDS] [--enable IDS] "
                "[--severity ID=error|warning,...] [--fail-on error|warning]\n"
                "               [--format text|json|sarif] [--out FILE] "
-               "[--trace OUT.json] [--list-rules]\n"
+               "[--trace FILE] [--list-rules]\n"
                "  autonet analyze <topology> [--platform P] [--ibgp MODE] "
                "[--jobs N] [--config FILE]\n"
                "               [--disable IDS] [--enable IDS] "
                "[--severity ID=error|warning,...] [--fail-on error|warning]\n"
                "               [--format text|json|sarif] [--out FILE] "
-               "[--list-rules] [--cross-check]\n"
+               "[--trace FILE] [--list-rules] [--cross-check]\n"
                "  autonet run <topology> [--platform P] [--ibgp MODE] "
-               "[--trace SRC DST | --trace OUT.json] [--validate]\n"
+               "[--traceroute SRC DST] [--trace FILE] [--validate]\n"
                "              [--metrics FILE] [--checkpoint DIR] "
                "[--resume DIR] [--deadline MS] [--report FILE] "
                "[--virtual-clock]\n"
@@ -111,7 +112,7 @@ int usage() {
                "[--format text|json] [--out FILE]\n"
                "  autonet exp run <campaign.file> [--out DIR] [--jobs N] "
                "[--fresh] [--checkpoints] [--incremental] [--deadline MS] "
-               "[--trace OUT.json]\n"
+               "[--trace FILE]\n"
                "  autonet exp report <DIR|journal.jsonl> "
                "[--format text|csv|jsonl] [--out FILE]\n"
                "  autonet events <run_report.json|events.jsonl> [--phase P] "
@@ -129,8 +130,7 @@ int usage() {
 struct Args {
   std::vector<std::string> positional;
   std::map<std::string, std::string> options;
-  std::vector<std::string> trace;  // SRC DST
-  std::string trace_file;          // Chrome trace-event JSON output
+  std::vector<std::string> traceroute;  // SRC DST
 
   static Args parse(int argc, char** argv, int start) {
     Args args;
@@ -142,13 +142,8 @@ struct Args {
           arg == "--incremental" || arg == "--explain" || arg == "--hot-apply" ||
           arg == "--list-oracles") {
         args.options[arg.substr(2)] = "1";
-      } else if (arg == "--trace" && i + 1 < argc &&
-                 std::string_view(argv[i + 1]).ends_with(".json")) {
-        // --trace out.json: write the pipeline's trace-event JSON there
-        // (a .json argument cannot be a router name).
-        args.trace_file = argv[++i];
-      } else if (arg == "--trace" && i + 2 < argc) {
-        args.trace = {argv[i + 1], argv[i + 2]};
+      } else if (arg == "--traceroute" && i + 2 < argc) {
+        args.traceroute = {argv[i + 1], argv[i + 2]};
         i += 2;
       } else if (arg.starts_with("--") && i + 1 < argc) {
         args.options[arg.substr(2)] = argv[++i];
@@ -220,7 +215,7 @@ int cmd_build(const Args& args) {
   core::Workflow wf(workflow_options(args));
   wf.load(load_input(args.positional[0])).design().compile().render();
 
-  auto check = verify::static_check(wf.nidb());
+  auto check = verify::run_lint({.nidb = &wf.nidb()});
   std::printf("%s\n", check.to_string().c_str());
 
   std::printf("%zu devices, %zu files, %zu bytes; timings: %s\n",
@@ -248,7 +243,7 @@ int cmd_check(const Args& args) {
   if (args.positional.empty()) return usage();
   core::Workflow wf(workflow_options(args));
   wf.load(load_input(args.positional[0])).design().compile();
-  auto report = verify::static_check(wf.nidb());
+  auto report = verify::run_lint({.nidb = &wf.nidb()});
   std::printf("%s\n", report.to_string().c_str());
   return report.ok() ? 0 : 1;
 }
@@ -376,17 +371,17 @@ int write_lint_output(const Args& args, const char* tool,
   } else {
     std::fputs(rendered.c_str(), stdout);
   }
-  if (!args.trace_file.empty()) {
-    std::ofstream file(args.trace_file, std::ios::binary);
+  if (args.has("trace")) {
+    std::ofstream file(args.get("trace"), std::ios::binary);
     if (!file) {
-      std::fprintf(stderr, "cannot write %s\n", args.trace_file.c_str());
+      std::fprintf(stderr, "cannot write %s\n", args.get("trace").c_str());
       return 2;
     }
     file << obs::to_chrome_trace(obs::Registry::current());
     file.flush();
     if (!file) {
       std::fprintf(stderr, "autonet %s: error writing %s\n", tool,
-                   args.trace_file.c_str());
+                   args.get("trace").c_str());
       return 2;
     }
   }
@@ -569,8 +564,8 @@ int cmd_exp_run(const Args& args) {
                                   experiment::to_jsonl(groups))) {
     return 2 * rc;
   }
-  if (!args.trace_file.empty()) {
-    if (write_file_checked(args.trace_file,
+  if (args.has("trace")) {
+    if (write_file_checked(args.get("trace"),
                            obs::to_chrome_trace(runner.telemetry()))) {
       return 2;
     }
@@ -916,15 +911,15 @@ int cmd_run(const Args& args) {
   write_report();
 
   int rc = 0;
-  if (!args.trace_file.empty()) {
-    std::ofstream file(args.trace_file, std::ios::binary);
+  if (args.has("trace")) {
+    std::ofstream file(args.get("trace"), std::ios::binary);
     if (!file) {
-      std::fprintf(stderr, "cannot write %s\n", args.trace_file.c_str());
+      std::fprintf(stderr, "cannot write %s\n", args.get("trace").c_str());
       return 1;
     }
     file << obs::to_chrome_trace(wf.telemetry());
     std::printf("trace written to %s (open in Perfetto / chrome://tracing)\n",
-                args.trace_file.c_str());
+                args.get("trace").c_str());
   }
   if (args.has("metrics")) {
     std::ofstream file(args.get("metrics"), std::ios::binary);
@@ -935,10 +930,10 @@ int cmd_run(const Args& args) {
     file << obs::to_prometheus(wf.telemetry());
     std::printf("metrics written to %s\n", args.get("metrics").c_str());
   }
-  if (!args.trace.empty()) {
-    auto trace = wf.measurement().traceroute(args.trace[0], args.trace[1]);
-    std::printf("traceroute %s -> %s: [", args.trace[0].c_str(),
-                args.trace[1].c_str());
+  if (!args.traceroute.empty()) {
+    auto trace = wf.measurement().traceroute(args.traceroute[0], args.traceroute[1]);
+    std::printf("traceroute %s -> %s: [", args.traceroute[0].c_str(),
+                args.traceroute[1].c_str());
     for (std::size_t i = 0; i < trace.node_path.size(); ++i) {
       std::printf("%s%s", i ? ", " : "", trace.node_path[i].c_str());
     }
