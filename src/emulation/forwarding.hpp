@@ -4,7 +4,10 @@
 // (verify/analysis): the FIB entry and its longest-prefix lookup, the
 // per-config primitives both control planes read (router id, OSPF
 // coverage, address ownership, BGP session source, trace target), the
-// segment and session records they build, and the hop-by-hop walk.
+// segment and session records they build, the hop-by-hop walk that
+// serves single probes, and the per-destination forwarding column behind
+// every all-pairs answer (the reachability matrix, the predictor's path
+// table and the cross-check).
 //
 // What *fills* the FIBs — OSPF SPF, the BGP decision process, FIB
 // install and segment grouping — deliberately stays two independent
@@ -17,6 +20,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -46,10 +50,32 @@ struct FibEntry {
   double metric = 0;
 };
 
-/// Longest-prefix match (ties: lowest admin distance, then metric);
-/// nullptr when no entry covers `dst`.
+/// Longest-prefix match (ties: lowest admin distance, then metric, then
+/// FIB order); nullptr when no entry covers `dst`.
 [[nodiscard]] const FibEntry* lookup(const std::vector<FibEntry>& fib,
                                      addressing::Ipv4Addr dst);
+
+/// A FIB compiled for lookup: for each prefix length present, longest
+/// first, the sorted networks of that length, each holding the entry the
+/// linear lookup() picks among the FIB's entries for that prefix. It
+/// points into the FIB it was built from, so it is built for one table
+/// build and must not outlive, or see a change of, that FIB.
+class CompiledFib {
+ public:
+  explicit CompiledFib(const std::vector<FibEntry>& fib);
+  /// The same entry as lookup(fib, dst), for every address.
+  [[nodiscard]] const FibEntry* lookup(addressing::Ipv4Addr dst) const;
+
+ private:
+  struct Length {
+    std::uint32_t mask;
+    std::uint32_t end;  // this length's networks end here
+  };
+  const FibEntry* fib_;
+  std::vector<Length> lengths_;          // longest prefix first
+  std::vector<std::uint32_t> networks_;  // sorted within each length
+  std::vector<std::uint32_t> entries_;   // the FIB index of each network's entry
+};
 
 /// The router id: explicit, else loopback, else highest interface.
 [[nodiscard]] addressing::Ipv4Addr router_id(const RouterConfig& cfg);
@@ -107,7 +133,7 @@ struct ForwardingRouter {
   bool down = false;
 };
 
-enum class WalkEnd {
+enum class WalkEnd : std::uint8_t {
   kReached,      // `at` owns the destination and answered
   kDropped,      // `at` has no route, or its next hop belongs to no router
   kDown,         // `at` is down
@@ -155,6 +181,82 @@ WalkOutcome walk(std::size_t src, addressing::Ipv4Addr dst, int max_ttl,
     current = next;
   }
   return {WalkEnd::kTtlExceeded, current};
+}
+
+/// One router's cell in a forwarding column: the walk from that router
+/// towards the column's destination.
+struct ForwardingCell {
+  /// The router that answers the walk's next hop, from `reply`. When the
+  /// walk ends here without another answer: this router when it drops
+  /// or is down, the down router when the next hop is down.
+  std::uint32_t next = 0;
+  addressing::Ipv4Addr reply;
+  /// How many routers answer on the walk from here (walk's on_hop calls).
+  std::uint16_t hops = 0;
+  WalkEnd end = WalkEnd::kDropped;
+
+  friend bool operator==(const ForwardingCell&, const ForwardingCell&) = default;
+};
+
+/// All-pairs forwarding, one destination at a time. build(dst, ...)
+/// fills one cell per router with what walk(router, dst, ...) returns
+/// and reports, from one FIB lookup per router: hop counts are shared
+/// along next-hop chains, cycles and max_ttl end in kTtlExceeded. The
+/// constructor takes walk's `by_address` and `router_at` and compiles
+/// every router's FIB, so a builder serves one table build over FIBs
+/// that stay unchanged while it lives.
+class ColumnBuilder {
+ public:
+  template <typename RouterAt>
+  ColumnBuilder(std::size_t routers,
+                const std::map<std::uint32_t, std::size_t>& by_address,
+                const RouterAt& router_at) {
+    routers_.reserve(routers);
+    for (std::size_t r = 0; r < routers; ++r) {
+      const ForwardingRouter router = router_at(r);
+      routers_.push_back({&router.config, CompiledFib(router.fib), router.down});
+    }
+    index_addresses(by_address);
+  }
+
+  /// Fills `column` (resized to one cell per router) with the walk from
+  /// every router towards `dst`. max_ttl may be at most 65535.
+  void build(addressing::Ipv4Addr dst, int max_ttl, std::vector<ForwardingCell>& column);
+
+ private:
+  struct Router {
+    const RouterConfig* config;
+    CompiledFib fib;
+    bool down;
+  };
+  using Owner = std::pair<std::uint32_t, std::uint32_t>;  // (address, router)
+
+  void index_addresses(const std::map<std::uint32_t, std::size_t>& by_address);
+
+  std::vector<Router> routers_;
+  std::vector<Owner> by_address_;  // walk's owner of each address
+  std::vector<Owner> owners_;      // every (address, router) owns_address holds
+  // Per-build scratch.
+  std::vector<std::uint8_t> owns_;
+  std::vector<std::uint8_t> state_;
+  std::vector<std::uint32_t> chain_;
+};
+
+/// The outcome walk(src, dst, ...) returns, read from dst's column.
+[[nodiscard]] WalkOutcome column_outcome(std::span<const ForwardingCell> column,
+                                         std::size_t src);
+
+/// Calls on_hop(router, reply) for every router that answers on the walk
+/// from `src`, in path order: the calls walk() makes.
+template <typename OnHop>
+void column_walk(std::span<const ForwardingCell> column, std::size_t src,
+                 OnHop&& on_hop) {
+  std::size_t at = src;
+  for (std::uint16_t hop = 0; hop < column[src].hops; ++hop) {
+    const ForwardingCell& cell = column[at];
+    on_hop(static_cast<std::size_t>(cell.next), cell.reply);
+    at = cell.next;
+  }
 }
 
 }  // namespace autonet::emulation

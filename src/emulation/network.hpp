@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -162,9 +163,20 @@ class EmulatedNetwork {
   [[nodiscard]] bool ping(std::string_view src_router,
                           addressing::Ipv4Addr dst) const;
   /// Pings every router's loopback from every other router (routers
-  /// without a loopback are never reached). The summary measurement
-  /// behind MeasurementClient::reachability() and IncidentRunner.
+  /// without a loopback are never reached), one forwarding column per
+  /// loopback. The summary measurement behind
+  /// MeasurementClient::reachability() and IncidentRunner.
   [[nodiscard]] ReachabilityMatrix reachability() const;
+  /// The forwarding column (emulation/forwarding.hpp) towards each of
+  /// `targets` in turn, over the converged FIBs compiled once per call:
+  /// visit(k, column) gets the column towards targets[k], one cell per
+  /// router in router_names() order, router indices in that order too.
+  /// A failed router neither sources nor answers probes. Throws
+  /// std::logic_error before start().
+  void forwarding_columns(
+      const std::vector<addressing::Ipv4Addr>& targets, int max_ttl,
+      const std::function<void(std::size_t, const std::vector<ForwardingCell>&)>& visit)
+      const;
 
   /// Runs a command against a router, emulating the measurement client's
   /// remote execution: supports "traceroute -naU <ip>" and
@@ -186,7 +198,7 @@ class EmulatedNetwork {
   [[nodiscard]] std::size_t probe_source(std::string_view name) const;
   /// emulation::walk over the converged FIBs from router `src`, where a
   /// failed router neither sources nor answers probes (dataplane.cpp).
-  /// Throws std::logic_error before start().
+  /// Throws std::logic_error before start(), as does forwarding_columns.
   template <typename OnHop>
   WalkOutcome forward(std::size_t src, addressing::Ipv4Addr dst, int max_ttl,
                       OnHop&& on_hop) const;

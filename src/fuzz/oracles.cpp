@@ -1,11 +1,15 @@
 #include "fuzz/oracles.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <filesystem>
+#include <map>
 #include <memory>
+#include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -13,6 +17,7 @@
 #include "core/cancel.hpp"
 #include "core/workflow.hpp"
 #include "emulation/config_parse.hpp"
+#include "emulation/network.hpp"
 #include "fuzz/rng.hpp"
 #include "obs/registry.hpp"
 #include "render/renderer.hpp"
@@ -21,6 +26,7 @@
 #include "topology/graphml.hpp"
 #include "topology/rocketfuel.hpp"
 #include "verify/analysis/crosscheck.hpp"
+#include "verify/analysis/model.hpp"
 #include "verify/rules.hpp"
 
 namespace autonet::fuzz {
@@ -431,6 +437,255 @@ OracleResult run_loader_robustness(const Scenario& s) {
   return OracleResult::pass();
 }
 
+const char* end_name(emulation::WalkEnd end) {
+  switch (end) {
+    case emulation::WalkEnd::kReached: return "reached";
+    case emulation::WalkEnd::kDropped: return "dropped";
+    case emulation::WalkEnd::kDown: return "down";
+    case emulation::WalkEnd::kTtlExceeded: return "ttl-exceeded";
+  }
+  return "?";
+}
+
+/// A walk as "<verdict> at <router> after <hops>: <router>@<reply> ...".
+std::string walk_text(const emulation::WalkOutcome& outcome,
+                      const std::vector<std::pair<std::size_t, addressing::Ipv4Addr>>& hops,
+                      const std::vector<std::string>& names) {
+  std::string text = std::string(end_name(outcome.end)) + " at " + names[outcome.at] +
+                     " after " + std::to_string(hops.size()) + ":";
+  for (const auto& [router, reply] : hops) {
+    text += " " + names[router] + "@" + reply.to_string();
+  }
+  return text;
+}
+
+/// Compares one forwarding column towards `dst` with walk() from every
+/// source over the same routers: the verdict, the router it names, and
+/// every answering hop. Returns the first disagreement, or "".
+template <typename RouterAt>
+std::string column_vs_walk(std::span<const emulation::ForwardingCell> column,
+                           addressing::Ipv4Addr dst,
+                           const std::map<std::uint32_t, std::size_t>& by_address,
+                           const RouterAt& router_at,
+                           const std::vector<std::string>& names) {
+  std::vector<std::pair<std::size_t, addressing::Ipv4Addr>> walked;
+  std::vector<std::pair<std::size_t, addressing::Ipv4Addr>> read;
+  const auto record = [](auto& hops) {
+    return [&hops](std::size_t r, addressing::Ipv4Addr reply) { hops.emplace_back(r, reply); };
+  };
+  for (std::size_t src = 0; src < column.size(); ++src) {
+    walked.clear();
+    read.clear();
+    const auto outcome = emulation::walk(src, dst, 30, by_address, router_at, record(walked));
+    emulation::column_walk(column, src, record(read));
+    const std::string expected = walk_text(outcome, walked, names);
+    const std::string got = walk_text(emulation::column_outcome(column, src), read, names);
+    if (expected != got) {
+      return names[src] + " -> " + dst.to_string() + ": walk " + expected + "; column " + got;
+    }
+  }
+  return "";
+}
+
+/// The emulation's columns towards every router's trace target against
+/// walk() over the same FIBs, address owners and failed routers, all read
+/// back through the public API; and reachability() against ping().
+std::string emulation_mismatch(const emulation::EmulatedNetwork& network) {
+  const std::vector<std::string> names = network.router_names();
+  std::map<std::string, std::size_t, std::less<>> index;
+  for (std::size_t i = 0; i < names.size(); ++i) index[names[i]] = i;
+  const std::vector<std::string> failed = network.failed_nodes();
+  std::map<std::uint32_t, std::size_t> by_address;
+  std::vector<addressing::Ipv4Addr> targets;
+  std::vector<std::size_t> owners;  // the router each target belongs to
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const emulation::RouterConfig& cfg = network.router(names[i])->config();
+    std::vector<addressing::Ipv4Addr> addresses;
+    if (cfg.loopback) addresses.push_back(cfg.loopback->address);
+    for (const auto& iface : cfg.interfaces) addresses.push_back(iface.address.address);
+    for (const auto address : addresses) {
+      by_address[address.value()] = index.find(*network.owner_of(address))->second;
+    }
+    if (const auto target = emulation::trace_target(cfg)) {
+      targets.push_back(*target);
+      owners.push_back(i);
+    }
+  }
+  const auto router_at = [&](std::size_t r) {
+    const emulation::VirtualRouter& router = *network.router(names[r]);
+    return emulation::ForwardingRouter{
+        router.config(), router.fib(),
+        std::binary_search(failed.begin(), failed.end(), names[r])};
+  };
+  std::string mismatch;
+  network.forwarding_columns(
+      targets, 30, [&](std::size_t k, const std::vector<emulation::ForwardingCell>& column) {
+        if (mismatch.empty()) {
+          mismatch = column_vs_walk(column, targets[k], by_address, router_at, names);
+        }
+      });
+  if (!mismatch.empty()) return "emulation: " + mismatch;
+
+  const emulation::ReachabilityMatrix matrix = network.reachability();
+  for (std::size_t j = 0; j < names.size(); ++j) {
+    const auto& loopback = network.router(names[j])->config().loopback;
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      const bool pinged = i != j && loopback && network.ping(names[i], loopback->address);
+      if (matrix.reached[i][j] != pinged) {
+        return "emulation: reachability " + names[i] + " -> " + names[j] +
+               (pinged ? " misses" : " invents") + " a reply ping() sees";
+      }
+    }
+  }
+  return "";
+}
+
+/// The predictor's table against trace_to_router(), which walks: the
+/// verdict, the drop router and every hop of every pair.
+std::string predictor_mismatch(const verify::analysis::Model& model,
+                               const verify::analysis::Prediction& prediction) {
+  const auto& routers = model.routers();
+  const verify::analysis::PathTable table(model, prediction);
+  const auto path_text = [](const verify::analysis::Path& path) {
+    std::string text = std::string(path.reached ? "reached" : "") +
+                       (path.looped ? "looped" : "") + "|" + path.dropped_at + "|";
+    for (const auto& hop : path.hops) text += " " + hop.router + "@" + hop.address.to_string();
+    return text;
+  };
+  for (std::size_t s = 0; s < routers.size(); ++s) {
+    for (std::size_t d = 0; d < routers.size(); ++d) {
+      if (s == d) continue;
+      const std::string traced = path_text(verify::analysis::trace_to_router(
+          model, prediction, routers[s].hostname, routers[d].hostname));
+      const std::string read = path_text(table.path(model, s, d));
+      if (traced != read) {
+        return "predictor: " + routers[s].hostname + " -> " + routers[d].hostname +
+               ": trace_to_router " + traced + "; table " + read;
+      }
+    }
+  }
+  return "";
+}
+
+/// Oracle 7 — measure-equivalence: every fast all-pairs answer equals
+/// its hop-by-hop reference. The booted emulation's forwarding columns
+/// (and its reachability matrix) and the prediction's table give every
+/// ordered pair the walk's verdict, end router and hops — on the intact
+/// network, after one seeded link failure and again after one seeded
+/// router failure.
+OracleResult run_measure_equivalence(const Scenario& s) {
+  auto registry = virtual_registry();
+  obs::RegistryScope scope(*registry);
+  core::Workflow wf(scenario_options(s));
+  wf.use_telemetry(registry.get());
+  wf.load(s.graph).design().compile().render();
+  const verify::analysis::Model model = verify::analysis::Model::from_nidb(wf.nidb());
+  auto network = emulation::EmulatedNetwork::from_nidb(wf.nidb(), wf.configs());
+  if (network.router_count() < 2) return OracleResult::skip("fewer than two routers");
+
+  Rng rng(mix(s.seed, fnv1a("autonet.fuzz.measure")));
+  const std::vector<verify::analysis::Link> links = model.links();
+  std::set<addressing::Ipv4Prefix> failed_subnets;
+  const auto check = [&](const std::string& stage) {
+    network.start(64);
+    std::string mismatch = emulation_mismatch(network);
+    if (mismatch.empty()) {
+      mismatch = predictor_mismatch(model, verify::analysis::predict(model, failed_subnets, 64));
+    }
+    return mismatch.empty() ? mismatch : truncate_detail(stage + ": " + mismatch);
+  };
+
+  std::string mismatch = check("intact");
+  if (mismatch.empty() && !links.empty()) {
+    const verify::analysis::Link& link = links[rng.below(links.size())];
+    network.fail_link(link.a, link.b);
+    failed_subnets.insert(link.subnet);
+    mismatch = check("link " + link.a + "<->" + link.b + " failed");
+  }
+  if (mismatch.empty()) {
+    const std::vector<std::string> names = network.router_names();
+    const std::string& router = names[rng.below(names.size())];
+    network.fail_node(router);
+    mismatch = check("router " + router + " failed");
+  }
+  return mismatch.empty() ? OracleResult::pass() : OracleResult::fail(mismatch);
+}
+
+/// Oracle 8 — fib-lookup: at every router of the prediction, the
+/// compiled FIB returns the linear lookup()'s entry for seeded random
+/// addresses and for each prefix's network and broadcast addresses and
+/// their neighbours — on the FIB itself and on a copy carrying seeded
+/// duplicate prefixes (other sources and metrics) and a default route.
+OracleResult run_fib_lookup(const Scenario& s) {
+  auto registry = virtual_registry();
+  obs::RegistryScope scope(*registry);
+  core::Workflow wf(scenario_options(s));
+  wf.use_telemetry(registry.get());
+  wf.load(s.graph).design().compile();
+  const verify::analysis::Model model = verify::analysis::Model::from_nidb(wf.nidb());
+  const verify::analysis::Prediction prediction = verify::analysis::predict(model, {}, 64);
+  if (model.size() == 0) return OracleResult::skip("no routers");
+
+  Rng rng(mix(s.seed, fnv1a("autonet.fuzz.fib-lookup")));
+  const auto mismatch = [](const std::vector<emulation::FibEntry>& fib,
+                           const std::vector<addressing::Ipv4Addr>& probes) -> std::string {
+    const emulation::CompiledFib compiled(fib);
+    const auto shown = [&fib](const emulation::FibEntry* entry) {
+      return entry == nullptr ? std::string("none")
+                              : "#" + std::to_string(entry - fib.data()) + " " +
+                                    entry->prefix.to_string();
+    };
+    for (const auto probe : probes) {
+      const emulation::FibEntry* linear = emulation::lookup(fib, probe);
+      const emulation::FibEntry* fast = compiled.lookup(probe);
+      if (fast != linear) {
+        return probe.to_string() + ": linear " + shown(linear) + ", compiled " + shown(fast);
+      }
+    }
+    return "";
+  };
+  constexpr emulation::RouteSource kSources[] = {
+      emulation::RouteSource::kConnected, emulation::RouteSource::kOspf,
+      emulation::RouteSource::kEbgp, emulation::RouteSource::kIbgp};
+  for (std::size_t r = 0; r < model.size(); ++r) {
+    const std::vector<emulation::FibEntry>& fib = prediction.fibs[r];
+    std::vector<addressing::Ipv4Addr> probes;
+    for (int i = 0; i < 64; ++i) {
+      probes.emplace_back(static_cast<std::uint32_t>(rng.next()));
+    }
+    for (const auto& entry : fib) {
+      for (const addressing::Ipv4Addr edge : {entry.prefix.network(), entry.prefix.broadcast()}) {
+        probes.push_back(edge);
+        probes.push_back(edge + 1);
+        probes.emplace_back(edge.value() - 1);
+      }
+    }
+    std::string detail = mismatch(fib, probes);
+    if (detail.empty()) {
+      std::vector<emulation::FibEntry> copy = fib;
+      for (const auto& entry : fib) {
+        if (!rng.chance(1, 3)) continue;
+        emulation::FibEntry twin = entry;
+        twin.source = kSources[rng.below(4)];
+        twin.metric = entry.metric + static_cast<double>(rng.range(-1, 1));
+        copy.insert(copy.begin() + static_cast<std::ptrdiff_t>(rng.below(copy.size() + 1)),
+                    std::move(twin));
+      }
+      emulation::FibEntry fallback;
+      fallback.prefix = addressing::Ipv4Prefix(addressing::Ipv4Addr{}, 0);
+      fallback.source = kSources[rng.below(4)];
+      copy.insert(copy.begin() + static_cast<std::ptrdiff_t>(rng.below(copy.size() + 1)),
+                  std::move(fallback));
+      detail = mismatch(copy, probes);
+      if (!detail.empty()) detail = "with duplicates: " + detail;
+    }
+    if (!detail.empty()) {
+      return OracleResult::fail(truncate_detail(model.routers()[r].hostname + ": " + detail));
+    }
+  }
+  return OracleResult::pass();
+}
+
 /// Wraps an oracle body: any exception escaping the pipeline itself is a
 /// failure (oracles are pure predicates — they never throw).
 template <typename F>
@@ -467,6 +722,12 @@ const std::vector<Oracle>& oracle_registry() {
       {"loader-robustness",
        "corrupted loader inputs throw typed parse errors, never crash",
        guarded(run_loader_robustness)},
+      {"measure-equivalence",
+       "forwarding tables equal the hop-by-hop walk for every pair, intact and failed",
+       guarded(run_measure_equivalence)},
+      {"fib-lookup",
+       "compiled FIB lookups return the linear lookup's entry",
+       guarded(run_fib_lookup)},
   };
   return kOracles;
 }

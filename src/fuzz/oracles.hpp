@@ -1,16 +1,18 @@
 // The cross-layer oracle registry: each oracle is a pure predicate over
 // a Scenario that either passes, fails with a detail string, or skips
-// (the scenario is outside the oracle's domain). The six built-in
-// oracles generalize the pairwise correctness checks PRs 7-8 encoded ad
-// hoc into reusable differential properties:
+// (the scenario is outside the oracle's domain). The eight built-in
+// oracles are reusable differential properties:
 //
-//   fib-crosscheck    predicted FIBs == emulated FIBs, hop for hop
-//   incr-equivalence  incremental rebuild == from-scratch rebuild (bytes)
-//   ckpt-resume       kill + resume run report == uninterrupted (bytes)
-//   lint-determinism  analysis report/SARIF identical across --jobs
-//   render-roundtrip  rendered configs parse back to coherent routers
-//   loader-robustness corrupted inputs throw typed parse errors, never
-//                     crash (graphml/gml/rocketfuel/cbgp loaders)
+//   fib-crosscheck      predicted FIBs == emulated FIBs, hop for hop
+//   incr-equivalence    incremental rebuild == from-scratch rebuild (bytes)
+//   ckpt-resume         kill + resume run report == uninterrupted (bytes)
+//   lint-determinism    analysis report/SARIF identical across --jobs
+//   render-roundtrip    rendered configs parse back to coherent routers
+//   loader-robustness   corrupted inputs throw typed parse errors, never
+//                       crash (graphml/gml/rocketfuel/cbgp loaders)
+//   measure-equivalence forwarding columns == the hop-by-hop walk, every
+//                       pair, in both layers, intact and after failures
+//   fib-lookup          compiled FIB lookup == the linear lookup
 #pragma once
 
 #include <functional>

@@ -1,5 +1,7 @@
 #include "verify/analysis/crosscheck.hpp"
 
+#include <algorithm>
+
 #include "emulation/network.hpp"
 
 namespace autonet::verify::analysis {
@@ -23,11 +25,37 @@ CrossCheckResult cross_check(const nidb::Nidb& nidb,
       emulation::EmulatedNetwork::from_nidb(nidb, configs);
   network.start(max_bgp_rounds);
 
+  // Compare the two layers' forwarding tables column by column. Pairs are
+  // walked only in a column that differs, or in every column when the
+  // layers hold different routers, so a divergence reads as before.
   const auto& routers = model.routers();
-  for (std::size_t s = 0; s < model.size(); ++s) {
-    for (std::size_t d = 0; d < model.size(); ++d) {
+  const std::size_t n = model.size();
+  std::vector<bool> differs(n, true);
+  std::vector<std::string> names;
+  for (const auto& router : routers) names.push_back(router.hostname);
+  if (network.router_names() == names) {
+    const PathTable predicted(model, prediction);
+    std::vector<addressing::Ipv4Addr> targets;
+    std::vector<std::size_t> columns;  // the router each target belongs to
+    for (std::size_t d = 0; d < n; ++d) {
+      // traceroute probes the emulated router's own trace target.
+      if (const auto target = emulation::trace_target(network.router(names[d])->config())) {
+        targets.push_back(*target);
+        columns.push_back(d);
+      }
+    }
+    network.forwarding_columns(
+        targets, 30, [&](std::size_t k, const std::vector<emulation::ForwardingCell>& column) {
+          const auto expected = predicted.column(columns[k]);
+          differs[columns[k]] = !std::equal(column.begin(), column.end(), expected.begin());
+        });
+  }
+
+  for (std::size_t s = 0; s < n; ++s) {
+    for (std::size_t d = 0; d < n; ++d) {
       if (s == d) continue;
       ++out.pairs;
+      if (!differs[d]) continue;
       const std::string& src = routers[s].hostname;
       const std::string& dst = routers[d].hostname;
       const Path predicted = trace_to_router(model, prediction, src, dst);

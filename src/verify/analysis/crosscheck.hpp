@@ -29,8 +29,10 @@ struct CrossCheckResult {
 };
 
 /// Compares predicted vs. emulated traceroutes for every ordered router
-/// pair. `configs` must be the rendered tree for `nidb` (the emulation
-/// boots from it; the prediction never looks at it).
+/// pair: the two layers' forwarding tables column by column, tracing the
+/// pairs of a column only where the columns differ. `configs` must be
+/// the rendered tree for `nidb` (the emulation boots from it; the
+/// prediction never looks at it).
 [[nodiscard]] CrossCheckResult cross_check(const nidb::Nidb& nidb,
                                            const render::ConfigTree& configs,
                                            std::size_t max_bgp_rounds = 128);

@@ -768,6 +768,20 @@ Prediction predict(const Model& model, const std::set<Ipv4Prefix>& failed_subnet
   return out;
 }
 
+namespace {
+
+/// The Path fields a walk's outcome decides.
+void set_outcome(Path& path, const emulation::WalkOutcome& outcome,
+                 const std::vector<RouterConfig>& routers) {
+  path.reached = outcome.end == emulation::WalkEnd::kReached;
+  path.looped = outcome.end == emulation::WalkEnd::kTtlExceeded;
+  if (outcome.end == emulation::WalkEnd::kDropped) {
+    path.dropped_at = routers[outcome.at].hostname;
+  }
+}
+
+}  // namespace
+
 Path trace(const Model& model, const Prediction& prediction,
            std::string_view src_router, Ipv4Addr dst, int max_ttl) {
   Path path;
@@ -785,11 +799,7 @@ Path trace(const Model& model, const Prediction& prediction,
       [&](std::size_t r, Ipv4Addr reply) {
         path.hops.push_back({reply, routers[r].hostname});
       });
-  path.reached = outcome.end == emulation::WalkEnd::kReached;
-  path.looped = outcome.end == emulation::WalkEnd::kTtlExceeded;
-  if (outcome.end == emulation::WalkEnd::kDropped) {
-    path.dropped_at = routers[outcome.at].hostname;
-  }
+  set_outcome(path, outcome, routers);
   return path;
 }
 
@@ -806,11 +816,47 @@ Path trace_to_router(const Model& model, const Prediction& prediction,
   return trace(model, prediction, src_router, *target, max_ttl);
 }
 
-std::vector<std::string> router_sequence(std::string_view src, const Path& path) {
-  std::vector<std::string> sequence;
-  sequence.emplace_back(src);
-  for (const PathHop& hop : path.hops) sequence.push_back(hop.router);
-  return sequence;
+PathTable::PathTable(const Model& model, const Prediction& prediction, int max_ttl)
+    : size_(model.size()) {
+  const auto& routers = model.routers();
+  const auto router_at = [&](std::size_t r) {
+    return emulation::ForwardingRouter{routers[r], prediction.fibs[r]};
+  };
+  emulation::ColumnBuilder columns(size_, model.by_address(), router_at);
+  cells_.reserve(size_ * size_);
+  std::vector<emulation::ForwardingCell> column;
+  for (std::size_t d = 0; d < size_; ++d) {
+    if (const auto target = emulation::trace_target(routers[d])) {
+      columns.build(*target, max_ttl, column);
+    } else {
+      // No address to probe: trace_to_router drops at the source.
+      column.assign(size_, {});
+      for (std::size_t s = 0; s < size_; ++s) column[s].next = static_cast<std::uint32_t>(s);
+    }
+    cells_.insert(cells_.end(), column.begin(), column.end());
+  }
+}
+
+std::optional<std::size_t> PathTable::dropped_at(std::size_t src, std::size_t dst) const {
+  if (cell(src, dst).end != emulation::WalkEnd::kDropped) return std::nullopt;
+  return emulation::column_outcome(column(dst), src).at;
+}
+
+void PathTable::routers(std::size_t src, std::size_t dst,
+                        std::vector<std::size_t>& out) const {
+  out.assign(1, src);
+  emulation::column_walk(column(dst), src,
+                         [&out](std::size_t r, Ipv4Addr) { out.push_back(r); });
+}
+
+Path PathTable::path(const Model& model, std::size_t src, std::size_t dst) const {
+  const auto& routers = model.routers();
+  Path path;
+  emulation::column_walk(column(dst), src, [&](std::size_t r, Ipv4Addr reply) {
+    path.hops.push_back({reply, routers[r].hostname});
+  });
+  set_outcome(path, emulation::column_outcome(column(dst), src), routers);
+  return path;
 }
 
 }  // namespace autonet::verify::analysis

@@ -7,10 +7,11 @@
 // The forwarding plane is the emulation's own (emulation/forwarding.hpp):
 // the FIB entry and its longest-prefix lookup, the per-config primitives
 // (router id, OSPF coverage, address ownership, session source, trace
-// target), the segment and session records, and the hop-by-hop walk
-// behind trace(). The control plane that fills the FIBs — segment
-// grouping, SPF, the BGP decision process and FIB install — is written
-// separately here, mirroring src/emulation/ step for step, so that
+// target), the segment and session records, the hop-by-hop walk behind
+// trace() and the per-destination column behind PathTable. The control
+// plane that fills the FIBs — segment grouping, SPF, the BGP decision
+// process and FIB install — is written separately here, mirroring
+// src/emulation/ step for step, so that
 // `--cross-check` can use the emulation as a differential oracle; only
 // the *inputs* differ (NIDB records here, rendered-and-reparsed configs
 // there).
@@ -20,6 +21,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -117,8 +119,37 @@ struct Path {
                                    std::string_view src_router,
                                    std::string_view dst_router, int max_ttl = 30);
 
-/// The router sequence a path visits, starting at `src`.
-[[nodiscard]] std::vector<std::string> router_sequence(std::string_view src,
-                                                       const Path& path);
+/// The all-pairs forwarding table over one prediction, built one
+/// destination at a time (emulation::ColumnBuilder): column d holds, for
+/// every source router, the walk trace_to_router(src, d) makes. n × n
+/// cells of 12 bytes; every Path field reads back from them.
+class PathTable {
+ public:
+  PathTable(const Model& model, const Prediction& prediction, int max_ttl = 30);
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+  /// The column towards router `dst`, indexed by source router.
+  [[nodiscard]] std::span<const emulation::ForwardingCell> column(std::size_t dst) const {
+    return {cells_.data() + dst * size_, size_};
+  }
+  [[nodiscard]] const emulation::ForwardingCell& cell(std::size_t src,
+                                                      std::size_t dst) const {
+    return cells_[dst * size_ + src];
+  }
+  [[nodiscard]] bool reached(std::size_t src, std::size_t dst) const {
+    return cell(src, dst).end == emulation::WalkEnd::kReached;
+  }
+  /// Path::dropped_at as a router index; nullopt unless the walk dropped.
+  [[nodiscard]] std::optional<std::size_t> dropped_at(std::size_t src,
+                                                      std::size_t dst) const;
+  /// The routers the path visits, starting at `src`, into `out`.
+  void routers(std::size_t src, std::size_t dst, std::vector<std::size_t>& out) const;
+  /// The Path trace_to_router() returns for this pair.
+  [[nodiscard]] Path path(const Model& model, std::size_t src, std::size_t dst) const;
+
+ private:
+  std::size_t size_;
+  std::vector<emulation::ForwardingCell> cells_;  // column by column
+};
 
 }  // namespace autonet::verify::analysis

@@ -20,9 +20,9 @@ namespace {
 
 using analysis::Link;
 using analysis::Model;
-using analysis::Path;
-using analysis::Prediction;
+using analysis::PathTable;
 using analysis::Workspace;
+using emulation::WalkEnd;
 
 Rule analysis_rule(std::string id, std::string description, Severity severity,
                    std::function<void(const RuleContext&, Emitter&)> run) {
@@ -53,17 +53,12 @@ std::string join_capped(const std::vector<std::string>& items, std::size_t cap) 
 void check_unreachable(const RuleContext& ctx, Emitter& out) {
   const Workspace& ws = *ctx.analysis;
   const Model& model = ws.model();
-  const auto& paths = ws.baseline_paths();
+  const PathTable& table = ws.baseline_table();
   const auto& routers = model.routers();
   for (std::size_t s = 0; s < model.size(); ++s) {
     std::vector<std::string> missing;
     for (std::size_t d = 0; d < model.size(); ++d) {
-      if (s == d) continue;
-      const Path& path = paths[s][d];
-      if (path.reached || path.looped) continue;
-      if (path.dropped_at == routers[s].hostname) {
-        missing.push_back(routers[d].hostname);
-      }
+      if (s != d && table.dropped_at(s, d) == s) missing.push_back(routers[d].hostname);
     }
     if (missing.empty()) continue;
     out.emit(routers[s].hostname,
@@ -76,7 +71,7 @@ void check_unreachable(const RuleContext& ctx, Emitter& out) {
 void check_blackhole(const RuleContext& ctx, Emitter& out) {
   const Workspace& ws = *ctx.analysis;
   const Model& model = ws.model();
-  const auto& paths = ws.baseline_paths();
+  const PathTable& table = ws.baseline_table();
   const auto& routers = model.routers();
 
   // Transit drops: the source had a route, but a router along the
@@ -84,14 +79,10 @@ void check_blackhole(const RuleContext& ctx, Emitter& out) {
   std::map<std::string, std::vector<std::string>> drops;
   for (std::size_t s = 0; s < model.size(); ++s) {
     for (std::size_t d = 0; d < model.size(); ++d) {
-      if (s == d) continue;
-      const Path& path = paths[s][d];
-      if (path.reached || path.looped) continue;
-      if (path.dropped_at.empty() || path.dropped_at == routers[s].hostname) {
-        continue;
-      }
-      drops[path.dropped_at].push_back(routers[s].hostname + "->" +
-                                       routers[d].hostname);
+      const auto at = table.dropped_at(s, d);
+      if (s == d || !at || *at == s) continue;
+      drops[routers[*at].hostname].push_back(routers[s].hostname + "->" +
+                                             routers[d].hostname);
     }
   }
   for (const auto& [dropper, pairs] : drops) {
@@ -135,23 +126,24 @@ void check_blackhole(const RuleContext& ctx, Emitter& out) {
 void check_forwarding_loop(const RuleContext& ctx, Emitter& out) {
   const Workspace& ws = *ctx.analysis;
   const Model& model = ws.model();
-  const auto& paths = ws.baseline_paths();
+  const PathTable& table = ws.baseline_table();
   const auto& routers = model.routers();
   // canonical cycle key -> (lead router, message)
   std::map<std::string, std::pair<std::string, std::string>> cycles;
+  std::vector<std::size_t> sequence;
   for (std::size_t s = 0; s < model.size(); ++s) {
     for (std::size_t d = 0; d < model.size(); ++d) {
-      if (s == d || !paths[s][d].looped) continue;
-      const auto sequence =
-          analysis::router_sequence(routers[s].hostname, paths[s][d]);
-      // First repeated router delimits the cycle.
-      std::map<std::string, std::size_t> first_seen;
+      if (s == d || table.cell(s, d).end != WalkEnd::kTtlExceeded) continue;
+      table.routers(s, d, sequence);
+      // First repeated router on the next-hop chain delimits the cycle.
+      std::map<std::size_t, std::size_t> first_seen;
       std::vector<std::string> cycle;
       for (std::size_t i = 0; i < sequence.size(); ++i) {
         auto [it, inserted] = first_seen.emplace(sequence[i], i);
         if (inserted) continue;
-        cycle.assign(sequence.begin() + static_cast<std::ptrdiff_t>(it->second),
-                     sequence.begin() + static_cast<std::ptrdiff_t>(i) + 1);
+        for (std::size_t k = it->second; k <= i; ++k) {
+          cycle.push_back(routers[sequence[k]].hostname);
+        }
         break;
       }
       if (cycle.empty()) continue;  // TTL ran out on a long simple path
@@ -185,35 +177,33 @@ void check_forwarding_loop(const RuleContext& ctx, Emitter& out) {
 void check_asymmetric(const RuleContext& ctx, Emitter& out) {
   const Workspace& ws = *ctx.analysis;
   const Model& model = ws.model();
-  const auto& paths = ws.baseline_paths();
+  const PathTable& table = ws.baseline_table();
   const auto& routers = model.routers();
+  const auto shown = [&routers](auto first, auto last) {
+    std::string text;
+    for (auto it = first; it != last; ++it) {
+      if (!text.empty()) text += " -> ";
+      text += routers[*it].hostname;
+    }
+    return text;
+  };
   // One aggregated finding per source router (ITZ-scale models have
   // hundreds of thousands of asymmetric pairs; per-pair findings would
   // swamp the report), with the first pair spelled out as an example.
+  std::vector<std::size_t> fwd;
+  std::vector<std::size_t> rev;
   for (std::size_t s = 0; s < model.size(); ++s) {
     std::vector<std::string> peers;
     std::string example;
     for (std::size_t d = s + 1; d < model.size(); ++d) {
-      const Path& forward = paths[s][d];
-      const Path& reverse = paths[d][s];
-      if (!forward.reached || !reverse.reached) continue;
-      auto fwd = analysis::router_sequence(routers[s].hostname, forward);
-      auto rev = analysis::router_sequence(routers[d].hostname, reverse);
-      std::reverse(rev.begin(), rev.end());
-      if (fwd == rev) continue;
+      if (!table.reached(s, d) || !table.reached(d, s)) continue;
+      table.routers(s, d, fwd);
+      table.routers(d, s, rev);
+      if (std::equal(fwd.begin(), fwd.end(), rev.rbegin(), rev.rend())) continue;
       peers.push_back(routers[d].hostname);
       if (example.empty()) {
-        std::string fwd_s;
-        std::string rev_s;
-        for (const auto& hop : fwd) {
-          if (!fwd_s.empty()) fwd_s += " -> ";
-          fwd_s += hop;
-        }
-        for (auto it = rev.rbegin(); it != rev.rend(); ++it) {
-          if (!rev_s.empty()) rev_s += " -> ";
-          rev_s += *it;
-        }
-        example = "e.g. forward " + fwd_s + ", reverse " + rev_s;
+        example = "e.g. forward " + shown(fwd.begin(), fwd.end()) + ", reverse " +
+                  shown(rev.begin(), rev.end());
       }
     }
     if (peers.empty()) continue;
@@ -227,7 +217,7 @@ void check_asymmetric(const RuleContext& ctx, Emitter& out) {
 void check_whatif(const RuleContext& ctx, Emitter& out) {
   const Workspace& ws = *ctx.analysis;
   const Model& model = ws.model();
-  const auto& baseline_paths = ws.baseline_paths();
+  const PathTable& baseline = ws.baseline_table();
   const auto& routers = model.routers();
   const std::vector<Link> links = model.links();
   if (links.empty()) return;
@@ -236,17 +226,17 @@ void check_whatif(const RuleContext& ctx, Emitter& out) {
   std::vector<std::pair<std::size_t, std::size_t>> reachable;
   for (std::size_t s = 0; s < model.size(); ++s) {
     for (std::size_t d = 0; d < model.size(); ++d) {
-      if (s != d && baseline_paths[s][d].reached) reachable.emplace_back(s, d);
+      if (s != d && baseline.reached(s, d)) reachable.emplace_back(s, d);
     }
   }
   if (reachable.empty()) return;
 
-  // Enumeration bound: the sweep costs one re-prediction plus
-  // |reachable| re-traces per link, so ITZ-scale models (the
-  // 1158-router NREN generator) would take minutes. Links are
-  // enumerated in deterministic sorted order until the trace budget is
-  // spent; past the budget the remaining links are not evaluated. The
-  // bound is documented in docs/static_analysis.md.
+  // Enumeration bound: the sweep costs one re-prediction plus one
+  // forwarding table per link, budgeted as |reachable| re-traces per
+  // link, so ITZ-scale models (the 1158-router NREN generator) evaluate
+  // no link. Links are enumerated in deterministic sorted order until the
+  // trace budget is spent; past the budget the remaining links are not
+  // evaluated. The bound is documented in docs/static_analysis.md.
   constexpr std::size_t kTraceBudget = 500'000;
   const std::size_t considered =
       std::min(links.size(), kTraceBudget / reachable.size());
@@ -261,11 +251,9 @@ void check_whatif(const RuleContext& ctx, Emitter& out) {
     while (true) {
       const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
       if (i >= considered) return;
-      auto prediction = ws.whatif({links[i].subnet});
+      const PathTable table(model, *ws.whatif({links[i].subnet}));
       for (const auto& [s, d] : reachable) {
-        const Path path = analysis::trace_to_router(
-            model, *prediction, routers[s].hostname, routers[d].hostname);
-        if (!path.reached) {
+        if (!table.reached(s, d)) {
           lost[i].push_back(routers[s].hostname + "->" + routers[d].hostname);
         }
       }

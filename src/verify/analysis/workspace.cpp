@@ -45,19 +45,19 @@ std::shared_ptr<const Prediction> Workspace::whatif(
   return predict_cached(failed_subnets);
 }
 
+const PathTable& Workspace::baseline_table() const {
+  std::call_once(table_once_, [this] { table_.emplace(model(), *baseline()); });
+  return *table_;
+}
+
 const std::vector<std::vector<Path>>& Workspace::baseline_paths() const {
   std::call_once(paths_once_, [this] {
-    const Model& m = model();
-    auto prediction = baseline();
-    const std::size_t n = m.size();
+    const PathTable& table = baseline_table();
+    const std::size_t n = table.size();
     paths_.assign(n, std::vector<Path>(n));
-    const auto& routers = m.routers();
     for (std::size_t s = 0; s < n; ++s) {
       for (std::size_t d = 0; d < n; ++d) {
-        if (s == d) continue;
-        paths_[s][d] =
-            trace_to_router(m, *prediction, routers[s].hostname,
-                            routers[d].hostname);
+        if (s != d) paths_[s][d] = table.path(model(), s, d);
       }
     }
   });

@@ -1,5 +1,5 @@
 // Shared state for one analysis run: the symbolic model, the baseline
-// prediction, the all-pairs path matrix, and what-if predictions, each
+// prediction, its all-pairs forwarding table, and what-if predictions, each
 // computed lazily and exactly once no matter how many rule threads ask.
 // Deliberately obs-free — the obs registry is thread-local, so all
 // telemetry is published by the engine on the main thread from the
@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -42,9 +43,12 @@ class Workspace {
   /// Prediction with `failed_subnets` administratively down.
   std::shared_ptr<const Prediction> whatif(
       const std::set<addressing::Ipv4Prefix>& failed_subnets) const;
-  /// All-pairs loopback-to-loopback paths over the baseline prediction;
-  /// paths()[src][dst] indexed like Model::routers(). Diagonal entries
-  /// are default-constructed.
+  /// The all-pairs forwarding table over the baseline prediction,
+  /// indexed like Model::routers(). What the analysis rules read.
+  const PathTable& baseline_table() const;
+  /// All-pairs loopback-to-loopback paths, derived from baseline_table()
+  /// on first use; paths()[src][dst] indexed like Model::routers().
+  /// Diagonal entries are default-constructed.
   const std::vector<std::vector<Path>>& baseline_paths() const;
 
   [[nodiscard]] Stats stats() const;
@@ -56,10 +60,12 @@ class Workspace {
   const nidb::Nidb* nidb_;
   mutable std::once_flag model_once_;
   mutable std::once_flag baseline_once_;
+  mutable std::once_flag table_once_;
   mutable std::once_flag paths_once_;
   mutable Model model_;
   mutable std::uint64_t hash_ = 0;
   mutable std::shared_ptr<const Prediction> baseline_;
+  mutable std::optional<PathTable> table_;
   mutable std::vector<std::vector<Path>> paths_;
 
   mutable std::atomic<std::size_t> fib_builds_{0};

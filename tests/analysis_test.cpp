@@ -4,6 +4,7 @@
 // cache, and the emulation cross-check oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <vector>
@@ -26,6 +27,8 @@ using verify::Severity;
 using verify::analysis::FibCache;
 using verify::analysis::Model;
 using verify::analysis::Path;
+using verify::analysis::PathTable;
+using verify::analysis::Prediction;
 using verify::analysis::Workspace;
 
 nidb::Nidb compiled(const graph::Graph& input, const char* ibgp = "mesh") {
@@ -219,6 +222,41 @@ nidb::Nidb chain_fixture() {
   return nidb;
 }
 
+/// A path as text: verdict, drop router and every hop.
+std::string path_text(const Path& path) {
+  std::string text = std::string(path.reached ? "reached" : "") +
+                     (path.looped ? "looped" : "") + "|" + path.dropped_at + "|";
+  for (const auto& hop : path.hops) text += " " + hop.router + "@" + hop.address.to_string();
+  return text;
+}
+
+/// The prediction's table, after checking that every pair reads back
+/// the Path trace_to_router() walks.
+PathTable checked_table(const Model& model, const Prediction& prediction) {
+  PathTable table(model, prediction);
+  const auto& routers = model.routers();
+  for (std::size_t s = 0; s < model.size(); ++s) {
+    for (std::size_t d = 0; d < model.size(); ++d) {
+      if (s == d) continue;
+      EXPECT_EQ(path_text(table.path(model, s, d)),
+                path_text(verify::analysis::trace_to_router(
+                    model, prediction, routers[s].hostname, routers[d].hostname)))
+          << routers[s].hostname << " -> " << routers[d].hostname;
+    }
+  }
+  return table;
+}
+
+/// The route router `r` holds for exactly `prefix`.
+emulation::FibEntry* route_for(Prediction& prediction, const Model& model,
+                               const char* router, const char* prefix) {
+  auto& fib = prediction.fibs[*model.index_of(router)];
+  const auto want = *addressing::Ipv4Prefix::parse(prefix);
+  const auto it = std::find_if(fib.begin(), fib.end(),
+                               [&](const emulation::FibEntry& e) { return e.prefix == want; });
+  return it == fib.end() ? nullptr : &*it;
+}
+
 verify::Report analyze(const nidb::Nidb& nidb, verify::LintOptions opts = {}) {
   verify::LintInput input;
   input.nidb = &nidb;
@@ -405,6 +443,77 @@ TEST(AnalysisTrace, WhatifLinkFailurePartitionsChain) {
   EXPECT_GE(ws.stats().whatif_scenarios, 1u);
 }
 
+// --- The all-pairs table against trace_to_router() -------------------------
+
+TEST(AnalysisTable, EqualsTraceOnEveryPair) {
+  for (const nidb::Nidb& nidb : {compiled(topology::small_internet()), loop_fixture(),
+                                 blackhole_fixture(), partitioned_fixture()}) {
+    const Model model = Model::from_nidb(nidb);
+    (void)checked_table(model, verify::analysis::predict(model));
+  }
+}
+
+TEST(AnalysisTable, LoopbackLessDestinationFallsBackToFirstInterface) {
+  nidb::Nidb nidb = chain_fixture();
+  nidb::Nidb bare;
+  for (const char* name : {"a", "b"}) bare.add_device(name).data = nidb.device(name)->data;
+  auto& c = bare.add_device("c");
+  c.data["device_type"] = "router";
+  c.data["hostname"] = "c";
+  add_iface(c, "eth0", "10.1.1.2", 30, "10.1.1.0/30");
+  add_ospf(c, "10.0.0.0/8");
+  const Model model = Model::from_nidb(bare);
+  ASSERT_FALSE(model.router("c")->loopback.has_value());
+  const PathTable table = checked_table(model, verify::analysis::predict(model));
+  const std::size_t a = *model.index_of("a");
+  const std::size_t cc = *model.index_of("c");
+  EXPECT_TRUE(table.reached(a, cc));
+  EXPECT_EQ(table.path(model, a, cc).hops.back().address.to_string(), "10.1.1.2");
+}
+
+TEST(AnalysisTable, UnownedNextHopDropsAtTheCurrentRouter) {
+  const nidb::Nidb nidb = chain_fixture();
+  const Model model = Model::from_nidb(nidb);
+  Prediction prediction = verify::analysis::predict(model);
+  auto* route = route_for(prediction, model, "b", "10.0.0.3/32");
+  ASSERT_NE(route, nullptr);
+  route->next_hop = *addressing::Ipv4Addr::parse("192.0.2.1");
+  const PathTable table = checked_table(model, prediction);
+  EXPECT_EQ(table.dropped_at(*model.index_of("a"), *model.index_of("c")), model.index_of("b"));
+  EXPECT_EQ(table.dropped_at(*model.index_of("b"), *model.index_of("c")), model.index_of("b"));
+}
+
+TEST(AnalysisTable, TwoRouterCycleIsLooped) {
+  const nidb::Nidb nidb = loop_fixture();
+  const Model model = Model::from_nidb(nidb);
+  const PathTable table = checked_table(model, verify::analysis::predict(model));
+  const Path path = table.path(model, *model.index_of("c1"), *model.index_of("x"));
+  EXPECT_TRUE(path.looped);
+  EXPECT_EQ(path.hops.size(), 30u);
+}
+
+TEST(AnalysisTable, DuplicatePrefixTakesAdminDistanceThenMetric) {
+  const nidb::Nidb nidb = chain_fixture();
+  const Model model = Model::from_nidb(nidb);
+  Prediction prediction = verify::analysis::predict(model);
+  auto* route = route_for(prediction, model, "a", "10.0.0.3/32");
+  ASSERT_NE(route, nullptr);
+  emulation::FibEntry worse = *route;  // iBGP: higher admin distance
+  worse.source = emulation::RouteSource::kIbgp;
+  worse.metric = 0;
+  worse.next_hop = *addressing::Ipv4Addr::parse("192.0.2.1");
+  emulation::FibEntry better = *route;  // same distance, lower metric
+  better.metric = route->metric - 1;
+  better.next_hop = *addressing::Ipv4Addr::parse("192.0.2.2");
+  auto& fib = prediction.fibs[*model.index_of("a")];
+  fib.insert(fib.begin(), worse);
+  fib.push_back(better);
+  const PathTable table = checked_table(model, prediction);
+  EXPECT_EQ(table.dropped_at(*model.index_of("a"), *model.index_of("c")), model.index_of("a"));
+  fib.pop_back();
+  EXPECT_TRUE(checked_table(model, prediction).reached(*model.index_of("a"), *model.index_of("c")));
+}
+
 // --- The prediction cache ---------------------------------------------------
 
 TEST(AnalysisCache, SecondWorkspaceHitsCache) {
@@ -527,6 +636,12 @@ TEST(AnalysisCrossCheck, TtlRunsOutOnLongChainInBothWalks) {
   const auto near_emulated = network.traceroute("c0", "c30");
   EXPECT_TRUE(near_emulated.reached);
   EXPECT_EQ(near_emulated.hops.size(), 30u);
+
+  // The table: 30 hops is reached, 31 is not.
+  const PathTable table = checked_table(model, prediction);
+  EXPECT_TRUE(table.reached(*model.index_of("c0"), *model.index_of("c30")));
+  EXPECT_FALSE(table.reached(*model.index_of("c0"), *model.index_of("c31")));
+  EXPECT_TRUE(table.path(model, *model.index_of("c0"), *model.index_of("c31")).looped);
 }
 
 }  // namespace

@@ -130,18 +130,21 @@ TEST(FuzzScenario, MutationsApplyAndPreserveInvariants) {
 
 // --- Oracles ---------------------------------------------------------------
 
-TEST(FuzzOracles, RegistryHasSixNamedOracles) {
+TEST(FuzzOracles, RegistryHasEightNamedOracles) {
   const auto& oracles = fuzz::oracle_registry();
-  ASSERT_EQ(oracles.size(), 6u);
-  for (const char* name :
-       {"fib-crosscheck", "incr-equivalence", "ckpt-resume",
-        "lint-determinism", "render-roundtrip", "loader-robustness"}) {
-    EXPECT_NE(fuzz::find_oracle(name), nullptr) << name;
+  ASSERT_EQ(oracles.size(), 8u);
+  const char* names[] = {"fib-crosscheck",    "incr-equivalence",
+                         "ckpt-resume",       "lint-determinism",
+                         "render-roundtrip",  "loader-robustness",
+                         "measure-equivalence", "fib-lookup"};
+  for (std::size_t i = 0; i < oracles.size(); ++i) {
+    EXPECT_EQ(oracles[i].name, names[i]);  // round-robin order
+    EXPECT_NE(fuzz::find_oracle(names[i]), nullptr) << names[i];
   }
   EXPECT_EQ(fuzz::find_oracle("nope"), nullptr);
 }
 
-TEST(FuzzOracles, AllSixGreenOnCommittedExamples) {
+TEST(FuzzOracles, AllEightGreenOnCommittedExamples) {
   fuzz::Scenario fig;
   fig.graph = topology::figure5();
   fig.seed = 5;

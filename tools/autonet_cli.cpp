@@ -951,7 +951,7 @@ int cmd_run(const Args& args) {
 int cmd_fuzz(const Args& args) {
   if (args.has("list-oracles")) {
     for (const auto& oracle : fuzz::oracle_registry()) {
-      std::printf("%-18s %s\n", oracle.name.c_str(),
+      std::printf("%-19s %s\n", oracle.name.c_str(),
                   oracle.description.c_str());
     }
     return 0;
