@@ -10,10 +10,13 @@
 //
 // Explicit-links mode (C-BGP): one weighted SPF per IGP domain.
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <map>
+#include <optional>
 #include <queue>
 #include <set>
+#include <span>
 
 #include "emulation/network.hpp"
 
@@ -33,39 +36,108 @@ struct Adjacency {
   Ipv4Addr next_hop;  // peer's interface address on the shared subnet
 };
 
-/// Dijkstra over one adjacency map; returns distances and the first
-/// adjacency taken from `src` towards each destination.
-struct SpfResult {
-  std::map<std::size_t, double> dist;
-  std::map<std::size_t, const Adjacency*> first_hop;
-};
+using AdjacencyMap = std::map<std::size_t, std::vector<Adjacency>>;
 
-SpfResult spf(std::size_t src,
-              const std::map<std::size_t, std::vector<Adjacency>>& adj) {
-  SpfResult out;
-  out.dist[src] = 0;
-  using Item = std::pair<double, std::size_t>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
-  heap.emplace(0.0, src);
-  while (!heap.empty()) {
-    auto [d, u] = heap.top();
-    heap.pop();
-    auto du = out.dist.find(u);
-    if (du != out.dist.end() && d > du->second) continue;
-    auto it = adj.find(u);
-    if (it == adj.end()) continue;
-    for (const auto& a : it->second) {
-      double nd = d + a.cost;
-      auto dv = out.dist.find(a.to);
-      if (dv == out.dist.end() || nd < dv->second) {
-        out.dist[a.to] = nd;
-        out.first_hop[a.to] = u == src ? &a : out.first_hop[u];
-        heap.emplace(nd, a.to);
+constexpr std::uint32_t kNoComponent = std::numeric_limits<std::uint32_t>::max();
+
+/// SPF from every router of one adjacency graph (an OSPF area, or the
+/// explicit links), addressed by index. The graph splits into connected
+/// components — one per IGP domain using it; adjacencies are symmetric,
+/// so a component is what SPF reaches — and the result from a router
+/// holds, per member of its component in router-index order, the
+/// distance and the first adjacency taken towards it.
+class GraphSpf {
+ public:
+  GraphSpf(const AdjacencyMap& adj, std::size_t routers)
+      : adj_(&adj), component_(routers, kNoComponent), local_(routers, 0),
+        dist_(routers), first_hop_(routers) {
+    // Label components in router order, so local indices follow it too.
+    for (const auto& [r, list] : adj) {
+      if (component_[r] != kNoComponent) continue;
+      const auto c = static_cast<std::uint32_t>(members_.size());
+      std::vector<std::size_t>& members = members_.emplace_back();
+      component_[r] = c;
+      std::vector<std::size_t> stack{r};
+      while (!stack.empty()) {
+        const std::size_t u = stack.back();
+        stack.pop_back();
+        members.push_back(u);
+        auto it = adj.find(u);
+        if (it == adj.end()) continue;
+        for (const auto& a : it->second) {
+          if (component_[a.to] == kNoComponent) {
+            component_[a.to] = c;
+            stack.push_back(a.to);
+          }
+        }
+      }
+      std::ranges::sort(members);
+      for (std::size_t i = 0; i < members.size(); ++i) {
+        local_[members[i]] = static_cast<std::uint32_t>(i);
       }
     }
   }
-  return out;
-}
+
+  /// Dijkstra from `src`; a router outside the graph reaches only itself.
+  void run(std::size_t src) {
+    if (component_[src] == kNoComponent) return;
+    const std::size_t size = members_[component_[src]].size();
+    std::vector<double>& dist = dist_[src];
+    std::vector<const Adjacency*>& first_hop = first_hop_[src];
+    dist.assign(size, kInf);
+    first_hop.assign(size, nullptr);
+    dist[local_[src]] = 0;
+    // Heap ties break on the router index: the first hop kept among
+    // equal-cost paths depends on it.
+    using Item = std::pair<double, std::size_t>;
+    std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
+    heap.emplace(0.0, src);
+    while (!heap.empty()) {
+      auto [d, u] = heap.top();
+      heap.pop();
+      if (d > dist[local_[u]]) continue;
+      auto it = adj_->find(u);
+      if (it == adj_->end()) continue;
+      for (const auto& a : it->second) {
+        const double nd = d + a.cost;
+        const std::uint32_t v = local_[a.to];
+        if (nd < dist[v]) {
+          dist[v] = nd;
+          first_hop[v] = u == src ? &a : first_hop[local_[u]];
+          heap.emplace(nd, a.to);
+        }
+      }
+    }
+  }
+
+  /// Distance and first adjacency from `r` to `d` within the graph, once
+  /// run(r) has run; {0, nullptr} to itself, {inf, nullptr} when
+  /// unreachable.
+  [[nodiscard]] std::pair<double, const Adjacency*> to(std::size_t r,
+                                                       std::size_t d) const {
+    if (r == d) return {0.0, nullptr};
+    if (component_[r] == kNoComponent || component_[r] != component_[d] ||
+        dist_[r].empty()) {
+      return {kInf, nullptr};
+    }
+    return {dist_[r][local_[d]], first_hop_[r][local_[d]]};
+  }
+
+  /// The members of `r`'s component in router order, itself included;
+  /// empty when `r` is outside the graph.
+  [[nodiscard]] const std::vector<std::size_t>& component_of(std::size_t r) const {
+    static const std::vector<std::size_t> kAlone;
+    return component_[r] == kNoComponent ? kAlone : members_[component_[r]];
+  }
+
+ private:
+  const AdjacencyMap* adj_;
+  std::vector<std::uint32_t> component_;  // by router
+  std::vector<std::uint32_t> local_;      // by router: index in its component
+  std::vector<std::vector<std::size_t>> members_;
+  std::vector<std::vector<double>> dist_;  // by source router, by local index
+  std::vector<std::vector<const Adjacency*>> first_hop_;
+};
 
 }  // namespace
 
@@ -76,7 +148,7 @@ void EmulatedNetwork::compute_ospf() {
 
   // ==== Explicit-links (C-BGP) mode =========================================
   if (!explicit_links_.empty()) {
-    std::map<std::size_t, std::vector<Adjacency>> adj;
+    AdjacencyMap adj;
     for (const auto& link : explicit_links_) {
       auto ra = by_address_.find(link.a.value());
       auto rb = by_address_.find(link.b.value());
@@ -93,6 +165,7 @@ void EmulatedNetwork::compute_ospf() {
       adj[rb->second].push_back(
           {ra->second, static_cast<double>(link.weight), "", link.a});
     }
+    GraphSpf spf(adj, n);
     for (std::size_t r = 0; r < n; ++r) {
       auto& neighbors = routers_[r].mutable_ospf_neighbors();
       neighbors.clear();
@@ -111,7 +184,7 @@ void EmulatedNetwork::compute_ospf() {
 
       ++stats_.spf_runs;
       ++stats_.spf_per_router[routers_[r].name()];
-      auto result = spf(r, adj);
+      spf.run(r);
       auto& fib = routers_[r].mutable_fib();
       fib.clear();
       const RouterConfig& cfg = routers_[r].config();
@@ -120,12 +193,12 @@ void EmulatedNetwork::compute_ospf() {
                                std::nullopt, 0});
       }
       igp_dist_[r].clear();
-      for (const auto& [d, dist] : result.dist) {
+      for (std::size_t d : spf.component_of(r)) {
         if (d == r) continue;
-        igp_dist_[r][d] = dist;
+        auto [dist, hop] = spf.to(r, d);
+        igp_dist_[r].emplace_hint(igp_dist_[r].end(), d, dist);
         const RouterConfig& dc = routers_[d].config();
         if (dc.loopback) {
-          const Adjacency* hop = result.first_hop.at(d);
           fib.push_back(FibEntry{dc.loopback->prefix, RouteSource::kOspf, "",
                                  hop->next_hop, dist});
         }
@@ -185,17 +258,18 @@ void EmulatedNetwork::compute_ospf() {
   }
 
   // Per-(router, area) SPF.
-  std::map<std::pair<std::size_t, std::int64_t>, SpfResult> spf_of;
+  std::map<std::int64_t, GraphSpf> spf_of;
   for (const auto& [area, adj] : area_adj) {
+    GraphSpf& spf = spf_of.try_emplace(area, adj, n).first->second;
     for (const auto& [r, list] : adj) {
       (void)list;
       ++stats_.spf_runs;
       ++stats_.spf_per_router[routers_[r].name()];
-      spf_of[{r, area}] = spf(r, adj);
+      spf.run(r);
     }
   }
-  auto spf_for = [&spf_of](std::size_t r, std::int64_t area) -> const SpfResult* {
-    auto it = spf_of.find({r, area});
+  auto spf_for = [&spf_of](std::int64_t area) -> const GraphSpf* {
+    auto it = spf_of.find(area);
     return it == spf_of.end() ? nullptr : &it->second;
   };
 
@@ -208,11 +282,14 @@ void EmulatedNetwork::compute_ospf() {
     }
   }
 
-  // Every advertised prefix: (owner, prefix, area, stub cost 0).
+  // Every advertised prefix: (owner, prefix, area, stub cost 0), with its
+  // prefix id and its area's SPF.
   struct Advertised {
     std::size_t owner;
     Ipv4Prefix prefix;
     std::int64_t area;
+    std::size_t id = 0;
+    const GraphSpf* spf = nullptr;
   };
   std::vector<Advertised> prefixes;
   for (const auto& segment : segments_) {
@@ -235,16 +312,57 @@ void EmulatedNetwork::compute_ospf() {
   // Each advertised prefix is one LSA origination flooded through its area.
   stats_.lsa_floods += prefixes.size();
 
-  // Distance helpers: reach a destination router within one area.
-  auto intra_dist = [&](std::size_t r, std::int64_t area,
-                        std::size_t d) -> std::pair<double, const Adjacency*> {
-    if (r == d) return {0.0, nullptr};
-    const SpfResult* result = spf_for(r, area);
-    if (result == nullptr) return {kInf, nullptr};
-    auto it = result->dist.find(d);
-    if (it == result->dist.end()) return {kInf, nullptr};
-    return {it->second, result->first_hop.at(d)};
+  // Prefix ids in prefix order (the FIB's OSPF order), and per id the
+  // routers whose loopback, or one of whose interfaces, it addresses.
+  std::vector<Ipv4Prefix> ids;
+  ids.reserve(prefixes.size());
+  for (const auto& adv : prefixes) ids.push_back(adv.prefix);
+  std::ranges::sort(ids);
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  auto id_of = [&ids](const Ipv4Prefix& prefix) -> std::optional<std::size_t> {
+    auto it = std::ranges::lower_bound(ids, prefix);
+    if (it == ids.end() || *it != prefix) return std::nullopt;
+    return static_cast<std::size_t>(it - ids.begin());
   };
+  for (auto& adv : prefixes) {
+    adv.id = *id_of(adv.prefix);
+    adv.spf = spf_for(adv.area);
+  }
+  std::vector<std::vector<std::size_t>> loopback_of(ids.size());
+  std::vector<std::vector<std::size_t>> interface_of(ids.size());
+  for (std::size_t d = 0; d < n; ++d) {
+    const RouterConfig& dc = routers_[d].config();
+    if (dc.loopback) {
+      if (auto id = id_of(dc.loopback->prefix)) loopback_of[*id].push_back(d);
+    }
+    for (const auto& iface : dc.interfaces) {
+      if (auto id = id_of(iface.address.prefix)) interface_of[*id].push_back(d);
+    }
+  }
+
+  // Distance helper: reach a destination router within one area.
+  auto intra_dist = [](const GraphSpf* spf, std::size_t r,
+                       std::size_t d) -> std::pair<double, const Adjacency*> {
+    if (r == d) return {0.0, nullptr};
+    if (spf == nullptr) return {kInf, nullptr};
+    return spf->to(r, d);
+  };
+  const GraphSpf* backbone = spf_for(0);
+
+  // Best OSPF candidate per prefix id: intra-area beats inter-area.
+  struct Candidate {
+    bool intra = false;
+    double metric = kInf;
+    const Adjacency* hop = nullptr;
+  };
+  // Per-router scratch, reset after each router: candidates and the ids
+  // holding one, distances via a router's loopback or interfaces and the
+  // routers holding one.
+  std::vector<Candidate> best(ids.size());
+  std::vector<std::size_t> offered;
+  std::vector<double> via_loopback(n, kInf);
+  std::vector<double> via_interface(n, kInf);
+  std::vector<std::size_t> addressed;
 
   // --- Build FIBs -----------------------------------------------------------
   for (std::size_t r = 0; r < n; ++r) {
@@ -266,18 +384,11 @@ void EmulatedNetwork::compute_ospf() {
     if (!cfg.ospf_enabled) continue;
     const auto& my_areas = router_areas[r];
 
-    // Best OSPF candidate per prefix: intra-area beats inter-area.
-    struct Candidate {
-      bool intra = false;
-      double metric = kInf;
-      const Adjacency* hop = nullptr;
-    };
-    std::map<Ipv4Prefix, Candidate> best;
-
-    auto offer = [&best](const Ipv4Prefix& prefix, bool intra, double metric,
-                         const Adjacency* hop) {
+    auto offer = [&best, &offered](std::size_t id, bool intra, double metric,
+                                   const Adjacency* hop) {
       if (metric == kInf || hop == nullptr) return;
-      Candidate& cur = best[prefix];
+      Candidate& cur = best[id];
+      if (cur.hop == nullptr) offered.push_back(id);
       if ((intra && !cur.intra) ||
           (intra == cur.intra && metric < cur.metric)) {
         cur = {intra, metric, hop};
@@ -288,34 +399,35 @@ void EmulatedNetwork::compute_ospf() {
       if (adv.owner == r) continue;
       // Intra-area: r shares the prefix's area.
       if (my_areas.contains(adv.area)) {
-        auto [dist, hop] = intra_dist(r, adv.area, adv.owner);
-        offer(adv.prefix, true, dist, hop);
+        auto [dist, hop] = intra_dist(adv.spf, r, adv.owner);
+        offer(adv.id, true, dist, hop);
       }
       // Inter-area, via the backbone. Sources: if r is in area 0, reach
       // one of the target area's ABRs through area 0; otherwise reach
       // one of *our* area's ABRs first.
       if (adv.area != 0 || !my_areas.contains(0)) {
-        const auto& target_abrs =
-            adv.area == 0 ? std::vector<std::size_t>{adv.owner} : abrs[adv.area];
+        using Routers = std::span<const std::size_t>;
+        const Routers target_abrs =
+            adv.area == 0 ? Routers(&adv.owner, 1) : Routers(abrs[adv.area]);
         for (std::size_t abr_b : target_abrs) {
           // Remote leg: ABR(B) -> owner within area B (0 if same router).
           double remote = 0.0;
           if (abr_b != adv.owner) {
-            remote = intra_dist(abr_b, adv.area, adv.owner).first;
+            remote = intra_dist(adv.spf, abr_b, adv.owner).first;
           }
           if (remote == kInf) continue;
           if (my_areas.contains(0)) {
-            auto [d0, hop] = intra_dist(r, 0, abr_b);
-            offer(adv.prefix, false, d0 + remote, hop);
+            auto [d0, hop] = intra_dist(backbone, r, abr_b);
+            offer(adv.id, false, d0 + remote, hop);
           } else {
             for (std::int64_t area : my_areas) {
               for (std::size_t abr_a : abrs[area]) {
-                double backbone = abr_a == abr_b
-                                      ? 0.0
-                                      : intra_dist(abr_a, 0, abr_b).first;
-                if (backbone == kInf) continue;
-                auto [da, hop] = intra_dist(r, area, abr_a);
-                offer(adv.prefix, false, da + backbone + remote, hop);
+                double backbone_dist = abr_a == abr_b
+                                           ? 0.0
+                                           : intra_dist(backbone, abr_a, abr_b).first;
+                if (backbone_dist == kInf) continue;
+                auto [da, hop] = intra_dist(spf_for(area), r, abr_a);
+                offer(adv.id, false, da + backbone_dist + remote, hop);
               }
             }
           }
@@ -323,36 +435,44 @@ void EmulatedNetwork::compute_ospf() {
       }
     }
 
+    std::ranges::sort(offered);
     igp_dist_[r].clear();
-    for (const auto& [prefix, cand] : best) {
+    for (std::size_t id : offered) {
+      const Candidate& cand = best[id];
+      const Ipv4Prefix& prefix = ids[id];
       bool connected = false;
       for (const auto& iface : cfg.interfaces) {
         if (iface.address.prefix == prefix) connected = true;
       }
       if (cfg.loopback && cfg.loopback->prefix == prefix) connected = true;
-      if (connected) continue;
-      fib.push_back(FibEntry{prefix, RouteSource::kOspf, cand.hop->out_interface,
-                             cand.hop->next_hop, cand.metric});
-    }
-
-    // IGP distances to routers (BGP next-hop metric): distance to the
-    // router's loopback route, falling back to any interface prefix.
-    for (std::size_t d = 0; d < n; ++d) {
-      if (d == r) continue;
-      double metric = kInf;
-      const RouterConfig& dc = routers_[d].config();
-      if (dc.loopback) {
-        auto it = best.find(dc.loopback->prefix);
-        if (it != best.end()) metric = it->second.metric;
+      if (!connected) {
+        fib.push_back(FibEntry{prefix, RouteSource::kOspf, cand.hop->out_interface,
+                               cand.hop->next_hop, cand.metric});
       }
-      if (metric == kInf) {
-        for (const auto& iface : dc.interfaces) {
-          auto it = best.find(iface.address.prefix);
-          if (it != best.end()) metric = std::min(metric, it->second.metric);
-        }
+      // IGP distances to routers (BGP next-hop metric): distance to the
+      // router's loopback route, falling back to any interface prefix.
+      for (std::size_t d : loopback_of[id]) {
+        if (via_loopback[d] == kInf && via_interface[d] == kInf) addressed.push_back(d);
+        via_loopback[d] = cand.metric;
       }
-      if (metric != kInf) igp_dist_[r][d] = metric;
+      for (std::size_t d : interface_of[id]) {
+        if (via_loopback[d] == kInf && via_interface[d] == kInf) addressed.push_back(d);
+        via_interface[d] = std::min(via_interface[d], cand.metric);
+      }
+      best[id] = {};
     }
+    offered.clear();
+    std::ranges::sort(addressed);
+    for (std::size_t d : addressed) {
+      if (d != r) {
+        igp_dist_[r].emplace_hint(igp_dist_[r].end(), d,
+                                  via_loopback[d] != kInf ? via_loopback[d]
+                                                          : via_interface[d]);
+      }
+      via_loopback[d] = kInf;
+      via_interface[d] = kInf;
+    }
+    addressed.clear();
   }
 }
 

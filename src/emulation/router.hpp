@@ -5,9 +5,13 @@
 // the paper's §7.2 experiment hinges on.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
+#include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "emulation/config_parse.hpp"
@@ -34,6 +38,74 @@ struct BgpRoute {
   [[nodiscard]] std::string fingerprint() const;
 
   friend bool operator==(const BgpRoute&, const BgpRoute&) = default;
+};
+
+/// An Adj-RIB-In entry: the route, the advertiser's session address it
+/// arrived over (0 for a route originated here), and what the receiver
+/// resolved for its next hop when the entry was written.
+struct BgpRibInEntry {
+  std::uint32_t from = 0;
+  bool resolvable = true;  // the next hop resolves at the receiver
+  BgpRoute route;
+  double igp_metric = 0;   // the receiver's IGP metric to the next hop
+};
+
+/// One router's BGP tables, addressed by the prefix ids of the last BGP
+/// run (EmulatedNetwork::start): ids follow Ipv4Prefix::to_string()
+/// order, so iterating by id is iterating by prefix text.
+struct BgpTables {
+  /// The text of each prefix id, shared by every router of the run.
+  std::shared_ptr<const std::vector<std::string>> prefixes;
+  /// Loc-RIB: the selected route per prefix id.
+  std::vector<std::optional<BgpRoute>> best;
+  /// Adj-RIB-In: per prefix id, at most one entry per session address,
+  /// sorted by that address.
+  std::vector<std::vector<BgpRibInEntry>> rib_in;
+
+  /// The id of a prefix text; nullopt when the run holds no such prefix.
+  [[nodiscard]] std::optional<std::size_t> find(std::string_view prefix) const;
+};
+
+/// The Loc-RIB as a read-only table of (prefix text, route) pairs, in
+/// prefix-text order, looked up by prefix text. A view: it shows the
+/// router's current state, so copy what must outlive the next start().
+class BgpBestView {
+ public:
+  using value_type = std::pair<const std::string&, const BgpRoute&>;
+  class iterator {
+   public:
+    iterator(const BgpTables* t, std::size_t id) : t_(t), id_(id) { skip(); }
+    value_type operator*() const { return {(*t_->prefixes)[id_], *t_->best[id_]}; }
+    struct Arrow {
+      value_type v;
+      const value_type* operator->() const { return &v; }
+    };
+    Arrow operator->() const { return {**this}; }
+    iterator& operator++() {
+      ++id_;
+      skip();
+      return *this;
+    }
+    friend bool operator==(const iterator&, const iterator&) = default;
+
+   private:
+    void skip() {
+      while (id_ < t_->best.size() && !t_->best[id_]) ++id_;
+    }
+    const BgpTables* t_;
+    std::size_t id_;
+  };
+
+  explicit BgpBestView(const BgpTables& t) : t_(&t) {}
+  [[nodiscard]] iterator begin() const { return {t_, 0}; }
+  [[nodiscard]] iterator end() const { return {t_, t_->best.size()}; }
+  [[nodiscard]] iterator find(std::string_view prefix) const {
+    auto id = t_->find(prefix);
+    return id && t_->best[*id] ? iterator{t_, *id} : end();
+  }
+
+ private:
+  const BgpTables* t_;
 };
 
 class VirtualRouter {
@@ -65,23 +137,18 @@ class VirtualRouter {
   std::vector<std::string>& mutable_ospf_neighbors() { return ospf_neighbors_; }
 
   // --- BGP state ----------------------------------------------------------
-  /// Adj-RIB-In keyed by (prefix, from_peer): at most one route per
-  /// neighbor per prefix.
-  using RibInKey = std::pair<std::string, std::uint32_t>;
-  [[nodiscard]] std::map<RibInKey, BgpRoute>& rib_in() { return rib_in_; }
-  [[nodiscard]] const std::map<RibInKey, BgpRoute>& rib_in() const { return rib_in_; }
-
-  [[nodiscard]] std::map<std::string, BgpRoute>& bgp_best() { return bgp_best_; }
-  [[nodiscard]] const std::map<std::string, BgpRoute>& bgp_best() const {
-    return bgp_best_;
-  }
+  /// Loc-RIB: the selected route per prefix.
+  [[nodiscard]] BgpBestView bgp_best() const { return BgpBestView(bgp_); }
+  /// The flat tables behind it, Adj-RIB-In included.
+  [[nodiscard]] const BgpTables& bgp() const { return bgp_; }
+  /// The same tables, written by the BGP engine.
+  [[nodiscard]] BgpTables& mutable_bgp() { return bgp_; }
 
  private:
   RouterConfig config_;
   std::vector<FibEntry> fib_;
   std::vector<std::string> ospf_neighbors_;
-  std::map<RibInKey, BgpRoute> rib_in_;
-  std::map<std::string, BgpRoute> bgp_best_;  // key: prefix string
+  BgpTables bgp_;
 };
 
 }  // namespace autonet::emulation

@@ -1,5 +1,8 @@
 #include "verify/index.hpp"
 
+#include <algorithm>
+#include <tuple>
+
 namespace autonet::verify::detail {
 
 using nidb::Array;
@@ -74,12 +77,14 @@ NidbIndex NidbIndex::build(const nidb::Nidb& nidb) {
           if (network != nullptr) {
             const Value* area = link.find("area");
             covered[*network] = area != nullptr ? area->as_int().value_or(0) : 0;
-            index.ospf_covered[rec->name].insert(*network);
+            auto& parsed = index.ospf_covered[rec->name];
+            if (auto p = addressing::Ipv4Prefix::parse(*network)) parsed.push_back(*p);
           }
         }
       }
     }
 
+    const std::size_t first_interface = index.interfaces.size();
     if (const Value* ifaces = d.find("interfaces")) {
       if (const Array* arr = ifaces->as_array()) {
         for (std::size_t i = 0; i < arr->size(); ++i) {
@@ -98,12 +103,17 @@ NidbIndex NidbIndex::build(const nidb::Nidb& nidb) {
           if (stub == nullptr || !stub->truthy()) {
             claim_address(*ip, "interfaces[" + std::to_string(i) + "].ip_address");
           }
-          index.interfaces.push_back({rec->name, strip_len(*ip), *subnet, i});
+          index.interfaces.push_back(
+              {rec->name, strip_len(*ip), addressing::Ipv4Prefix::parse(*subnet), i});
           auto it = covered.find(*subnet);
           index.subnet_attachments[*subnet].push_back(
               {rec->name, it == covered.end() ? -1 : it->second});
         }
       }
+    }
+
+    if (index.interfaces.size() > first_interface) {
+      index.interface_range[rec->name] = {first_interface, index.interfaces.size()};
     }
 
     for (const bool ibgp : {true, false}) {
@@ -131,6 +141,16 @@ NidbIndex NidbIndex::build(const nidb::Nidb& nidb) {
       }
     }
   }
+
+  index.statements_by_device.resize(index.neighbors.size());
+  for (std::uint32_t i = 0; i < index.neighbors.size(); ++i) {
+    index.statements_by_device[i] = i;
+  }
+  std::ranges::sort(index.statements_by_device, [&](std::uint32_t a, std::uint32_t b) {
+    const NeighborRef& x = index.neighbors[a];
+    const NeighborRef& y = index.neighbors[b];
+    return std::tie(x.device, x.neighbor_ip) < std::tie(y.device, y.neighbor_ip);
+  });
 
   // Derive the iBGP session view from the gathered neighbor statements:
   // directed statement edges device -> peer (neighbor loopback resolved
@@ -174,6 +194,25 @@ NidbIndex NidbIndex::build(const nidb::Nidb& nidb) {
     }
   }
   return index;
+}
+
+bool NidbIndex::has_statement(std::string_view device,
+                              std::string_view neighbor_ip) const {
+  using Key = std::pair<std::string_view, std::string_view>;
+  auto it = std::lower_bound(
+      statements_by_device.begin(), statements_by_device.end(),
+      Key(device, neighbor_ip), [this](std::uint32_t pos, const Key& key) {
+        return Key(neighbors[pos].device, neighbors[pos].neighbor_ip) < key;
+      });
+  return it != statements_by_device.end() && neighbors[*it].device == device &&
+         neighbors[*it].neighbor_ip == neighbor_ip;
+}
+
+std::span<const InterfaceRef> NidbIndex::interfaces_of(std::string_view device) const {
+  auto it = interface_range.find(device);
+  if (it == interface_range.end()) return {};
+  return std::span(interfaces).subspan(it->second.first,
+                                       it->second.second - it->second.first);
 }
 
 }  // namespace autonet::verify::detail

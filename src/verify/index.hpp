@@ -5,18 +5,22 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "addressing/ipv4.hpp"
 #include "nidb/nidb.hpp"
 
 namespace autonet::verify::detail {
 
 struct InterfaceRef {
   std::string device;
-  std::string ip;      // bare address
-  std::string subnet;  // CIDR string
+  std::string ip;  // bare address
+  std::optional<addressing::Ipv4Prefix> subnet;  // nullopt when it does not parse
   std::size_t index = 0;  // position in the device's interfaces array
 };
 
@@ -69,15 +73,31 @@ struct NidbIndex {
   std::map<std::string, std::string> device_type;
   std::map<std::string, std::string> device_loopback;  // bare address
   std::map<std::string, std::vector<SubnetAttachment>> subnet_attachments;
-  /// device -> CIDR networks its OSPF process covers (ospf_links).
-  std::map<std::string, std::set<std::string>> ospf_covered;
+  /// device -> the networks its OSPF process covers (ospf_links). A
+  /// device with any network statement has an entry; networks that do
+  /// not parse are left out of it.
+  std::map<std::string, std::vector<addressing::Ipv4Prefix>> ospf_covered;
   std::vector<DuplicateAddress> duplicate_addresses;
   /// From nidb.data()["design"]["ibgp_mode"], "" when absent.
   std::string ibgp_mode;
   /// iBGP session graph, derived from `neighbors` after the walk.
   IbgpView ibgp;
+  /// Positions in `neighbors`, sorted by (device, neighbor_ip): the
+  /// lookup behind has_statement().
+  std::vector<std::uint32_t> statements_by_device;
+  /// device -> its [begin, end) in `interfaces`, which the walk appends
+  /// device by device.
+  std::map<std::string, std::pair<std::size_t, std::size_t>, std::less<>>
+      interface_range;
 
   [[nodiscard]] static NidbIndex build(const nidb::Nidb& nidb);
+
+  /// Whether `device` has a neighbor statement naming `neighbor_ip`.
+  [[nodiscard]] bool has_statement(std::string_view device,
+                                   std::string_view neighbor_ip) const;
+  /// The interfaces gathered from `device`, in NIDB order.
+  [[nodiscard]] std::span<const InterfaceRef> interfaces_of(
+      std::string_view device) const;
 };
 
 }  // namespace autonet::verify::detail

@@ -1,5 +1,6 @@
 // The ported NIDB consistency checks (the former static_check monolith),
 // each a registered rule over the shared NidbIndex gather pass.
+#include <algorithm>
 #include <set>
 #include <utility>
 #include <vector>
@@ -99,15 +100,13 @@ void check_bgp_asym_session(const RuleContext& ctx, Emitter& out) {
     auto owner = index.address_owner.find(n.neighbor_ip);
     if (owner == index.address_owner.end()) continue;  // bgp-unknown-peer
     const std::string& peer = owner->second;
+    // The reverse statement is the peer's, naming any address we own.
     auto mine = index.owned.find(n.device);
-    bool reverse = false;
-    for (const auto& back : index.neighbors) {
-      if (back.device == peer && mine != index.owned.end() &&
-          mine->second.contains(back.neighbor_ip)) {
-        reverse = true;
-        break;
-      }
-    }
+    const bool reverse =
+        mine != index.owned.end() &&
+        std::ranges::any_of(mine->second, [&](const std::string& ip) {
+          return index.has_statement(peer, ip);
+        });
     if (!reverse) {
       out.emit(n.device, "session to " + n.neighbor_ip + " (" + peer +
                              ") has no matching reverse neighbor statement",

@@ -10,6 +10,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -137,6 +138,13 @@ void check_rr_cluster_loop(const RuleContext& ctx, Emitter& out) {
   }
 }
 
+/// Whether `addr` lies in a subnet one of `device`'s interfaces attaches to.
+bool attached(const NidbIndex& index, std::string_view device, Ipv4Addr addr) {
+  return std::ranges::any_of(index.interfaces_of(device), [&](const auto& iface) {
+    return iface.subnet && iface.subnet->contains(addr);
+  });
+}
+
 void check_ibgp_nexthop(const RuleContext& ctx, Emitter& out) {
   const NidbIndex& index = *ctx.index;
   for (const auto& n : index.neighbors) {
@@ -152,31 +160,19 @@ void check_ibgp_nexthop(const RuleContext& ctx, Emitter& out) {
     }
     // Only reason about next-hop resolution when this device runs an
     // IGP; without one there is no coverage to check against.
-    auto own_igp = index.ospf_covered.find(n.device);
-    if (own_igp == index.ospf_covered.end() || own_igp->second.empty()) continue;
+    if (!index.ospf_covered.contains(n.device)) continue;
 
     auto addr = Ipv4Addr::parse(n.neighbor_ip);
     if (!addr) continue;
-    bool resolvable = false;
     // Directly connected: the loopback sits inside a subnet we attach to.
-    for (const auto& iface : index.interfaces) {
-      if (iface.device != n.device) continue;
-      if (auto p = Ipv4Prefix::parse(iface.subnet); p && p->contains(*addr)) {
-        resolvable = true;
-        break;
-      }
-    }
+    bool resolvable = attached(index, n.device, *addr);
     // Advertised by the peer's IGP process.
     if (!resolvable) {
       auto peer_igp = index.ospf_covered.find(peer);
-      if (peer_igp != index.ospf_covered.end()) {
-        for (const auto& network : peer_igp->second) {
-          if (auto p = Ipv4Prefix::parse(network); p && p->contains(*addr)) {
-            resolvable = true;
-            break;
-          }
-        }
-      }
+      resolvable = peer_igp != index.ospf_covered.end() &&
+                   std::ranges::any_of(peer_igp->second, [&](const Ipv4Prefix& p) {
+                     return p.contains(*addr);
+                   });
     }
     if (!resolvable) {
       out.emit(n.device,
@@ -197,15 +193,7 @@ void check_ebgp_adjacency(const RuleContext& ctx, Emitter& out) {
     if (owner == index.address_owner.end()) continue;  // bgp-unknown-peer
     auto addr = Ipv4Addr::parse(n.neighbor_ip);
     if (!addr) continue;
-    bool adjacent = false;
-    for (const auto& iface : index.interfaces) {
-      if (iface.device != n.device) continue;
-      if (auto p = Ipv4Prefix::parse(iface.subnet); p && p->contains(*addr)) {
-        adjacent = true;
-        break;
-      }
-    }
-    if (!adjacent) {
+    if (!attached(index, n.device, *addr)) {
       out.emit(n.device,
                "eBGP neighbor " + n.neighbor_ip + " (" + owner->second +
                    ") is on no collision domain shared with " + n.device,

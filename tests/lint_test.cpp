@@ -3,11 +3,16 @@
 // SARIF export, and the workflow lint gate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+
+#include "addressing/ipv4.hpp"
 #include "core/workflow.hpp"
 #include "obs/export.hpp"
 #include "obs/registry.hpp"
 #include "render/renderer.hpp"
 #include "topology/builtin.hpp"
+#include "verify/index.hpp"
 #include "verify/rules.hpp"
 
 namespace {
@@ -340,6 +345,262 @@ TEST(Lint, AnycastStubPrefixesAreNotDuplicateAddresses) {
   auto report = verify::run_lint({.nidb = &nidb});
   EXPECT_EQ(find_code(report, "dup-address"), nullptr) << report.to_string();
   EXPECT_EQ(find_code(report, "subnet-overlap"), nullptr) << report.to_string();
+}
+
+// --- The indexed rules against their pairwise predecessors -----------------
+// bgp-asym-session, ibgp-nexthop-unresolved and ebgp-peer-not-adjacent
+// answer from lookups the gather pass builds (sorted statement positions,
+// per-device interface ranges). The bodies below are the scans they
+// replaced, over the same index (which now parses subnets and OSPF
+// networks once, where the scans parsed them per statement); both must
+// emit the same findings in the same order.
+
+using verify::detail::NidbIndex;
+
+void reference_asym_session(const verify::RuleContext& ctx, verify::Emitter& out) {
+  const NidbIndex& index = *ctx.index;
+  for (const auto& n : index.neighbors) {
+    auto owner = index.address_owner.find(n.neighbor_ip);
+    if (owner == index.address_owner.end()) continue;  // bgp-unknown-peer
+    const std::string& peer = owner->second;
+    auto mine = index.owned.find(n.device);
+    bool reverse = false;
+    for (const auto& back : index.neighbors) {
+      if (back.device == peer && mine != index.owned.end() &&
+          mine->second.contains(back.neighbor_ip)) {
+        reverse = true;
+        break;
+      }
+    }
+    if (!reverse) {
+      out.emit(n.device, "session to " + n.neighbor_ip + " (" + peer +
+                             ") has no matching reverse neighbor statement",
+               n.path());
+    }
+  }
+}
+
+void reference_ibgp_nexthop(const verify::RuleContext& ctx, verify::Emitter& out) {
+  using addressing::Ipv4Addr;
+  using addressing::Ipv4Prefix;
+  const NidbIndex& index = *ctx.index;
+  for (const auto& n : index.neighbors) {
+    if (!n.ibgp || n.neighbor_ip.empty()) continue;
+    auto owner = index.address_owner.find(n.neighbor_ip);
+    if (owner == index.address_owner.end()) continue;
+    const std::string& peer = owner->second;
+    auto as_a = index.device_asn.find(n.device);
+    auto as_b = index.device_asn.find(peer);
+    if (as_a == index.device_asn.end() || as_b == index.device_asn.end() ||
+        as_a->second != as_b->second) {
+      continue;
+    }
+    auto own_igp = index.ospf_covered.find(n.device);
+    if (own_igp == index.ospf_covered.end()) continue;
+
+    auto addr = Ipv4Addr::parse(n.neighbor_ip);
+    if (!addr) continue;
+    bool resolvable = false;
+    for (const auto& iface : index.interfaces) {
+      if (iface.device != n.device) continue;
+      if (iface.subnet && iface.subnet->contains(*addr)) {
+        resolvable = true;
+        break;
+      }
+    }
+    if (!resolvable) {
+      auto peer_igp = index.ospf_covered.find(peer);
+      if (peer_igp != index.ospf_covered.end()) {
+        for (const Ipv4Prefix& network : peer_igp->second) {
+          if (network.contains(*addr)) {
+            resolvable = true;
+            break;
+          }
+        }
+      }
+    }
+    if (!resolvable) {
+      out.emit(n.device,
+               "iBGP neighbor " + n.neighbor_ip + " (" + peer +
+                   ") is unresolvable: " + peer +
+                   " does not advertise it into the IGP and it is not on a "
+                   "connected subnet",
+               n.path());
+    }
+  }
+}
+
+void reference_ebgp_adjacency(const verify::RuleContext& ctx, verify::Emitter& out) {
+  using addressing::Ipv4Addr;
+  const NidbIndex& index = *ctx.index;
+  for (const auto& n : index.neighbors) {
+    if (n.ibgp || n.multihop || n.neighbor_ip.empty()) continue;
+    auto owner = index.address_owner.find(n.neighbor_ip);
+    if (owner == index.address_owner.end()) continue;  // bgp-unknown-peer
+    auto addr = Ipv4Addr::parse(n.neighbor_ip);
+    if (!addr) continue;
+    bool adjacent = false;
+    for (const auto& iface : index.interfaces) {
+      if (iface.device != n.device) continue;
+      if (iface.subnet && iface.subnet->contains(*addr)) {
+        adjacent = true;
+        break;
+      }
+    }
+    if (!adjacent) {
+      out.emit(n.device,
+               "eBGP neighbor " + n.neighbor_ip + " (" + owner->second +
+                   ") is on no collision domain shared with " + n.device,
+               n.path());
+    }
+  }
+}
+
+/// The findings one rule body emits over `nidb`, one "device | message |
+/// path" line each, in emission order.
+std::string emitted(const std::string& id,
+                    const std::function<void(const verify::RuleContext&,
+                                             verify::Emitter&)>& body,
+                    const nidb::Nidb& nidb, const NidbIndex& index) {
+  const verify::Rule* rule = verify::RuleRegistry::builtin().find(id);
+  verify::LintInput input;
+  input.nidb = &nidb;
+  verify::RuleContext ctx;
+  ctx.input = &input;
+  ctx.index = &index;
+  verify::Report report;
+  verify::Emitter emitter(rule->info, rule->info.default_severity, report);
+  body(ctx, emitter);
+  std::string out;
+  for (const auto& f : report.findings) {
+    out += f.device + " | " + f.message + " | " + f.path + "\n";
+  }
+  return out;
+}
+
+/// Compares the three registered rules with their references over `nidb`;
+/// returns how many findings they emitted.
+std::size_t expect_reference_findings(const nidb::Nidb& nidb) {
+  const NidbIndex index = NidbIndex::build(nidb);
+  std::size_t lines = 0;
+  const std::pair<const char*, void (*)(const verify::RuleContext&, verify::Emitter&)>
+      references[] = {{"bgp-asym-session", reference_asym_session},
+                      {"ibgp-nexthop-unresolved", reference_ibgp_nexthop},
+                      {"ebgp-peer-not-adjacent", reference_ebgp_adjacency}};
+  for (const auto& [id, reference] : references) {
+    const std::string got =
+        emitted(id, verify::RuleRegistry::builtin().find(id)->run, nidb, index);
+    EXPECT_EQ(got, emitted(id, reference, nidb, index)) << id;
+    lines += static_cast<std::size_t>(std::ranges::count(got, '\n'));
+  }
+  return lines;
+}
+
+nidb::Array& statements(nidb::Nidb& nidb, const std::string& device, bool ibgp) {
+  return nidb.device(device)->data["bgp"][ibgp ? "ibgp_neighbors" : "ebgp_neighbors"]
+      .array();
+}
+
+/// The position of `device`'s statement naming `ip`.
+std::size_t statement_naming(nidb::Nidb& nidb, const std::string& device, bool ibgp,
+                             const std::string& ip) {
+  const nidb::Array& list = statements(nidb, device, ibgp);
+  for (std::size_t i = 0; i < list.size(); ++i) {
+    const auto* neighbor = list[i].find("neighbor");
+    if (neighbor != nullptr && neighbor->as_string() != nullptr &&
+        *neighbor->as_string() == ip) {
+      return i;
+    }
+  }
+  ADD_FAILURE() << device << " names no " << ip;
+  return 0;
+}
+
+/// The bare address of `device`'s interface on the subnet it shares with
+/// `other`.
+std::string shared_interface_ip(const nidb::Nidb& nidb, const std::string& device,
+                                const std::string& other) {
+  const auto& mine = *nidb.device(device)->data.find("interfaces")->as_array();
+  const auto& theirs = *nidb.device(other)->data.find("interfaces")->as_array();
+  for (const auto& a : mine) {
+    for (const auto& b : theirs) {
+      if (*a.find("subnet")->as_string() == *b.find("subnet")->as_string()) {
+        std::string ip = *a.find("ip_address")->as_string();
+        return ip.substr(0, ip.find('/'));
+      }
+    }
+  }
+  ADD_FAILURE() << device << " shares no subnet with " << other;
+  return "";
+}
+
+TEST(IndexedRules, MatchPairwiseReferenceOnBuiltins) {
+  expect_reference_findings(compiled(topology::small_internet()));
+  expect_reference_findings(compiled(topology::figure5()));
+  expect_reference_findings(compiled(topology::figure5(), "rr"));
+}
+
+TEST(IndexedRules, MatchPairwiseReferenceUnderMutations) {
+  const nidb::Nidb base = compiled(topology::figure5());
+  const std::string r1 = bare_loopback(base, "r1");
+  const std::string r3 = bare_loopback(base, "r3");
+  const std::string r5 = bare_loopback(base, "r5");
+  const std::function<void(nidb::Nidb&)> mutations[] = {
+      // A reverse statement removed.
+      [&](nidb::Nidb& n) {
+        auto& list = statements(n, "r2", true);
+        list.erase(list.begin() + static_cast<std::ptrdiff_t>(
+                                      statement_naming(n, "r2", true, r1)));
+      },
+      // The reverse statement names the peer's interface address (on its
+      // eBGP link, outside every IGP network) instead of its loopback.
+      [&](nidb::Nidb& n) {
+        statements(n, "r4", true)[statement_naming(n, "r4", true, r3)]["neighbor"] =
+            shared_interface_ip(n, "r3", "r5");
+      },
+      // One address claimed by two devices: r1 takes r5's loopback.
+      [&](nidb::Nidb& n) { n.device("r1")->data["loopback"] = r5 + "/32"; },
+      // An empty neighbor address.
+      [&](nidb::Nidb& n) {
+        statements(n, "r2", true)[statement_naming(n, "r2", true, r1)]["neighbor"] = "";
+      },
+      // A device that owns no address.
+      [&](nidb::Nidb& n) {
+        auto& rec = n.device("r2")->data;
+        rec["loopback"] = std::int64_t{0};
+        for (auto& iface : rec["interfaces"].array()) iface["stub"] = true;
+      },
+      // An iBGP neighbor outside every IGP network of its peer.
+      [&](nidb::Nidb& n) {
+        const std::string lo = bare_loopback(n, "r2");
+        std::erase_if(n.device("r2")->data["ospf"]["ospf_links"].array(),
+                      [&](const nidb::Value& link) {
+                        const auto* network = link.find("network");
+                        const auto* text = network ? network->as_string() : nullptr;
+                        return text != nullptr && text->starts_with(lo);
+                      });
+      },
+      // An eBGP neighbor outside every shared subnet.
+      [&](nidb::Nidb& n) { statements(n, "r3", false)[0]["neighbor"] = r5; },
+      // A multihop eBGP statement (exempt from adjacency) whose peer names
+      // it nowhere.
+      [&](nidb::Nidb& n) {
+        auto& mine = statements(n, "r3", false)[0];
+        mine["neighbor"] = r5;
+        mine["multihop"] = true;
+        auto& theirs = statements(n, "r5", false);
+        theirs.erase(theirs.begin() +
+                     static_cast<std::ptrdiff_t>(statement_naming(
+                         n, "r5", false, shared_interface_ip(n, "r3", "r5"))));
+      },
+  };
+  for (std::size_t i = 0; i < std::size(mutations); ++i) {
+    SCOPED_TRACE("mutation " + std::to_string(i));
+    // NIDB copies share their arrays and objects: mutate a fresh compile.
+    nidb::Nidb nidb = compiled(topology::figure5());
+    mutations[i](nidb);
+    EXPECT_GT(expect_reference_findings(nidb), 0u);
+  }
 }
 
 // --- Template static analysis -----------------------------------------------
