@@ -44,8 +44,7 @@ void PlatformCompiler::platform_data(const anm::AbstractNetworkModel&,
                                      nidb::Nidb&) const {}
 
 nidb::Nidb PlatformCompiler::compile(const anm::AbstractNetworkModel& anm,
-                                     const PlatformOptions& opts,
-                                     const CompileReuse* reuse) const {
+                                     const PlatformOptions& opts) const {
   if (!anm.has_overlay("phy") || !anm.has_overlay("ip")) {
     throw std::invalid_argument(
         "platform compile: requires 'phy' and 'ip' overlays (run the design "
@@ -97,36 +96,6 @@ nidb::Nidb PlatformCompiler::compile(const anm::AbstractNetworkModel& anm,
     obs::Span span(obs, "compile.device");
     span.arg("device", dev.name());
     devices_compiled.inc();
-
-    // Unchanged device with a baseline record: copy it instead of
-    // resolving interfaces and re-running the syntax compiler. The
-    // management/host fields below are recomputed either way, so the
-    // copy stays equivalent to a fresh compile.
-    const nidb::DeviceRecord* base_rec = nullptr;
-    if (reuse != nullptr && reuse->baseline != nullptr &&
-        reuse->devices != nullptr && reuse->devices->contains(dev.name())) {
-      base_rec = reuse->baseline->device(dev.name());
-    }
-    if (base_rec != nullptr) {
-      nidb::DeviceRecord& rec = nidb.add_device(dev.name());
-      rec.data = base_rec->data;
-      if (reuse->reused_out != nullptr) ++*reuse->reused_out;
-
-      auto tap = mgmt.allocate();
-      Object tap_obj;
-      tap_obj["ip"] = tap.address.to_string();
-      tap_obj["interface"] = mgmt_interface_name();
-      rec.data["tap"] = Value(std::move(tap_obj));
-
-      std::string host = opts.default_host;
-      if (const auto* h = dev.attr("host").as_string(); h != nullptr && !h->empty()) {
-        host = *h;
-      }
-      rec.data["host"] = host;
-      rec.data.set_path("render.base_dst_folder",
-                        host + "/" + platform() + "/" + sanitize_hostname(dev.name()));
-      continue;
-    }
 
     CompileContext ctx;
     ctx.anm = &anm;

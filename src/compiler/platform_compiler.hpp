@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstddef>
-#include <set>
 #include <string>
 
 #include "anm/anm.hpp"
@@ -22,18 +21,6 @@ struct PlatformOptions {
   std::string default_host = "localhost";
   /// Management (TAP) address block.
   std::string mgmt_block = "172.16.0.0/16";
-};
-
-/// Incremental-compile directive: devices listed in `devices` copy their
-/// record from `baseline` instead of re-running the per-device syntax
-/// compiler. Platform-wide sections (links, lab.conf, cross-connects) and
-/// management addresses are always recomputed, so a reused record is
-/// indistinguishable from a fresh one.
-struct CompileReuse {
-  const nidb::Nidb* baseline = nullptr;
-  const std::set<std::string>* devices = nullptr;
-  /// Incremented once per device actually reused (optional).
-  std::size_t* reused_out = nullptr;
 };
 
 class PlatformCompiler {
@@ -54,11 +41,9 @@ class PlatformCompiler {
   /// overlay, allocates management addresses, invokes the per-device
   /// syntax compilers, records device-level links, detects cross-host
   /// connections (GRE stitches), and calls platform_data(). Requires the
-  /// 'phy' and 'ip' overlays. `reuse`, when given, short-circuits the
-  /// per-device compilers for unchanged devices (incremental pipeline).
+  /// 'phy' and 'ip' overlays.
   [[nodiscard]] nidb::Nidb compile(const anm::AbstractNetworkModel& anm,
-                                   const PlatformOptions& opts = {},
-                                   const CompileReuse* reuse = nullptr) const;
+                                   const PlatformOptions& opts = {}) const;
 
  protected:
   /// Hook for platform-wide artefacts (e.g. Netkit's lab.conf entries).

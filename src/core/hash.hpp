@@ -1,6 +1,6 @@
 // FNV-1a 64-bit: the one content hash every layer uses — checkpoint
-// manifests, incremental snapshots, FibCache keys, campaign run seeds,
-// deploy archive checksums and fuzz scenario seeds. Header-only (like
+// manifests and input/options signatures, FibCache keys, campaign run
+// seeds, deploy archive checksums and fuzz scenario seeds. Header-only (like
 // core/error.hpp) so any library can use it without linking the core
 // library. Stable across platforms: persisted hashes and seeds depend on
 // these values never changing.

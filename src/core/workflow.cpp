@@ -1,6 +1,6 @@
 #include "core/workflow.hpp"
 
-#include <fstream>
+#include <filesystem>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -154,8 +154,8 @@ deploy::DeployResult deploy_result_from_value(const nidb::Value& v) {
   return r;
 }
 
-// One decoder per phase artifact, shared by checkpoint restore and the
-// partial-mode baseline load. The NIDB decodes with Nidb::from_json.
+// One decoder per phase artifact, shared by checkpoint restore, the
+// input delta and hot-apply. The NIDB decodes with Nidb::from_json.
 
 anm::AbstractNetworkModel anm_from_artifact(const std::string& artifact) {
   anm::AbstractNetworkModel anm;
@@ -208,25 +208,6 @@ verify::Report lint_report_from_json(const std::string& text) {
   return report;
 }
 
-/// How a store's recorded run compares with this one: same input and
-/// options (kExact), options that build the same design, compile, render
-/// and lint results (kBuild), or neither (kOther).
-enum class StoreMatch { kOther, kBuild, kExact };
-
-StoreMatch match_store(const CheckpointStore& store, const std::string& input_hash,
-                       const std::string& options_sig, const std::string& build_sig) {
-  if (store.meta("options") == options_sig) {
-    return store.meta("input_hash") == input_hash ? StoreMatch::kExact
-                                                  : StoreMatch::kBuild;
-  }
-  // Stores recorded before the signature split carry no "options_build"
-  // meta and match on the full signature only, which is strictly more
-  // conservative.
-  const std::string build = store.meta("options_build");
-  return !build.empty() && build == build_sig ? StoreMatch::kBuild
-                                              : StoreMatch::kOther;
-}
-
 }  // namespace
 
 std::string IncrementalReport::to_text() const {
@@ -238,11 +219,6 @@ std::string IncrementalReport::to_text() const {
         << delta.to_text();
   }
   for (const std::string& line : plan.explain) out << line << "\n";
-  if (mode == "partial") {
-    out << "compile: " << devices_reused_compile << " device(s) reused\n";
-    out << "render: " << devices_reused_render << " device(s) reused\n";
-    out << "lint: " << lint_rules_reused << " template rule(s) replayed\n";
-  }
   if (hot_applied) out << "deploy: delta hot-applied to the running emulation\n";
   return out.str();
 }
@@ -362,132 +338,74 @@ std::string Workflow::build_signature() const {
   return std::to_string(fnv1a(signature_text(false)));
 }
 
-std::string Workflow::lint_signature() const {
-  std::ostringstream sig;
-  sig << "lint=" << options_.lint.enabled << "," << options_.lint.fail_fast
-      << "," << options_.lint.options.fail_on_warning << ","
-      << options_.lint.analysis;
-  for (const auto& [id, on] : options_.lint.options.enabled) {
-    sig << ";L:" << id << "=" << on;
-  }
-  for (const auto& [id, sev] : options_.lint.options.severity) {
-    sig << ";S:" << id << "=" << static_cast<int>(sev);
-  }
-  return std::to_string(fnv1a(sig.str()));
+// The one restore rule, for the own checkpoint and the baseline alike.
+// Stores recorded before the signature split carry no "options_build"
+// meta and match on the full signature only, which is strictly more
+// conservative.
+bool Workflow::options_matches(const CheckpointStore& store,
+                               std::string_view phase) const {
+  if (store.meta("options") == options_signature()) return true;
+  const std::string build = store.meta("options_build");
+  return phase != "deploy" && phase != "measure" && !build.empty() &&
+         build == build_signature();
 }
 
-incremental::DesignSpec Workflow::design_spec() const {
-  incremental::DesignSpec spec;
-  spec.ibgp = options_.ibgp;
-  spec.enable_isis = options_.enable_isis;
-  spec.enable_dns = options_.enable_dns;
-  spec.enable_rpki = options_.enable_rpki;
-  spec.ospf = options_.ospf;
-  spec.ip = options_.ip;
-  spec.rr_select = options_.rr_select;
-  return spec;
+bool Workflow::supplies(const CheckpointStore& store, std::string_view phase) const {
+  return store.meta("input_hash") == input_hash_ && options_matches(store, phase);
 }
 
-// Both attached stores are compared with this run the same way
-// (match_store). The own checkpoint resumes its recorded prefix on an
-// exact match and is discarded otherwise: it only describes one (input,
-// options) pair. The baseline is warm on an exact match, partial on a
-// build-only match with a readable snapshot.json, and cold otherwise.
+// The own checkpoint first drops every record the rule rejects (all of
+// them for another input or build, deploy and measure for other deploy
+// options) and then records this run's meta, so it never holds a record
+// its meta does not vouch for. The baseline is only read: its mode names
+// which phases it supplies.
 void Workflow::choose_reuse(const graph::Graph& input) {
   // The input signature is kept even without a store: run reports embed
   // it so two reports are comparable without the checkpoint directory.
   input_hash_ = std::to_string(fnv1a(graph_to_value(input).to_json(false)));
-  const std::string options_sig = options_signature();
-  const std::string build_sig = build_signature();
-  auto match = [&](const CheckpointStore& store) {
-    return match_store(store, input_hash_, options_sig, build_sig);
-  };
   if (ckpt_ != nullptr) {
-    if (!ckpt_->phases().empty() && match(*ckpt_) != StoreMatch::kExact) {
-      ckpt_->discard();
+    std::vector<std::string> rejected;
+    for (const std::string& phase : ckpt_->phases()) {
+      if (!supplies(*ckpt_, phase)) rejected.push_back(phase);
     }
-    if (ckpt_->meta("input_hash") != input_hash_) {
-      ckpt_->set_meta("input_hash", input_hash_);
-    }
-    if (ckpt_->meta("options") != options_sig) {
-      ckpt_->set_meta("options", options_sig);
-    }
-    if (ckpt_->meta("options_build") != build_sig) {
-      ckpt_->set_meta("options_build", build_sig);
-    }
+    ckpt_->invalidate(rejected);
+    auto stamp = [this](const std::string& key, const std::string& value) {
+      if (ckpt_->meta(key) != value) ckpt_->set_meta(key, value);
+    };
+    stamp("input_hash", input_hash_);
+    stamp("options", options_signature());
+    stamp("options_build", build_signature());
   }
   if (baseline_ == nullptr) return;
-  std::string cold_reason;
-  switch (match(*baseline_)) {
-    case StoreMatch::kExact:
-      reuse_ = ReuseMode::kWarm;
-      incr_.plan.explain.emplace_back(
-          "input unchanged: every phase restores from the baseline");
-      break;
-    case StoreMatch::kBuild:
-      cold_reason = load_baseline();
-      if (!cold_reason.empty()) break;
-      reuse_ = ReuseMode::kPartial;
-      if (baseline_->meta("input_hash") == input_hash_) {
-        incr_.plan.explain.emplace_back(
-            "input unchanged, deploy options differ: build phases reuse, "
-            "deploy runs fresh");
-      }
-      break;
-    case StoreMatch::kOther:
-      cold_reason = "baseline options differ (or baseline is empty)";
-      break;
+  if (supplies(*baseline_, "deploy")) {
+    reuse_ = ReuseMode::kWarm;
+    incr_.plan.explain.emplace_back(
+        "input unchanged: every phase restores from the baseline");
+  } else if (supplies(*baseline_, "load")) {
+    reuse_ = ReuseMode::kPartial;
+    incr_.plan.explain.emplace_back(
+        "input unchanged, deploy options differ: load..lint restore, "
+        "deploy runs fresh");
+  } else if (options_matches(*baseline_, "load")) {
+    reuse_ = ReuseMode::kEdited;
+    incr_.plan.explain.emplace_back("input changed: full recompute");
+  } else {
+    incr_.plan.explain.emplace_back(
+        "baseline options differ (or baseline is empty): full recompute");
   }
-  if (!cold_reason.empty()) {
-    incr_.plan.explain.push_back(cold_reason + ": full recompute");
-  }
-  static constexpr const char* kModeNames[] = {"cold", "warm", "partial"};
+  static constexpr const char* kModeNames[] = {"cold", "warm", "partial", "cold"};
   incr_.mode = kModeNames[static_cast<int>(reuse_)];
-}
-
-// Partial mode consults the baseline in every build phase, so its
-// snapshot and artifacts are decoded once, here, and kept only when all
-// of them decode.
-std::string Workflow::load_baseline() {
-  BaselineState base;
-  std::ifstream snap_in(baseline_->dir() + "/snapshot.json", std::ios::binary);
-  std::optional<incremental::Snapshot> snap;
-  if (snap_in) {
-    std::ostringstream text;
-    text << snap_in.rdbuf();
-    snap = incremental::Snapshot::from_json(text.str());
-  }
-  if (!snap) return "baseline left no usable snapshot.json";
-  base.snap = std::move(*snap);
-  try {
-    if (baseline_->has_phase("design")) {
-      base.anm = anm_from_artifact(baseline_->artifact("design"));
-    }
-    if (baseline_->has_phase("compile")) {
-      base.nidb = nidb::Nidb::from_json(baseline_->artifact("compile"));
-    }
-    if (baseline_->has_phase("render")) {
-      base.configs = configs_from_artifact(baseline_->artifact("render"));
-    }
-    if (baseline_->has_phase("lint")) {
-      base.lint = lint_report_from_json(baseline_->artifact("lint"));
-    }
-  } catch (const std::exception&) {
-    return "baseline artifacts unreadable";
-  }
-  base_ = std::move(base);
-  return "";
 }
 
 bool Workflow::try_restore(const std::string& phase) {
   if (fresh_executed_) return false;
-  // Own checkpoint first (resume); in warm incremental mode a phase the
-  // own store lacks restores from the baseline instead.
+  // Own checkpoint first (resume), then the baseline.
   CheckpointStore* src = nullptr;
-  if (ckpt_ != nullptr && ckpt_->has_phase(phase)) {
-    src = ckpt_.get();
-  } else if (reuse_ == ReuseMode::kWarm && baseline_->has_phase(phase)) {
-    src = baseline_.get();
+  for (CheckpointStore* store : {ckpt_.get(), baseline_.get()}) {
+    if (store != nullptr && supplies(*store, phase) && store->has_phase(phase)) {
+      src = store;
+      break;
+    }
   }
   if (src == nullptr) return false;
   obs::Registry& registry = telemetry();
@@ -540,6 +458,13 @@ void Workflow::save_phase(const std::string& phase) {
     if (phase == name) after = true;
   }
   ckpt_->invalidate(stale);
+  if (fresh_executed_) {
+    // A phase recorded fresh moves the run past the interruption any
+    // post-mortem in the directory describes.
+    std::error_code ec;
+    std::filesystem::remove(ckpt_->dir() + "/flight.jsonl", ec);
+    std::filesystem::remove(ckpt_->dir() + "/run_report.partial.json", ec);
+  }
   std::optional<std::string> events;
   if (const auto it = phase_events_.find(phase); it != phase_events_.end()) {
     events = obs::events_to_jsonl(it->second);
@@ -677,48 +602,6 @@ void Workflow::rehydrate_network() {
   host_->start_network(*nidb_, host_->filesystem(), only, nullptr);
 }
 
-// --- Incremental reuse ------------------------------------------------------
-
-// Satisfies one design rule from the baseline instead of re-running it:
-// the rule's overlay is copied wholesale (each rule's writes land in its
-// own overlay, including the overlay-local data() blocks ip and ibgp
-// record), plus the phy-node annotations the rr-auto selector leaves
-// behind. Returns false when the rule must run fresh.
-bool Workflow::copy_design_rule(const std::string& name) {
-  if (!base_.anm || !incr_.plan.rule_reused(name) || !base_.anm->has_overlay(name)) {
-    return false;
-  }
-  if (!anm_.has_overlay(name)) anm_.add_overlay(name);
-  anm_[name].unwrap() = (*base_.anm)[name].unwrap();
-  if (name == "ibgp" && options_.ibgp == "rr-auto") {
-    // The selector also marks phy nodes (rr, rr_cluster); carry those
-    // over so the designed model matches a fresh run byte for byte.
-    auto phy = anm_["phy"];
-    for (const auto& base_node : (*base_.anm)["phy"].nodes()) {
-      auto cur = phy.node(base_node.name());
-      if (!cur) continue;
-      for (const char* key : {"rr", "rr_cluster"}) {
-        if (base_node.attr(key).is_set()) cur->set(key, base_node.attr(key));
-      }
-    }
-  }
-  return true;
-}
-
-// Persists this run's snapshot next to its phase checkpoints once its
-// hashes exist (rule projections from design entry, device signatures
-// from compile entry, the data() hash from render entry) — the data a
-// later `--incremental --since <this dir>` run plans against. Rule
-// projections are taken whenever a store is attached at design entry,
-// and device signatures then follow at compile entry.
-void Workflow::maybe_write_snapshot() {
-  if (ckpt_ == nullptr || cur_snap_.rule_hashes.empty()) return;
-  cur_snap_.lint_sig = lint_signature();
-  cur_snap_.template_hashes =
-      incremental::template_base_hashes(render::TemplateStore::builtins());
-  write_file_atomic(ckpt_->dir() + "/snapshot.json", cur_snap_.to_json());
-}
-
 // --- Phases ----------------------------------------------------------------
 
 Workflow& Workflow::load(const graph::Graph& input) {
@@ -749,31 +632,26 @@ Workflow& Workflow::load(const graph::Graph& input) {
 
 Workflow& Workflow::design() {
   if (!loaded_) throw std::logic_error("Workflow::design before load");
-  // Rule projections hash the *post-load* model, so they must be taken
-  // here — a checkpoint restore replaces anm_ with the designed state.
-  // Consumers: the partial-mode design plan, and snapshot.json (own
-  // store only) — a warm run without a checkpoint needs neither.
-  if (ckpt_ != nullptr || reuse_ == ReuseMode::kPartial) {
-    cur_snap_.rule_hashes = incremental::rule_projections(anm_, design_spec());
-  }
-  if (base_.anm) {
-    incr_.delta = incremental::diff_graphs((*base_.anm)["input"].unwrap(),
-                                           anm_["input"].unwrap());
-    incremental::plan_design(base_.snap, cur_snap_.rule_hashes,
-                             design_spec().rule_order(), incr_.plan);
+  if (reuse_ == ReuseMode::kEdited) {
+    // The delta reads the baseline's input overlay from its load record,
+    // the cheapest artifact that holds it.
+    try {
+      anm::AbstractNetworkModel base = anm_from_artifact(baseline_->artifact("load"));
+      incr_.delta =
+          incremental::diff_graphs(base["input"].unwrap(), anm_["input"].unwrap());
+    } catch (const std::exception&) {
+      incr_.plan.explain.emplace_back("baseline load record unreadable: no input delta");
+    }
   }
   if (try_restore("design")) return *this;
   begin_phase("design");
   timed("design", [this]() {
     // One child span per design rule: the per-rule breakdown the §3.2
-    // phase timings could not see. Each rule is a cancellation point. A
-    // rule the recompute plan marks clean copies its baseline overlay
-    // instead of running, under the same span/record telemetry — the
-    // design artifact and report timeline stay byte-identical.
+    // phase timings could not see. Each rule is a cancellation point.
     auto rule = [this](const char* name, auto&& f) {
       core::checkpoint(control_, std::string("design.") + name);
       obs::Span span(std::string("design.") + name);
-      if (!copy_design_rule(name)) f();
+      f();
       obs::record("design", "rule", {{"rule", name}});
     };
     rule("ospf", [this] { design::build_ospf(anm_, options_.ospf); });
@@ -801,84 +679,37 @@ Workflow& Workflow::design() {
 
 Workflow& Workflow::compile() {
   if (!anm_.has_overlay("ip")) throw std::logic_error("Workflow::compile before design");
-  // Device signatures read the fully designed model — available here
-  // whether design() ran fresh or restored. Same consumers as the rule
-  // projections: the device plan and snapshot.json.
-  const bool partial = reuse_ == ReuseMode::kPartial;
-  if ((ckpt_ != nullptr || partial) && cur_snap_.device_sigs.empty()) {
-    incremental::DeviceSignatures sigs =
-        incremental::device_signatures(anm_, options_.platform);
-    cur_snap_.global_digest = sigs.global_digest;
-    cur_snap_.device_sigs = sigs.sigs;
-    if (partial) {
-      incremental::plan_devices(base_.snap, sigs, incr_.plan);
-      // Published outside any phase: visible in the registry export but
-      // never in the (byte-compared) run report timeline.
-      obs::Registry& registry = telemetry();
-      obs::RegistryScope use(registry);
-      auto scope = registry.scope("delta");
-      scope.counter("dirty_devices").inc(incr_.plan.dirty_devices.size());
-      scope.counter("reused").inc(incr_.plan.reused_devices.size());
-    }
+  const bool restored = try_restore("compile");
+  if (!restored) {
+    begin_phase("compile");
+    timed("compile", [this]() {
+      nidb_ = compiler::platform_compiler_for(options_.platform).compile(anm_);
+    });
+    save_phase("compile");
   }
-  if (try_restore("compile")) return *this;
-  begin_phase("compile");
-  timed("compile", [this]() {
-    const auto& pc = compiler::platform_compiler_for(options_.platform);
-    if (base_.nidb && !incr_.plan.reused_devices.empty()) {
-      compiler::CompileReuse reuse;
-      reuse.baseline = &*base_.nidb;
-      reuse.devices = &incr_.plan.reused_devices;
-      reuse.reused_out = &incr_.devices_reused_compile;
-      nidb_ = pc.compile(anm_, {}, &reuse);
-    } else {
-      nidb_ = pc.compile(anm_);
-    }
-  });
-  save_phase("compile");
+  // Whole-phase device tallies against a build-matching baseline: a
+  // restored compile reused every device, a fresh one rebuilt them all.
+  if (reuse_ == ReuseMode::kPartial || reuse_ == ReuseMode::kEdited) {
+    auto& tally = restored ? incr_.plan.reused_devices : incr_.plan.dirty_devices;
+    for (const auto* rec : nidb_->devices()) tally.insert(rec->name);
+  }
   return *this;
 }
 
 Workflow& Workflow::render() {
   if (!nidb_) throw std::logic_error("Workflow::render before compile");
-  // The data()-section hash drives render reuse in partial mode and is
-  // persisted in snapshot.json for the next run's.
-  if (ckpt_ != nullptr || reuse_ == ReuseMode::kPartial) {
-    cur_snap_.data_hash = fnv1a(nidb_->data().to_json(false));
-  }
-  if (try_restore("render")) {
-    maybe_write_snapshot();
-    return *this;
-  }
+  if (try_restore("render")) return *this;
   begin_phase("render");
   timed("render", [this]() {
-    if (base_.configs && !incr_.plan.reused_devices.empty()) {
-      render::RenderReuse reuse;
-      reuse.baseline = &*base_.configs;
-      reuse.devices = &incr_.plan.reused_devices;
-      reuse.data_changed = base_.snap.data_hash != cur_snap_.data_hash;
-      reuse.reused_out = &incr_.devices_reused_render;
-      configs_ = render::render_configs(*nidb_, render::TemplateStore::builtins(),
-                                        control_, &reuse);
-    } else {
-      configs_ = render::render_configs(*nidb_, render::TemplateStore::builtins(),
-                                        control_);
-    }
+    configs_ =
+        render::render_configs(*nidb_, render::TemplateStore::builtins(), control_);
   });
   save_phase("render");
-  maybe_write_snapshot();
   return *this;
 }
 
 Workflow& Workflow::lint() {
   if (!nidb_) throw std::logic_error("Workflow::lint before compile");
-  if (reuse_ == ReuseMode::kPartial && !incr_planned_lint_) {
-    incr_planned_lint_ = true;
-    incremental::plan_lint(
-        base_.snap, lint_signature(),
-        incremental::template_base_hashes(render::TemplateStore::builtins()),
-        incr_.plan);
-  }
   if (!try_restore("lint")) {
     begin_phase("lint");
     timed("lint", [this]() {
@@ -888,16 +719,8 @@ Workflow& Workflow::lint() {
       const verify::RuleRegistry& registry =
           options_.lint.analysis ? verify::RuleRegistry::with_analysis()
                                  : verify::RuleRegistry::builtin();
-      if (incr_.plan.lint_reusable && base_.lint) {
-        verify::LintReuse reuse;
-        reuse.baseline = &*base_.lint;
-        reuse.reused_out = &incr_.lint_rules_reused;
-        lint_report_ = verify::run_lint(input, options_.lint.options, registry,
-                                        control_, &reuse);
-      } else {
-        lint_report_ =
-            verify::run_lint(input, options_.lint.options, registry, control_);
-      }
+      lint_report_ =
+          verify::run_lint(input, options_.lint.options, registry, control_);
     });
     save_phase("lint");
   }
@@ -915,27 +738,45 @@ Workflow& Workflow::deploy() {
   if (try_restore("deploy")) return *this;
   // Hot-apply: when every input change maps to a scoped action (link
   // cost, link failure), boot the *baseline* emulation and mutate it in
-  // place instead of deploying the re-rendered configs from scratch.
-  // Routers keep their identity and sessions; one reconvergence pass
-  // settles the applied actions. Excluded from the byte-equivalence
-  // contract — its deploy artifact is a synthesis, validated by the
-  // FIB-equivalence tests instead.
-  if (hot_apply_ && base_.nidb && base_.configs && !incr_.delta.empty()) {
+  // place instead of a full redeploy. Routers keep their identity and
+  // sessions; one reconvergence pass settles the applied actions.
+  // Excluded from the byte-equivalence contract — its deploy artifact is
+  // a synthesis, validated by the FIB-equivalence tests instead. Only
+  // this path reads the baseline's compile and render records.
+  if (hot_apply_ && !incr_.delta.empty()) {
     const incremental::HotApplyPlan hplan =
         incremental::plan_hot_apply(incr_.delta, options_.ospf.cost_attr);
+    std::optional<nidb::Nidb> base_nidb;
+    render::ConfigTree base_configs;
     if (hplan.applicable()) {
+      try {
+        base_nidb = nidb::Nidb::from_json(baseline_->artifact("compile"));
+        base_configs = configs_from_artifact(baseline_->artifact("render"));
+      } catch (const std::exception&) {
+        base_nidb.reset();
+        incr_.plan.explain.emplace_back(
+            "hot-apply not applicable: baseline build records unreadable: full "
+            "deploy");
+      }
+    } else {
+      incr_.plan.explain.emplace_back("hot-apply not applicable: full deploy");
+      for (const std::string& reason : hplan.unsupported) {
+        incr_.plan.explain.push_back("  " + reason);
+      }
+    }
+    if (base_nidb) {
       begin_phase("deploy");
-      timed("deploy", [this, &hplan]() {
+      timed("deploy", [this, &hplan, &base_nidb, &base_configs]() {
         host_ = std::make_unique<deploy::EmulationHost>("localhost");
-        host_->receive(deploy::pack(*base_.configs));
+        host_->receive(deploy::pack(base_configs));
         host_->extract();
-        host_->start_network(*base_.nidb, host_->filesystem(), {}, nullptr);
+        host_->start_network(*base_nidb, host_->filesystem(), {}, nullptr);
         const incremental::HotApplyResult result =
             incremental::hot_apply(*host_->network(), hplan, 128, control_);
         deploy_result_ = {};
         deploy_result_.success =
             result.failed == 0 && result.convergence.converged;
-        for (const auto* rec : base_.nidb->devices()) {
+        for (const auto* rec : base_nidb->devices()) {
           deploy_result_.booted.push_back(rec->name);
         }
         deploy_result_.convergence = result.convergence;
@@ -943,10 +784,6 @@ Workflow& Workflow::deploy() {
       });
       save_phase("deploy");
       return *this;
-    }
-    incr_.plan.explain.push_back("hot-apply not applicable: full deploy");
-    for (const std::string& reason : hplan.unsupported) {
-      incr_.plan.explain.push_back("  " + reason);
     }
   }
   begin_phase("deploy");

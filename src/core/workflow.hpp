@@ -11,8 +11,10 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "anm/anm.hpp"
@@ -27,8 +29,6 @@
 #include "design/ip_allocation.hpp"
 #include "design/services.hpp"
 #include "incremental/delta.hpp"
-#include "incremental/plan.hpp"
-#include "incremental/snapshot.hpp"
 #include "measure/client.hpp"
 #include "measure/validate.hpp"
 #include "nidb/nidb.hpp"
@@ -84,21 +84,29 @@ class LintError : public std::runtime_error {
 };
 
 /// What an incremental run did: its mode, the input delta against the
-/// baseline, the recompute plan, and per-phase reuse tallies. mode is
-/// "cold" (no usable baseline), "warm" (input unchanged — every phase
-/// restores), or "partial" (snapshot-planned minimal recompute).
+/// baseline, and the whole-phase device tallies. mode is "warm" (input
+/// and options unchanged: every phase restores), "partial" (same input,
+/// other deploy options: load..lint restore, deploy and measure run
+/// fresh), or "cold" (nothing restores from the baseline).
 struct IncrementalReport {
   bool enabled = false;
   std::string mode = "cold";
+  /// The input's changes against the baseline's load record, set at
+  /// design() when the baseline recorded another input under the same
+  /// build options.
   incremental::DeltaSet delta;
-  incremental::RecomputePlan plan;
-  std::size_t devices_reused_compile = 0;
-  std::size_t devices_reused_render = 0;
-  std::size_t lint_rules_reused = 0;
+  struct Plan {
+    /// Every device when the build phases restored (partial mode).
+    std::set<std::string> reused_devices;
+    /// Every device when an edited input rebuilt against a
+    /// build-matching baseline. Both sets stay empty otherwise.
+    std::set<std::string> dirty_devices;
+    /// One line per decision, for `autonet run --explain`.
+    std::vector<std::string> explain;
+  } plan;
   bool hot_applied = false;
 
-  /// The --explain rendering: mode, delta, then one line per plan
-  /// decision and reuse tally.
+  /// The --explain rendering: mode, delta, then the decision lines.
   [[nodiscard]] std::string to_text() const;
 };
 
@@ -180,13 +188,13 @@ class Workflow {
   /// Enables crash-consistent checkpointing into `dir`: each phase's
   /// state is snapshotted (write-temp + fsync + rename) as it completes,
   /// and phases already recorded there — by a previous, possibly killed
-  /// or cancelled, run over the same input and options — are restored
-  /// instead of re-executed. A restored prefix plus a freshly executed
-  /// suffix yields results byte-identical to an uninterrupted run (the
-  /// emulated network is rehydrated by replaying its deterministic
-  /// start). Obs counters: "ckpt.write" per snapshot,
-  /// "ckpt.phase_restored" per phase skipped, "ckpt.resume" once per
-  /// workflow that restored anything.
+  /// or cancelled, run over the same input and the options the phase
+  /// depends on — are restored instead of re-executed. A restored
+  /// prefix plus a freshly executed suffix yields results byte-identical
+  /// to an uninterrupted run (the emulated network is rehydrated by
+  /// replaying its deterministic start). Obs counters: "ckpt.write" per
+  /// snapshot, "ckpt.phase_restored" per phase skipped, "ckpt.resume"
+  /// once per workflow that restored anything.
   Workflow& checkpoint_to(const std::string& dir);
   /// The attached store; nullptr when checkpointing is off.
   [[nodiscard]] CheckpointStore* checkpoint_store() { return ckpt_.get(); }
@@ -196,16 +204,13 @@ class Workflow {
   }
 
   // --- Incremental pipeline ---------------------------------------------
-  /// Chains this run off a previous run's checkpoint directory. When the
-  /// input and options match the baseline exactly, every phase restores
-  /// from it ("warm"); when only the input differs and the baseline left
-  /// a snapshot.json, the delta engine diffs the two snapshots and
-  /// re-executes only dirty design rules, dirty devices (compile and
-  /// render), and NIDB-reading lint rules ("partial") — reused work is
-  /// rehydrated with telemetry parity, so results and run reports stay
-  /// byte-identical to a from-scratch run. Obs counters:
-  /// "delta.dirty_devices", "delta.reused", "incr.phase_reused",
-  /// "incr.hot_apply".
+  /// Chains this run off a previous run's checkpoint directory, which
+  /// supplies whole phases under the same rule as the own checkpoint:
+  /// every phase when the input and options match ("warm"), load..lint
+  /// when only the deploy options differ ("partial"). An edited input
+  /// runs cold; against a baseline with the same build options it
+  /// reports the input delta, which set_hot_apply() can apply. Obs
+  /// counters: "incr.phase_reused", "incr.hot_apply".
   Workflow& incremental_from(const std::string& baseline_dir);
   /// Opt-in: when the input delta maps entirely onto scoped emulation
   /// actions (link cost changes, link removals), deploy() boots the
@@ -274,17 +279,25 @@ class Workflow {
   void timed(const std::string& phase, F&& f);
 
   /// What the incremental_from() baseline contributes to this run:
-  /// nothing (cold), every phase (warm), or the snapshot-planned subset
-  /// (partial). IncrementalReport::mode is its name.
-  enum class ReuseMode { kCold, kWarm, kPartial };
+  /// nothing (cold), every phase (warm), or load..lint (partial).
+  /// kEdited is a cold run whose baseline recorded another input under
+  /// the same build options, so the input delta is reported.
+  /// IncrementalReport::mode is its name.
+  enum class ReuseMode { kCold, kWarm, kPartial, kEdited };
 
-  /// The one reuse decision, taken as load() starts: compares this run's
-  /// input hash and option signatures with the own checkpoint (resume
-  /// or discard) and with the baseline (warm, partial or cold).
+  /// The one restore rule: `store` supplies `phase` when it recorded
+  /// this run's input hash and the options slice the phase depends on
+  /// (options_matches).
+  [[nodiscard]] bool supplies(const CheckpointStore& store,
+                              std::string_view phase) const;
+  /// The build slice for load..lint, the full signature for deploy and
+  /// measure.
+  [[nodiscard]] bool options_matches(const CheckpointStore& store,
+                                     std::string_view phase) const;
+  /// Taken as load() starts: drops the own checkpoint's records the
+  /// rule rejects and stamps this run's meta, then names the baseline's
+  /// mode.
   void choose_reuse(const graph::Graph& input);
-  /// Decodes the baseline's snapshot and build-phase artifacts into
-  /// base_ for partial mode; returns why they are unusable, or "".
-  std::string load_baseline();
   bool try_restore(const std::string& phase);
   /// Canonical option text hashed into the signatures; the deploy knobs
   /// are separable because they affect no phase before deploy().
@@ -295,20 +308,10 @@ class Workflow {
   /// seed campaigns inject) differ — so incremental reuse of the build
   /// phases stays sound across a campaign's per-run seeds.
   [[nodiscard]] std::string build_signature() const;
-  [[nodiscard]] incremental::DesignSpec design_spec() const;
-  /// Lint-option slice of the options signature; part of snapshot.json.
-  [[nodiscard]] std::string lint_signature() const;
-  /// Copies a reused design rule's baseline overlay (and, for rr-auto,
-  /// the phy reflector attributes) instead of executing the rule.
-  /// Returns false — run the rule — when the plan or baseline cannot
-  /// vouch for it.
-  bool copy_design_rule(const std::string& name);
-  /// Persists snapshot.json next to the phase checkpoints once the rule
-  /// projections and device signatures for this run are both known.
-  void maybe_write_snapshot();
   /// Interruption path: drains the recorder's unsaved tail into
   /// flight.jsonl + run_report.partial.json next to the checkpoint
-  /// (no-op without a store; never throws).
+  /// (no-op without a store; never throws). save_phase() removes both
+  /// once a phase is next recorded fresh.
   void dump_flight_tail(const std::string& phase) noexcept;
   void restore_phase_state(const std::string& phase, const std::string& artifact);
   void begin_phase(const std::string& phase);
@@ -346,20 +349,6 @@ class Workflow {
   std::unique_ptr<CheckpointStore> baseline_;  // incremental_from() source
   ReuseMode reuse_ = ReuseMode::kCold;
   bool hot_apply_ = false;
-  /// The baseline as partial mode reads it (empty in other modes); a
-  /// phase the baseline never recorded stays unset.
-  struct BaselineState {
-    incremental::Snapshot snap;
-    std::optional<anm::AbstractNetworkModel> anm;
-    std::optional<nidb::Nidb> nidb;
-    std::optional<render::ConfigTree> configs;
-    std::optional<verify::Report> lint;
-  };
-  BaselineState base_;
-  /// This run's snapshot: rule projections (design), device signatures
-  /// (compile) and the data() hash (render); written with the checkpoint.
-  incremental::Snapshot cur_snap_;
-  bool incr_planned_lint_ = false;
   IncrementalReport incr_;
 };
 

@@ -48,10 +48,10 @@ struct RunnerOptions {
   std::string report_dir;
   /// Incremental campaigns (needs checkpoint_dir): the first matrix cell
   /// runs to completion first and every later cell chains off its
-  /// checkpoint directory through the delta engine, so per-axis sweeps
-  /// recompute only what each axis value actually dirties. Each run
-  /// journals delta.* metrics (dirty/reused devices, reuse ratio) that
-  /// `exp report` aggregates per axis.
+  /// checkpoint directory, so cells that differ only in deploy options
+  /// (such as their per-run backoff seed) restore every build phase.
+  /// Each run journals delta.* metrics (dirty/reused devices, reuse
+  /// ratio) that `exp report` aggregates per axis.
   bool incremental = false;
   /// Campaign-wide supervision (non-owning): cancellation and the run
   /// deadline are observed by every worker between runs and by the
@@ -101,8 +101,8 @@ class CampaignRunner {
   /// A non-empty `report_path` writes the run's run_report.json there
   /// (best-effort; a report write failure never fails the run).
   /// A non-empty `baseline_dir` chains the run off that checkpoint
-  /// directory through the incremental delta engine and journals the
-  /// resulting delta.* metrics.
+  /// directory (Workflow::incremental_from) and journals the resulting
+  /// delta.* metrics.
   [[nodiscard]] static RunResult execute_run(const RunSpec& run,
                                              const CampaignSpec& spec,
                                              obs::Registry* run_registry = nullptr,

@@ -116,8 +116,9 @@ OracleResult run_incr_equivalence(const Scenario& s) {
 
   ScratchDir base("incr", s.seed);
 
-  // Baseline build, checkpointed (produces snapshot.json for the delta
-  // engine).
+  // Baseline build, checkpointed: the incremental build below finds
+  // another input under the same build options, reports the delta from
+  // this load record and rebuilds cold.
   {
     auto registry = virtual_registry();
     obs::RegistryScope scope(*registry);

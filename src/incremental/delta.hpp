@@ -1,6 +1,6 @@
-// Typed diffs between two attribute graphs: the unit of work the
-// incremental pipeline plans around. `autonet diff <a> <b>` prints one,
-// and hot-apply (hot_apply.hpp) maps one onto a running emulation.
+// Typed diffs between two attribute graphs: what an incremental run
+// reports against its baseline. `autonet diff <a> <b>` prints one, and
+// hot-apply (hot_apply.hpp) maps one onto a running emulation.
 #pragma once
 
 #include <string>

@@ -8,87 +8,10 @@
 #include "obs/recorder.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
-#include "templates/detail.hpp"
 
 namespace autonet::render {
 
 namespace fs = std::filesystem;
-
-namespace {
-
-// Does any expression in the template reference the network-wide `data`
-// tree? A `% for data in ...` loop shadows the name inside its body.
-bool expr_uses_data(const templates::detail::Expr& e, bool shadowed);
-bool nodes_use_data(const std::vector<templates::detail::TemplateNode>& nodes,
-                    bool shadowed);
-
-bool expr_uses_data(const templates::detail::Expr& e, bool shadowed) {
-  using namespace templates::detail;
-  return std::visit(
-      [shadowed](const auto& n) -> bool {
-        using T = std::decay_t<decltype(n)>;
-        if constexpr (std::is_same_v<T, Expr::Literal>) {
-          return false;
-        } else if constexpr (std::is_same_v<T, Expr::Path>) {
-          if (shadowed) return false;
-          return n.dotted == "data" || n.dotted.starts_with("data.");
-        } else if constexpr (std::is_same_v<T, Expr::Unary>) {
-          return expr_uses_data(*n.operand, shadowed);
-        } else if constexpr (std::is_same_v<T, Expr::Binary>) {
-          return expr_uses_data(*n.lhs, shadowed) ||
-                 expr_uses_data(*n.rhs, shadowed);
-        } else {  // FilterCall
-          if (expr_uses_data(*n.input, shadowed)) return true;
-          for (const Expr& arg : n.args) {
-            if (expr_uses_data(arg, shadowed)) return true;
-          }
-          return false;
-        }
-      },
-      e.node);
-}
-
-bool nodes_use_data(const std::vector<templates::detail::TemplateNode>& nodes,
-                    bool shadowed) {
-  using namespace templates::detail;
-  for (const TemplateNode& node : nodes) {
-    bool hit = std::visit(
-        [shadowed](const auto& n) -> bool {
-          using T = std::decay_t<decltype(n)>;
-          if constexpr (std::is_same_v<T, TextNode>) {
-            return false;
-          } else if constexpr (std::is_same_v<T, OutputNode>) {
-            return expr_uses_data(n.expr, shadowed);
-          } else if constexpr (std::is_same_v<T, ForNode>) {
-            if (expr_uses_data(n.collection, shadowed)) return true;
-            return nodes_use_data(n.body, shadowed || n.var == "data");
-          } else {  // IfNode
-            for (const IfBranch& b : n.branches) {
-              if (b.condition != nullptr &&
-                  expr_uses_data(*b.condition, shadowed)) {
-                return true;
-              }
-              if (nodes_use_data(b.body, shadowed)) return true;
-            }
-            return false;
-          }
-        },
-        node.node);
-    if (hit) return true;
-  }
-  return false;
-}
-
-bool base_uses_data(const TemplateStore& store, const std::string& base) {
-  for (const TemplateStore::Entry& entry : store.entries(base)) {
-    if (entry.is_template && nodes_use_data(entry.tmpl.nodes(), false)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
 
 void TemplateStore::add(std::string_view base, std::string_view path,
                         std::string_view text) {
@@ -152,14 +75,12 @@ const TemplateStore& TemplateStore::builtins() {
 }
 
 ConfigTree render_configs(const nidb::Nidb& nidb, const TemplateStore& store,
-                          core::RunControl* control, const RenderReuse* reuse) {
+                          core::RunControl* control) {
   ConfigTree tree;
   obs::Registry& obs = obs::Registry::current();
   obs::Counter& templates_rendered = obs.counter("render.templates_rendered");
   obs::Counter& static_copied = obs.counter("render.static_files_copied");
   obs::Counter& devices_rendered = obs.counter("render.devices");
-  // Reuse soundness is decided per template set; memoise the AST walk.
-  std::map<std::string, bool> data_refs;
 
   // Per-device rendering.
   for (const auto* rec : nidb.devices()) {
@@ -172,46 +93,21 @@ ConfigTree render_configs(const nidb::Nidb& nidb, const TemplateStore& store,
                                "' (device " + rec->name + ")");
     }
 
-    bool reuse_ok = reuse != nullptr && reuse->baseline != nullptr &&
-                    reuse->devices != nullptr &&
-                    reuse->devices->contains(rec->name);
-    if (reuse_ok && reuse->data_changed) {
-      auto [it, inserted] = data_refs.try_emplace(base, false);
-      if (inserted) it->second = base_uses_data(store, base);
-      if (it->second) reuse_ok = false;
-    }
-    if (reuse_ok) {
-      for (const auto& entry : store.entries(base)) {
-        const std::string path = dst.empty() ? entry.path : dst + "/" + entry.path;
-        if (reuse->baseline->get(path) == nullptr) {
-          reuse_ok = false;  // baseline tree drifted; render fresh
-          break;
-        }
-      }
-    }
-
-    // Reused and fresh devices emit the same span/record sequence, so an
-    // incremental run's report stays byte-identical to a cold one.
     obs::Span span(obs, "render.device");
     span.arg("device", rec->name);
     devices_rendered.inc();
     templates::Context ctx;
-    if (!reuse_ok) {
-      ctx.set("node", rec->data);
-      ctx.set("data", nidb.data());
-    }
+    ctx.set("node", rec->data);
+    ctx.set("data", nidb.data());
     std::size_t files = 0;
     for (const auto& entry : store.entries(base)) {
       const std::string path = dst.empty() ? entry.path : dst + "/" + entry.path;
       std::string out =
-          reuse_ok ? *reuse->baseline->get(path)
-                   : (entry.is_template ? entry.tmpl.render(ctx)
-                                        : entry.static_content);
+          entry.is_template ? entry.tmpl.render(ctx) : entry.static_content;
       (entry.is_template ? templates_rendered : static_copied).inc();
       tree.put(path, std::move(out));
       ++files;
     }
-    if (reuse_ok && reuse->reused_out != nullptr) ++*reuse->reused_out;
     obs::record("render", "device",
                 {{"device", rec->name},
                  {"base", base},

@@ -6,7 +6,6 @@
 
 #include <cstddef>
 #include <map>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -61,33 +60,16 @@ struct RenderStats {
   std::size_t bytes = 0;
 };
 
-/// Incremental-render directive: devices listed in `devices` copy their
-/// rendered files from `baseline` instead of re-running their templates.
-/// A device whose template set references the network-wide `data` tree
-/// renders fresh anyway when `data_changed` is set — per-record reuse
-/// is only sound for templates that read nothing but `node`. Platform
-/// artefacts always render fresh.
-struct RenderReuse {
-  const ConfigTree* baseline = nullptr;
-  const std::set<std::string>* devices = nullptr;
-  bool data_changed = false;
-  /// Incremented once per device actually reused (optional).
-  std::size_t* reused_out = nullptr;
-};
-
 /// Renders the whole NIDB. Device records render under their
 /// `render.base_dst_folder`; platform templates render at the root.
 /// The context exposes `node` (device record), `data` (network data),
 /// and for platform templates `devices` (array of all records). An
 /// optional RunControl is polled per device, so cancellation interrupts
-/// a long render within one device's worth of work. `reuse`, when
-/// given, copies unchanged devices' files from a baseline tree
-/// (incremental pipeline).
+/// a long render within one device's worth of work.
 [[nodiscard]] ConfigTree render_configs(const nidb::Nidb& nidb,
                                         const TemplateStore& store =
                                             TemplateStore::builtins(),
-                                        core::RunControl* control = nullptr,
-                                        const RenderReuse* reuse = nullptr);
+                                        core::RunControl* control = nullptr);
 
 [[nodiscard]] RenderStats stats_of(const nidb::Nidb& nidb, const ConfigTree& tree);
 

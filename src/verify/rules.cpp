@@ -6,7 +6,6 @@
 #include <fstream>
 #include <future>
 #include <optional>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -162,8 +161,7 @@ LintOptions LintOptions::load_config_file(const std::string& path) {
 }
 
 Report run_lint(const LintInput& input, const LintOptions& options,
-                const RuleRegistry& registry, core::RunControl* control,
-                const LintReuse* reuse) {
+                const RuleRegistry& registry, core::RunControl* control) {
   Report report;
   std::optional<detail::NidbIndex> index;
   std::optional<analysis::Workspace> workspace;
@@ -193,20 +191,11 @@ Report run_lint(const LintInput& input, const LintOptions& options,
     std::future<void> finished;
   };
   std::vector<Task> tasks;
-  std::set<const Rule*> replayed;
   for (const Rule& rule : registry.rules()) {
     if (!options.rule_enabled(rule.info.id)) continue;
     if (rule.needs_nidb && input.nidb == nullptr) continue;
     if (rule.needs_templates && input.templates == nullptr &&
         input.template_files.empty()) {
-      continue;
-    }
-    // Template-family rules see only the template sets; when the caller
-    // vouches those are unchanged, the baseline's findings are this
-    // run's findings (incremental pipeline).
-    if (reuse != nullptr && reuse->baseline != nullptr &&
-        rule.needs_templates && !rule.needs_nidb) {
-      replayed.insert(&rule);
       continue;
     }
     Task task;
@@ -257,33 +246,6 @@ Report run_lint(const LintInput& input, const LintOptions& options,
   std::size_t next_task = 0;
   for (const Rule& rule : registry.rules()) {
     core::checkpoint(control, "lint." + rule.info.id);
-    if (replayed.contains(&rule)) {
-      // Replay with the exact telemetry shape of a fresh run: same span,
-      // same counters, same flight-recorder record.
-      obs::Span span(obs, "lint." + rule.info.id);
-      std::vector<Finding> hydrated;
-      for (const Finding& f : reuse->baseline->findings) {
-        if (f.code == rule.info.id) hydrated.push_back(f);
-      }
-      span.arg("findings", std::to_string(hydrated.size()));
-      scope.counter("rules_run").inc();
-      const Severity sev = options.severity_for(rule.info);
-      obs::Severity verdict = obs::Severity::kInfo;
-      if (!hydrated.empty()) {
-        scope.counter("findings").inc(hydrated.size());
-        scope.counter(sev == Severity::kError ? "errors" : "warnings")
-            .inc(hydrated.size());
-        verdict = sev == Severity::kError ? obs::Severity::kError
-                                          : obs::Severity::kWarning;
-      }
-      obs::record("lint", verdict, rule.info.id,
-                  {{"findings", std::to_string(hydrated.size())}});
-      for (Finding& finding : hydrated) {
-        report.findings.push_back(std::move(finding));
-      }
-      if (reuse->reused_out != nullptr) ++*reuse->reused_out;
-      continue;
-    }
     if (next_task >= tasks.size() || tasks[next_task].rule != &rule) continue;
     Task& task = tasks[next_task++];
     obs::Span span(obs, "lint." + rule.info.id);

@@ -157,18 +157,6 @@ struct LintOptions {
   [[nodiscard]] static LintOptions load_config_file(const std::string& path);
 };
 
-/// Incremental-lint directive: template-family rules (those that read
-/// only the template sets, never the NIDB) replay their findings from
-/// `baseline` instead of re-running. The caller asserts the template
-/// sets are unchanged from the baseline run — run_lint does not check.
-/// Replayed rules emit the same span/record/counter telemetry a fresh
-/// run would, so reports stay byte-deterministic.
-struct LintReuse {
-  const Report* baseline = nullptr;
-  /// Incremented once per rule actually replayed (optional).
-  std::size_t* reused_out = nullptr;
-};
-
 /// Runs every enabled applicable rule and returns a finalized Report.
 /// Rule bodies execute on a worker pool (LintOptions::jobs); findings,
 /// spans, counters and flight-recorder events are merged on the calling
@@ -177,12 +165,9 @@ struct LintReuse {
 /// "lint.<rule-id>" span per rule plus lint.* counters in
 /// obs::Registry::current(). An optional RunControl is polled before
 /// each rule, so cancellation interrupts a lint within one rule's work.
-/// `reuse`, when given, replays template-family rule findings from a
-/// baseline report (incremental pipeline).
 [[nodiscard]] Report run_lint(const LintInput& input, const LintOptions& options = {},
                               const RuleRegistry& registry = RuleRegistry::builtin(),
-                              core::RunControl* control = nullptr,
-                              const LintReuse* reuse = nullptr);
+                              core::RunControl* control = nullptr);
 
 /// SARIF 2.1.0 export of a finalized report, with rule metadata from the
 /// registry (consumed by CI annotation tooling).

@@ -1,11 +1,11 @@
 // The incremental pipeline's contract, bottom to top: typed graph
-// diffs, snapshot round-trips, dirty propagation in the recompute
-// planner, the hot-apply action table — and, at the workflow level, the
+// diffs, the hot-apply action table — and, at the workflow level, the
 // byte-identity guarantee: a warm re-run restores every phase with zero
-// recompute work, and a partial run over a seeded single-attribute edit
-// produces design/compile/render/lint artifacts, SARIF, and a
-// run_report.json byte-identical to a from-scratch run of the edited
-// topology while recompiling only the touched devices.
+// recompute work, and a run over a seeded single-attribute edit reports
+// the delta, rebuilds cold and produces design/compile/render/lint
+// artifacts, SARIF, and a run_report.json byte-identical to a
+// from-scratch run of the edited topology, whatever else the baseline
+// directory holds.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -13,15 +13,15 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "core/cancel.hpp"
 #include "core/workflow.hpp"
 #include "experiment/runner.hpp"
 #include "graph/graph.hpp"
 #include "incremental/delta.hpp"
 #include "incremental/hot_apply.hpp"
-#include "incremental/plan.hpp"
-#include "incremental/snapshot.hpp"
 #include "obs/registry.hpp"
 #include "report/run_report.hpp"
 #include "topology/builtin.hpp"
@@ -148,111 +148,6 @@ TEST(DiffGraphs, TypedDeltasComeOutInDeterministicOrder) {
   EXPECT_EQ(first.to_text(), second.to_text());
 }
 
-// --- Snapshot -------------------------------------------------------------
-
-TEST(Snapshot, JsonRoundTripPreservesEveryField) {
-  incremental::Snapshot snap;
-  snap.lint_sig = "67890";
-  snap.data_hash = 42;
-  snap.global_digest = 7;
-  snap.rule_hashes = {{"ospf", 1}, {"ip", 2}};
-  snap.device_sigs = {{"r1", 3}, {"r2", 4}};
-  snap.template_hashes = {{"netkit", 5}};
-
-  const auto back = incremental::Snapshot::from_json(snap.to_json());
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->lint_sig, snap.lint_sig);
-  EXPECT_EQ(back->data_hash, snap.data_hash);
-  EXPECT_EQ(back->global_digest, snap.global_digest);
-  EXPECT_EQ(back->rule_hashes, snap.rule_hashes);
-  EXPECT_EQ(back->device_sigs, snap.device_sigs);
-  EXPECT_EQ(back->template_hashes, snap.template_hashes);
-  // Serialization is deterministic.
-  EXPECT_EQ(back->to_json(), snap.to_json());
-
-  EXPECT_FALSE(incremental::Snapshot::from_json("not json").has_value());
-}
-
-// --- Recompute planning ---------------------------------------------------
-
-TEST(Plan, DesignDirtPropagatesAlongRuleDependencies) {
-  incremental::Snapshot base;
-  base.rule_hashes = {{"ospf", 1}, {"ebgp", 2}, {"ibgp", 3}, {"ip", 4},
-                      {"dns", 5}};
-  auto current = base.rule_hashes;
-  current["ip"] = 40;  // only ip's projection changed
-  const std::vector<std::string> order = {"ospf", "ebgp", "ibgp", "ip", "dns"};
-
-  incremental::RecomputePlan plan;
-  incremental::plan_design(base, current, order, plan);
-  EXPECT_EQ(plan.reused_rules,
-            (std::vector<std::string>{"ospf", "ebgp", "ibgp"}));
-  // dns reads the ip overlay, so an ip change dirties it transitively.
-  EXPECT_EQ(plan.dirty_rules, (std::vector<std::string>{"ip", "dns"}));
-  EXPECT_TRUE(plan.rule_reused("ospf"));
-  EXPECT_FALSE(plan.rule_reused("dns"));
-
-  // A rule absent from the baseline snapshot is dirty by definition.
-  incremental::RecomputePlan plan2;
-  incremental::Snapshot partial_base;
-  partial_base.rule_hashes = {{"ospf", 1}};
-  incremental::plan_design(partial_base, current, order, plan2);
-  EXPECT_FALSE(plan2.rule_reused("ebgp"));
-}
-
-TEST(Plan, DeviceSignatureMismatchDirtiesOnlyThatDevice) {
-  incremental::Snapshot base;
-  base.device_sigs = {{"r1", 1}, {"r2", 2}, {"r3", 3}};
-  base.global_digest = 9;
-
-  incremental::DeviceSignatures cur;
-  cur.sigs = {{"r1", 1}, {"r2", 22}, {"r3", 3}};
-  cur.global_digest = 9;
-
-  incremental::RecomputePlan plan;
-  incremental::plan_devices(base, cur, plan);
-  EXPECT_EQ(plan.dirty_devices, (std::set<std::string>{"r2"}));
-  EXPECT_EQ(plan.reused_devices, (std::set<std::string>{"r1", "r3"}));
-
-  // A new device (absent from the baseline) is dirty.
-  cur.sigs["r4"] = 44;
-  incremental::RecomputePlan plan2;
-  incremental::plan_devices(base, cur, plan2);
-  EXPECT_TRUE(plan2.dirty_devices.contains("r4"));
-}
-
-TEST(Plan, GlobalDigestMismatchDirtiesEveryDevice) {
-  incremental::Snapshot base;
-  base.device_sigs = {{"r1", 1}, {"r2", 2}};
-  base.global_digest = 9;
-  incremental::DeviceSignatures cur;
-  cur.sigs = base.device_sigs;
-  cur.global_digest = 10;  // overlay data / services / platform changed
-
-  incremental::RecomputePlan plan;
-  incremental::plan_devices(base, cur, plan);
-  EXPECT_TRUE(plan.reused_devices.empty());
-  EXPECT_EQ(plan.dirty_devices, (std::set<std::string>{"r1", "r2"}));
-}
-
-TEST(Plan, LintReuseRequiresMatchingOptionsAndTemplates) {
-  incremental::Snapshot base;
-  base.lint_sig = "L1";
-  base.template_hashes = {{"netkit", 7}};
-
-  incremental::RecomputePlan plan;
-  incremental::plan_lint(base, "L1", {{"netkit", 7}}, plan);
-  EXPECT_TRUE(plan.lint_reusable);
-
-  incremental::RecomputePlan sig_differs;
-  incremental::plan_lint(base, "L2", {{"netkit", 7}}, sig_differs);
-  EXPECT_FALSE(sig_differs.lint_reusable);
-
-  incremental::RecomputePlan templates_differ;
-  incremental::plan_lint(base, "L1", {{"netkit", 8}}, templates_differ);
-  EXPECT_FALSE(templates_differ.lint_reusable);
-}
-
 // --- Hot-apply planning ---------------------------------------------------
 
 TEST(HotApplyPlan, ActionTableMapsScopedDeltasAndRejectsTheRest) {
@@ -291,64 +186,6 @@ TEST(HotApplyPlan, ActionTableMapsScopedDeltasAndRejectsTheRest) {
   EXPECT_FALSE(incremental::plan_hot_apply({}, "ospf_cost").applicable());
 }
 
-// --- Snapshot projections over real designs -------------------------------
-
-TEST(Projections, CostEditPerturbsOnlyTheOspfRule) {
-  obs::Registry registry(std::make_unique<obs::VirtualClock>(1));
-  obs::RegistryScope scope(registry);
-  const incremental::DesignSpec spec;  // defaults match WorkflowOptions{}
-
-  core::Workflow before;
-  before.use_telemetry(&registry);
-  before.load(topology::figure5());
-  const auto p1 = incremental::rule_projections(before.anm(), spec);
-
-  graph::Graph edited = topology::figure5();
-  set_cost(edited, "r1", "r3", 10);
-  core::Workflow after;
-  after.use_telemetry(&registry);
-  after.load(edited);
-  const auto p2 = incremental::rule_projections(after.anm(), spec);
-
-  ASSERT_TRUE(p1.contains("ospf") && p2.contains("ospf"));
-  EXPECT_NE(p1.at("ospf"), p2.at("ospf"));
-  EXPECT_EQ(p1.at("ebgp"), p2.at("ebgp"));
-  EXPECT_EQ(p1.at("ibgp"), p2.at("ibgp"));
-  EXPECT_EQ(p1.at("ip"), p2.at("ip"));
-}
-
-TEST(Projections, DeviceSignaturesDirtyOnlyTheEditedNeighborhood) {
-  obs::Registry registry(std::make_unique<obs::VirtualClock>(1));
-  obs::RegistryScope scope(registry);
-
-  core::Workflow before;
-  before.use_telemetry(&registry);
-  before.load(topology::figure5()).design();
-  const auto s1 = incremental::device_signatures(before.anm(), "netkit");
-
-  core::Workflow again;
-  again.use_telemetry(&registry);
-  again.load(topology::figure5()).design();
-  const auto s1b = incremental::device_signatures(again.anm(), "netkit");
-  EXPECT_EQ(s1.sigs, s1b.sigs);  // deterministic
-  EXPECT_EQ(s1.global_digest, s1b.global_digest);
-  EXPECT_EQ(s1.sigs.size(), 5u);
-
-  graph::Graph edited = topology::figure5();
-  set_cost(edited, "r1", "r3", 10);
-  core::Workflow after;
-  after.use_telemetry(&registry);
-  after.load(edited).design();
-  const auto s2 = incremental::device_signatures(after.anm(), "netkit");
-
-  EXPECT_EQ(s1.global_digest, s2.global_digest);
-  std::set<std::string> changed;
-  for (const auto& [device, sig] : s2.sigs) {
-    if (s1.sigs.at(device) != sig) changed.insert(device);
-  }
-  EXPECT_EQ(changed, (std::set<std::string>{"r1", "r3"}));
-}
-
 // --- Workflow: warm no-op -------------------------------------------------
 
 TEST(IncrementalWorkflow, WarmNoopRestoresEveryPhaseWithZeroWork) {
@@ -365,7 +202,6 @@ TEST(IncrementalWorkflow, WarmNoopRestoresEveryPhaseWithZeroWork) {
     wf.run(g);
     wf.measure();
     baseline_report = report::run_report_json(wf);
-    EXPECT_TRUE(fs::exists(base + "/snapshot.json"));
   }
   {
     obs::Registry registry(std::make_unique<obs::VirtualClock>(1));
@@ -393,7 +229,7 @@ TEST(IncrementalWorkflow, WarmNoopRestoresEveryPhaseWithZeroWork) {
   fs::remove_all(base);
 }
 
-// --- Workflow: partial byte-equivalence -----------------------------------
+// --- Workflow: edited inputs are byte-identical to scratch ----------------
 
 // Runs the full pipeline (+measure) over `g` with a checkpoint at `dir`,
 // chaining off `baseline` when non-empty; returns the run report.
@@ -401,8 +237,6 @@ struct PipelineResult {
   std::string report;
   std::string sarif;
   core::IncrementalReport incr;
-  std::uint64_t delta_dirty = 0;
-  std::uint64_t delta_reused = 0;
 };
 
 PipelineResult run_pipeline(const graph::Graph& g, const std::string& dir,
@@ -420,8 +254,6 @@ PipelineResult run_pipeline(const graph::Graph& g, const std::string& dir,
   result.report = report::run_report_json(wf);
   result.sarif = verify::to_sarif(wf.lint_report());
   result.incr = wf.incremental_report();
-  result.delta_dirty = counter_value(registry, "delta.dirty_devices");
-  result.delta_reused = counter_value(registry, "delta.reused");
   return result;
 }
 
@@ -448,21 +280,12 @@ TEST(IncrementalWorkflow, CostEditOnSmallInternetIsByteIdenticalToScratch) {
   const PipelineResult from_scratch = run_pipeline(edited, scratch);
   const PipelineResult incremental = run_pipeline(edited, part, base);
 
-  EXPECT_EQ(incremental.incr.mode, "partial");
+  // The edited input rebuilds cold: the delta is reported, and every
+  // device is dirty.
+  EXPECT_EQ(incremental.incr.mode, "cold");
   EXPECT_EQ(incremental.incr.delta.size(), 1u);
-  // Only the two touched devices recompile; everyone else is reused.
-  EXPECT_EQ(incremental.incr.plan.dirty_devices,
-            (std::set<std::string>{"as300r1", "as300r3"}));
-  EXPECT_EQ(incremental.incr.devices_reused_compile, 12u);
-  EXPECT_EQ(incremental.incr.devices_reused_render, 12u);
-  EXPECT_GE(incremental.incr.lint_rules_reused, 1u);
-  EXPECT_EQ(incremental.delta_dirty, 2u);
-  EXPECT_EQ(incremental.delta_reused, 12u);
-  // The ospf rule re-ran; the bgp and addressing rules were copied.
-  EXPECT_FALSE(incremental.incr.plan.rule_reused("ospf"));
-  EXPECT_TRUE(incremental.incr.plan.rule_reused("ebgp"));
-  EXPECT_TRUE(incremental.incr.plan.rule_reused("ibgp"));
-  EXPECT_TRUE(incremental.incr.plan.rule_reused("ip"));
+  EXPECT_EQ(incremental.incr.plan.dirty_devices.size(), g.node_count());
+  EXPECT_TRUE(incremental.incr.plan.reused_devices.empty());
 
   // Byte-identity: reports, SARIF, and every phase artifact.
   EXPECT_EQ(incremental.report, from_scratch.report);
@@ -487,13 +310,10 @@ TEST(IncrementalWorkflow, NodeAttrEditOnSmallInternetIsByteIdentical) {
   const PipelineResult from_scratch = run_pipeline(edited, scratch);
   const PipelineResult incremental = run_pipeline(edited, part, base);
 
-  EXPECT_EQ(incremental.incr.mode, "partial");
+  EXPECT_EQ(incremental.incr.mode, "cold");
   EXPECT_EQ(incremental.incr.delta.size(), 1u);
-  // A node attribute dirties that device and its direct neighbors
-  // (their signatures include the neighbor's attributes), nobody else.
-  EXPECT_EQ(incremental.incr.plan.dirty_devices,
-            (std::set<std::string>{"as100r1", "as100r2", "as100r3"}));
-  EXPECT_EQ(incremental.incr.devices_reused_compile, 11u);
+  EXPECT_EQ(incremental.incr.plan.dirty_devices.size(), g.node_count());
+  EXPECT_TRUE(incremental.incr.plan.reused_devices.empty());
   EXPECT_EQ(incremental.report, from_scratch.report);
   EXPECT_EQ(incremental.sarif, from_scratch.sarif);
   expect_identical_artifacts(part, scratch);
@@ -519,10 +339,10 @@ TEST(IncrementalWorkflow, CostEditOnNrenModelIsByteIdenticalToScratch) {
   const PipelineResult from_scratch = run_pipeline(edited, scratch);
   const PipelineResult incremental = run_pipeline(edited, part, base);
 
-  EXPECT_EQ(incremental.incr.mode, "partial");
+  EXPECT_EQ(incremental.incr.mode, "cold");
   EXPECT_EQ(incremental.incr.delta.size(), 1u);
-  EXPECT_EQ(incremental.incr.plan.dirty_devices.size(), 2u);
-  EXPECT_EQ(incremental.incr.devices_reused_compile, g.node_count() - 2);
+  EXPECT_EQ(incremental.incr.plan.dirty_devices.size(), g.node_count());
+  EXPECT_TRUE(incremental.incr.plan.reused_devices.empty());
   EXPECT_EQ(incremental.report, from_scratch.report);
   EXPECT_EQ(incremental.sarif, from_scratch.sarif);
   expect_identical_artifacts(part, scratch);
@@ -530,6 +350,71 @@ TEST(IncrementalWorkflow, CostEditOnNrenModelIsByteIdenticalToScratch) {
   fs::remove_all(base);
   fs::remove_all(part);
   fs::remove_all(scratch);
+}
+
+// A run that reuses a checkpoint directory and stops before render
+// leaves that directory's older files behind. Whatever they are, an
+// incremental run chained off it must still match a scratch build.
+TEST(IncrementalWorkflow, InterruptedRebuildInTheBaselineCannotLeakIntoAChainedRun) {
+  const std::string dir = temp_dir("autonet_incr_stale_base");
+  const graph::Graph x = topology::small_internet();
+  graph::Graph y = topology::small_internet();
+  set_cost(y, "as20r1", "as20r2", 77);
+
+  auto build = [](core::Workflow& wf, const graph::Graph& g) {
+    wf.load(g).design().compile().render().lint();
+  };
+  {
+    obs::Registry registry(std::make_unique<obs::VirtualClock>(1));
+    obs::RegistryScope scope(registry);
+    core::Workflow wf;
+    wf.use_telemetry(&registry);
+    wf.checkpoint_to(dir);
+    build(wf, x);
+  }
+  {
+    // Y into the same directory, cancelled as render starts: load,
+    // design and compile now describe Y.
+    obs::Registry registry(std::make_unique<obs::VirtualClock>(1));
+    obs::RegistryScope scope(registry);
+    core::RunControl control;
+    control.trip_hook = [](std::string_view at) { return at == "phase.render"; };
+    core::Workflow wf;
+    wf.use_telemetry(&registry);
+    wf.use_control(&control);
+    wf.checkpoint_to(dir);
+    EXPECT_THROW(build(wf, y), core::Cancelled);
+  }
+
+  obs::Registry scratch_registry(std::make_unique<obs::VirtualClock>(1));
+  core::Workflow scratch;
+  scratch.use_telemetry(&scratch_registry);
+  {
+    obs::RegistryScope scope(scratch_registry);
+    build(scratch, x);
+  }
+  obs::Registry registry(std::make_unique<obs::VirtualClock>(1));
+  core::Workflow chained;
+  chained.use_telemetry(&registry);
+  {
+    obs::RegistryScope scope(registry);
+    chained.incremental_from(dir);
+    build(chained, x);
+  }
+
+  EXPECT_EQ(chained.incremental_report().mode, "cold");
+  EXPECT_EQ(chained.incremental_report().delta.size(), 1u);
+  EXPECT_TRUE(chained.restored_phases().empty());
+  EXPECT_EQ(chained.nidb().to_json(), scratch.nidb().to_json());
+  std::vector<std::string> differing;
+  for (const auto& [path, content] : scratch.configs()) {
+    const std::string* built = chained.configs().get(path);
+    if (built == nullptr || *built != content) differing.push_back(path);
+  }
+  EXPECT_EQ(differing, std::vector<std::string>{});
+  EXPECT_EQ(chained.configs().file_count(), scratch.configs().file_count());
+  EXPECT_EQ(chained.lint_report().to_json(), scratch.lint_report().to_json());
+  fs::remove_all(dir);
 }
 
 // --- Workflow: hot-apply --------------------------------------------------

@@ -2,8 +2,8 @@
 // order, overflow accounting, replay injection), phase-relative
 // timestamps, JSONL round-trip stability, span lifetime guards, report
 // determinism (same seed -> byte-identical run_report.json, resumed ==
-// uninterrupted), report diffing, and the journal's derived resume
-// provenance.
+// uninterrupted, post-mortem removed once a resume records a phase),
+// report diffing, and the journal's derived resume provenance.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -464,6 +464,42 @@ TEST(RunReportResume, KillMidDeployDumpsTailAndResumesByteIdentical) {
         nidb::parse_json(reference), nidb::parse_json(resumed));
     EXPECT_TRUE(diff.empty()) << diff.to_string();
   }
+  fs::remove_all(dir);
+}
+
+// The post-mortem describes an interruption. A resume that records a
+// phase fresh has moved past it, so the library removes both files for
+// every caller, not only `autonet run`.
+TEST(RunReportResume, ResumeThatRecordsAPhaseRemovesThePostMortem) {
+  const std::string dir = temp_dir("autonet_report_postmortem");
+  const graph::Graph input = topology::small_internet();
+  {
+    obs::Registry registry(std::make_unique<obs::VirtualClock>());
+    obs::RegistryScope scope(registry);
+    core::RunControl control;
+    control.trip_hook = [](std::string_view at) {
+      return at == "render.device.as100r1";
+    };
+    core::Workflow wf;
+    wf.use_telemetry(&registry);
+    wf.use_control(&control);
+    wf.checkpoint_to(dir);
+    EXPECT_THROW(wf.run(input), core::Cancelled);
+  }
+  ASSERT_TRUE(fs::exists(dir + "/flight.jsonl"));
+  ASSERT_TRUE(fs::exists(dir + "/run_report.partial.json"));
+
+  obs::Registry registry(std::make_unique<obs::VirtualClock>());
+  obs::RegistryScope scope(registry);
+  core::Workflow wf;
+  wf.use_telemetry(&registry);
+  wf.checkpoint_to(dir);
+  wf.run(input);
+  wf.measure();
+  EXPECT_EQ(wf.restored_phases(),
+            (std::vector<std::string>{"load", "design", "compile"}));
+  EXPECT_FALSE(fs::exists(dir + "/flight.jsonl"));
+  EXPECT_FALSE(fs::exists(dir + "/run_report.partial.json"));
   fs::remove_all(dir);
 }
 

@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "core/workflow.hpp"
 #include "topology/builtin.hpp"
@@ -47,63 +48,78 @@ TEST(Workflow, TimingsRecorded) {
   EXPECT_NE(t.to_string().find("render="), std::string::npos);
 }
 
-// Every cell of the reuse decision (docs/incremental.md): the own
+// Every cell of the one restore rule (docs/incremental.md): the own
 // checkpoint and the incremental_from() baseline, each against a run
-// with the same options (exact), other deploy knobs (build-only), or
-// other build options (other).
+// with the same input and options (exact), other deploy options, an
+// edited input under the same build options, or other build options.
 TEST(Workflow, ReuseDecisionCoversEveryStoreAndMatch) {
   namespace fs = std::filesystem;
   std::string root = (fs::temp_directory_path() / "autonet_reuse_XXXXXX").string();
   ASSERT_NE(mkdtemp(root.data()), nullptr);
   const graph::Graph input = topology::figure5();
+  graph::Graph edited = topology::figure5();
+  edited.set_edge_attr(edited.find_edge(edited.find_node("r1"), edited.find_node("r3")),
+                       "ospf_cost", 10);
+  const core::WorkflowOptions same;
   core::WorkflowOptions deploy_differs;
   deploy_differs.deploy.max_boot_attempts += 1;
   core::WorkflowOptions build_differs;
   build_differs.lint.fail_fast = false;
-  auto explains = [](const core::Workflow& wf, const std::string& reason) {
-    return wf.incremental_report().to_text().find(reason) != std::string::npos;
+  const std::vector<std::string> build_phases = {"load", "design", "compile",
+                                                 "render", "lint"};
+  std::vector<std::string> all_phases = build_phases;
+  all_phases.emplace_back("deploy");
+
+  struct Cell {
+    const char* name;
+    core::WorkflowOptions options;
+    const graph::Graph* input;
+    const char* mode;
+    std::vector<std::string> restores;  // the same from either store
+    const char* reason;
+  };
+  const std::vector<Cell> cells = {
+      {"exact", same, &input, "warm", all_phases,
+       "input unchanged: every phase restores"},
+      {"deploy", deploy_differs, &input, "partial", build_phases,
+       "deploy options differ: load..lint restore"},
+      {"edited", same, &edited, "cold", {}, "input changed: full recompute"},
+      {"other", build_differs, &input, "cold", {}, "baseline options differ"},
   };
 
   const std::string base = root + "/base";
-  core::Workflow(core::WorkflowOptions{}).checkpoint_to(base).run(input);
-  const std::string bare = root + "/bare";  // the baseline minus its snapshot
-  fs::copy(base, bare, fs::copy_options::recursive);
-  fs::remove(bare + "/snapshot.json");
+  core::Workflow(same).checkpoint_to(base).run(input);
 
-  core::Workflow warm;
-  warm.incremental_from(base).run(input);
-  EXPECT_EQ(warm.incremental_report().mode, "warm");
-  EXPECT_EQ(warm.restored_phases().size(), 6u);
+  for (const Cell& cell : cells) {
+    SCOPED_TRACE(cell.name);
+    // The baseline is read, never written.
+    core::Workflow chained(cell.options);
+    chained.incremental_from(base).run(*cell.input);
+    const core::IncrementalReport& incr = chained.incremental_report();
+    EXPECT_EQ(incr.mode, cell.mode);
+    EXPECT_EQ(chained.restored_phases(), cell.restores);
+    EXPECT_NE(incr.to_text().find(cell.reason), std::string::npos) << incr.to_text();
+    EXPECT_EQ(incr.delta.size(), cell.input == &edited ? 1u : 0u);
 
-  core::Workflow partial(deploy_differs);
-  partial.incremental_from(base).run(input);
-  EXPECT_EQ(partial.incremental_report().mode, "partial");
-  EXPECT_TRUE(explains(partial, "deploy options differ"));
-  EXPECT_TRUE(partial.restored_phases().empty());
-
-  core::Workflow no_snapshot(deploy_differs);
-  no_snapshot.incremental_from(bare).run(input);
-  EXPECT_EQ(no_snapshot.incremental_report().mode, "cold");
-  EXPECT_TRUE(explains(no_snapshot, "no usable snapshot.json"));
-
-  core::Workflow other(build_differs);
-  other.incremental_from(base).run(input);
-  EXPECT_EQ(other.incremental_report().mode, "cold");
-  EXPECT_TRUE(explains(other, "baseline options differ"));
-
-  core::Workflow resume;
-  resume.checkpoint_to(base).run(input);
-  EXPECT_EQ(resume.restored_phases().size(), 6u);
-  EXPECT_FALSE(resume.incremental_report().enabled);
-
-  // A mismatched own store is discarded: nothing restores, and the run
-  // records its own phases in place.
-  for (const core::WorkflowOptions& opts : {deploy_differs, build_differs}) {
-    core::Workflow discard(opts);
-    discard.checkpoint_to(bare).run(input);
-    EXPECT_TRUE(discard.restored_phases().empty());
-    EXPECT_EQ(discard.checkpoint_store()->meta("options"), discard.options_signature());
+    // The own store restores exactly what the baseline would, then
+    // holds only records its meta vouches for.
+    const std::string own = root + "/own_" + cell.name;
+    fs::copy(base, own, fs::copy_options::recursive);
+    core::Workflow resumed(cell.options);
+    resumed.checkpoint_to(own).run(*cell.input);
+    EXPECT_FALSE(resumed.incremental_report().enabled);
+    EXPECT_TRUE(resumed.incremental_report().plan.explain.empty());
+    EXPECT_EQ(resumed.restored_phases(), cell.restores);
+    EXPECT_EQ(resumed.checkpoint_store()->meta("options"), resumed.options_signature());
+    EXPECT_EQ(resumed.checkpoint_store()->meta("input_hash"), resumed.input_hash());
+    EXPECT_EQ(resumed.checkpoint_store()->phases().size(), all_phases.size());
   }
+
+  // The deploy record a deploy-options run left behind is not restored
+  // under the first options: load..lint restore, deploy runs fresh.
+  core::Workflow back(same);
+  back.checkpoint_to(root + "/own_deploy").run(input);
+  EXPECT_EQ(back.restored_phases(), build_phases);
   fs::remove_all(root);
 }
 

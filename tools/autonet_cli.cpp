@@ -758,8 +758,8 @@ int cmd_report(const Args& args) {
   return usage();
 }
 
-// `autonet diff`: the delta engine's front end — the typed input delta
-// between two topologies, exactly what an incremental run plans around.
+// `autonet diff`: the typed input delta between two topologies, exactly
+// what an incremental run reports against its baseline.
 // Deterministic output; exit 0 when identical, 1 when they differ.
 int cmd_diff(const Args& args) {
   if (args.positional.size() < 2) return usage();
@@ -821,8 +821,8 @@ int cmd_run(const Args& args) {
   if (!ckpt_dir.empty()) wf.checkpoint_to(ckpt_dir);
 
   // Incremental: chain off a previous run's checkpoint directory. The
-  // baseline is read-only; pair with --checkpoint DIR to leave a fresh
-  // snapshot for the next edit in the chain.
+  // baseline is read-only; pair with --checkpoint DIR to leave a
+  // directory the next run in the chain can use as its baseline.
   if (args.has("incremental") && !args.has("since")) {
     std::fprintf(stderr, "autonet run: --incremental needs --since DIR "
                          "(a previous run's --checkpoint directory)\n");
@@ -842,8 +842,8 @@ int cmd_run(const Args& args) {
     return code;
   };
 
-  // The run report lands next to the checkpoint (so interrupted runs'
-  // partial reports are replaced by the final one on completion) and at
+  // The run report lands next to the checkpoint (the library removes an
+  // interrupted run's post-mortem once a resume records a phase) and at
   // --report FILE when given. Byte-deterministic: a resumed run writes
   // the same bytes an uninterrupted one would.
   auto write_report = [&]() {
@@ -858,12 +858,6 @@ int cmd_run(const Args& args) {
         std::fprintf(stderr, "autonet run: cannot write %s: %s\n", path.c_str(),
                      e.what());
       }
-    }
-    if (!ckpt_dir.empty()) {
-      // The run finished: the interruption-path diagnostics are stale.
-      std::error_code ec;
-      std::filesystem::remove(ckpt_dir + "/run_report.partial.json", ec);
-      std::filesystem::remove(ckpt_dir + "/flight.jsonl", ec);
     }
   };
 
