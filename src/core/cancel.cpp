@@ -59,14 +59,14 @@ void CancellationToken::reset_sigint() {
 Deadline Deadline::after_ms(std::uint64_t budget_ms) {
   Deadline d;
   d.armed_ = true;
-  d.start_us_ = obs::Registry::current().now_us();
+  d.start_us_ = obs::Registry::current().peek_us();
   d.budget_us_ = budget_ms * 1000;
   return d;
 }
 
 std::uint64_t Deadline::elapsed_us() const {
   if (!armed_) return 0;
-  const std::uint64_t now = obs::Registry::current().now_us();
+  const std::uint64_t now = obs::Registry::current().peek_us();
   return now > start_us_ ? now - start_us_ : 0;
 }
 

@@ -12,6 +12,9 @@
 // Deadlines are virtual-clock aware: time is read through the current
 // obs::Registry clock, so a campaign run under a VirtualClock enforces
 // (and tests) deadlines deterministically without wall-clock leakage.
+// Arming and checking only peek at the clock (Clock::peek_us): a
+// deadline that never fires leaves every span duration, and so every
+// virtual-clock report, exactly as it is without one.
 #pragma once
 
 #include <atomic>
@@ -109,7 +112,7 @@ class Deadline {
   Deadline() = default;
 
   /// Arms a deadline `budget_ms` from now (now = the current registry's
-  /// clock reading at the call).
+  /// clock, peeked at the call).
   static Deadline after_ms(std::uint64_t budget_ms);
 
   [[nodiscard]] bool armed() const { return armed_; }

@@ -107,6 +107,39 @@ void append_line_durable(const std::string& path, std::string_view line) {
   ::close(fd);
 }
 
+// --- Journal ---------------------------------------------------------------
+
+void Journal::claim(std::string_view identity) {
+  if (path_.empty()) return;
+  std::ifstream in(path_, std::ios::binary);
+  std::string first;
+  if (in && std::getline(in, first) && first == identity) return;
+  write_file_atomic(path_, std::string(identity) + "\n");
+}
+
+std::vector<nidb::Value> Journal::records() const {
+  std::vector<nidb::Value> out;
+  std::ifstream in(path_, std::ios::binary);
+  std::string line;
+  for (bool first = true; std::getline(in, line); first = false) {
+    try {
+      nidb::Value record = nidb::parse_json(line);
+      if (first && record.find("campaign") != nullptr) continue;
+      out.push_back(std::move(record));
+    } catch (const std::runtime_error&) {
+      // Torn by a kill mid-append, or corrupt: the run it recorded is
+      // redone.
+    }
+  }
+  return out;
+}
+
+void Journal::append(std::string_view line) {
+  if (path_.empty()) return;
+  std::lock_guard lock(mutex_);
+  append_line_durable(path_, line);
+}
+
 // --- CheckpointStore -------------------------------------------------------
 
 CheckpointStore::CheckpointStore(std::string dir) : dir_(std::move(dir)) {
@@ -306,21 +339,10 @@ void CheckpointStore::invalidate(const std::vector<std::string>& phases) {
     order_.erase(std::remove(order_.begin(), order_.end(), name), order_.end());
     changed = true;
   }
-  if (changed) write_manifest();
-}
-
-void CheckpointStore::discard() {
-  for (const auto& [name, rec] : phases_) {
-    std::error_code ec;
-    fs::remove(fs::path(dir_) / rec.artifact, ec);
-    if (!rec.events_file.empty()) {
-      fs::remove(fs::path(dir_) / rec.events_file, ec);
-    }
-  }
-  phases_.clear();
-  order_.clear();
-  meta_.clear();
+  if (!changed) return;
   write_manifest();
+  std::error_code ec;
+  fs::remove(fs::path(dir_) / kRunReportFile, ec);
 }
 
 // --- Attribute / graph serialization ---------------------------------------

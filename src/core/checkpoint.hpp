@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -40,6 +41,40 @@ void write_file_atomic(const std::string& path, std::string_view content);
 /// Appends `line` + '\n' to `path` with O_APPEND + fsync (torn tails are
 /// possible on a kill mid-append, never interleaved or reordered ones).
 void append_line_durable(const std::string& path, std::string_view line);
+
+/// An append-only JSONL journal with resume: experiment campaigns and
+/// fuzz campaigns keep their durable state in one. The first line names
+/// the campaign that owns the journal (an object with a "campaign" key);
+/// every later line is one record, appended with append_line_durable,
+/// so a kill tears at most the last line. An empty path disables
+/// persistence.
+class Journal {
+ public:
+  explicit Journal(std::string path) : path_(std::move(path)) {}
+
+  /// Makes `identity` the journal's first line. A journal that starts
+  /// with anything else — another campaign's identity, a record written
+  /// before journals named their campaign, a torn line — is started
+  /// over atomically, holding only `identity`.
+  void claim(std::string_view identity);
+
+  /// The records in file order, parsed. The identity line and every
+  /// torn or malformed line are skipped; a missing file has none.
+  [[nodiscard]] std::vector<nidb::Value> records() const;
+
+  /// Appends one record line durably (thread-safe).
+  void append(std::string_view line);
+
+  [[nodiscard]] const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+  std::mutex mutex_;
+};
+
+/// The run report kept inside a checkpoint directory (autonet run
+/// --checkpoint writes it); CheckpointStore::invalidate() removes it.
+inline constexpr const char* kRunReportFile = "run_report.json";
 
 class CheckpointStore {
  public:
@@ -94,13 +129,11 @@ class CheckpointStore {
 
   /// Removes the named phases in one manifest rewrite (absent names are
   /// ignored). Workflow uses this to drop downstream records the moment
-  /// an upstream phase re-executes — their inputs just changed.
+  /// an upstream phase re-executes — their inputs just changed — and
+  /// every record a run over another input or options cannot use. The
+  /// directory's kRunReportFile described the dropped records and is
+  /// removed with them.
   void invalidate(const std::vector<std::string>& phases);
-
-  /// Drops all recorded phases and metadata (input/options changed: the
-  /// checkpoint no longer describes this run). Artifact files are
-  /// removed best-effort; the manifest rewrite is what invalidates them.
-  void discard();
 
  private:
   void load_manifest();

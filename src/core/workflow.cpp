@@ -17,11 +17,6 @@ namespace autonet::core {
 
 namespace {
 
-/// The pipeline order checkpoints restore in; save_phase() invalidates
-/// everything after a freshly executed phase.
-constexpr const char* kPipeline[] = {"load",   "design", "compile", "render",
-                                     "lint",   "deploy", "measure"};
-
 // --- Phase-state (de)serialization ----------------------------------------
 // DeployResult, lint Report, and the measure outcome have no library
 // from_json; the encodings here are checkpoint-private.
@@ -231,8 +226,7 @@ double PhaseTimings::total() const {
 
 std::string PhaseTimings::to_string() const {
   std::ostringstream out;
-  for (const char* phase :
-       {"load", "design", "compile", "render", "lint", "deploy", "measure"}) {
+  for (const char* phase : kPipeline) {
     auto it = ms.find(phase);
     if (it != ms.end()) out << phase << "=" << it->second << "ms ";
   }
@@ -252,14 +246,20 @@ Workflow& Workflow::operator=(Workflow&&) noexcept = default;
 // phase-relative timestamps; at phase end the recorder is drained and
 // the phase's slice kept for the run report (and, when checkpointing,
 // persisted next to the phase artifact). On interruption the unsaved
-// recorder tail is dumped next to the checkpoint before rethrowing.
+// recorder tail is dumped next to the checkpoint before rethrowing; the
+// phase-boundary poll sits inside that scope, so an interrupt landing
+// on the boundary leaves its post-mortem too.
 template <typename F>
 void Workflow::timed(const std::string& phase, F&& f) {
+  // Any fresh execution invalidates downstream checkpoints — they derive
+  // from state this phase is about to recompute.
+  fresh_executed_ = true;
   obs::Registry& registry = telemetry();
   obs::RegistryScope use(registry);
   obs::PhaseScope phase_scope(phase);
   obs::Span span(registry, phase);
   try {
+    core::checkpoint(control_, "phase." + phase);
     f();
   } catch (...) {
     span.stop_ms();
@@ -429,6 +429,9 @@ bool Workflow::try_restore(const std::string& phase) {
   }
   timings_.ms[phase] = src->phase_ms(phase);
   restored_.push_back(phase);
+  if (restored_from_.empty() || restored_from_.back() != src->dir()) {
+    restored_from_.push_back(src->dir());
+  }
   registry.counter("ckpt.phase_restored").inc();
   if (src == baseline_.get()) {
     registry.counter("incr.phase_reused").inc();
@@ -438,13 +441,6 @@ bool Workflow::try_restore(const std::string& phase) {
   }
   if (restored_.size() == 1) registry.counter("ckpt.resume").inc();
   return true;
-}
-
-void Workflow::begin_phase(const std::string& phase) {
-  // Any fresh execution invalidates downstream checkpoints — they derive
-  // from state this phase is about to recompute.
-  fresh_executed_ = true;
-  core::checkpoint(control_, "phase." + phase);
 }
 
 void Workflow::save_phase(const std::string& phase) {
@@ -607,7 +603,6 @@ void Workflow::rehydrate_network() {
 Workflow& Workflow::load(const graph::Graph& input) {
   choose_reuse(input);
   if (try_restore("load")) return *this;
-  begin_phase("load");
   timed("load", [this, &input]() {
     auto g_in = anm_["input"];
     // Copy the raw input graph into the 'input' overlay, every attribute
@@ -644,7 +639,6 @@ Workflow& Workflow::design() {
     }
   }
   if (try_restore("design")) return *this;
-  begin_phase("design");
   timed("design", [this]() {
     // One child span per design rule: the per-rule breakdown the §3.2
     // phase timings could not see. Each rule is a cancellation point.
@@ -681,7 +675,6 @@ Workflow& Workflow::compile() {
   if (!anm_.has_overlay("ip")) throw std::logic_error("Workflow::compile before design");
   const bool restored = try_restore("compile");
   if (!restored) {
-    begin_phase("compile");
     timed("compile", [this]() {
       nidb_ = compiler::platform_compiler_for(options_.platform).compile(anm_);
     });
@@ -699,7 +692,6 @@ Workflow& Workflow::compile() {
 Workflow& Workflow::render() {
   if (!nidb_) throw std::logic_error("Workflow::render before compile");
   if (try_restore("render")) return *this;
-  begin_phase("render");
   timed("render", [this]() {
     configs_ =
         render::render_configs(*nidb_, render::TemplateStore::builtins(), control_);
@@ -711,7 +703,6 @@ Workflow& Workflow::render() {
 Workflow& Workflow::lint() {
   if (!nidb_) throw std::logic_error("Workflow::lint before compile");
   if (!try_restore("lint")) {
-    begin_phase("lint");
     timed("lint", [this]() {
       verify::LintInput input;
       input.nidb = &*nidb_;
@@ -765,7 +756,6 @@ Workflow& Workflow::deploy() {
       }
     }
     if (base_nidb) {
-      begin_phase("deploy");
       timed("deploy", [this, &hplan, &base_nidb, &base_configs]() {
         host_ = std::make_unique<deploy::EmulationHost>("localhost");
         host_->receive(deploy::pack(base_configs));
@@ -786,7 +776,6 @@ Workflow& Workflow::deploy() {
       return *this;
     }
   }
-  begin_phase("deploy");
   timed("deploy", [this]() {
     host_ = std::make_unique<deploy::EmulationHost>("localhost");
     host_->attach_faults(faults_);
@@ -804,7 +793,6 @@ Workflow& Workflow::measure() {
     throw std::logic_error("Workflow::measure before a successful deploy");
   }
   if (try_restore("measure")) return *this;
-  begin_phase("measure");
   timed("measure", [this]() {
     {
       core::checkpoint(control_, "measure.validate_ospf");

@@ -110,6 +110,11 @@ struct IncrementalReport {
   [[nodiscard]] std::string to_text() const;
 };
 
+/// The pipeline's phases in execution order: checkpoints restore in it,
+/// and timings, run reports and post-mortems list phases in it.
+inline constexpr const char* kPipeline[] = {"load", "design", "compile", "render",
+                                            "lint", "deploy", "measure"};
+
 struct PhaseTimings {
   /// Milliseconds per phase, keyed "load", "design", "compile", "render",
   /// "lint", "deploy", "measure". Values are derived from the obs phase spans
@@ -201,6 +206,11 @@ class Workflow {
   /// Phases satisfied from the checkpoint by this run, pipeline order.
   [[nodiscard]] const std::vector<std::string>& restored_phases() const {
     return restored_;
+  }
+  /// The directories restored_phases() came from, in restore order: the
+  /// own checkpoint's, then the incremental_from() baseline's.
+  [[nodiscard]] const std::vector<std::string>& restored_from() const {
+    return restored_from_;
   }
 
   // --- Incremental pipeline ---------------------------------------------
@@ -314,7 +324,6 @@ class Workflow {
   /// once a phase is next recorded fresh.
   void dump_flight_tail(const std::string& phase) noexcept;
   void restore_phase_state(const std::string& phase, const std::string& artifact);
-  void begin_phase(const std::string& phase);
   void save_phase(const std::string& phase);
   [[nodiscard]] std::string phase_artifact(const std::string& phase) const;
   void rehydrate_network();
@@ -335,6 +344,7 @@ class Workflow {
   core::RunControl* control_ = nullptr;  // non-owning supervision
   std::unique_ptr<CheckpointStore> ckpt_;
   std::vector<std::string> restored_;
+  std::vector<std::string> restored_from_;
   std::map<std::string, std::vector<obs::RecorderEvent>> phase_events_;
   std::string input_hash_;
   /// Once any phase executes fresh, downstream checkpoint records are

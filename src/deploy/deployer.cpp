@@ -79,9 +79,6 @@ void Deployer::emit(DeployPhase phase, std::string detail) {
   // Structured telemetry is the primary record; log() renders it.
   obs::Registry& obs = obs::Registry::current();
   obs.counter(std::string("deploy.events.") + to_string(phase)).inc();
-  obs.log_event("deploy", {{"phase", to_string(phase)},
-                           {"host", host_->name()},
-                           {"detail", event.detail}});
   obs::record("deploy", deploy_event_severity(phase), to_string(phase),
               {{"host", host_->name()}, {"detail", event.detail}});
   if (logger_) logger_(event);

@@ -129,9 +129,9 @@ class Deployer {
   DeployResult deploy(const render::ConfigTree& configs, const nidb::Nidb& nidb,
                       const DeployOptions& opts = {});
 
-  /// The structured event stream (also mirrored as obs "deploy" log
-  /// events in the current telemetry registry and passed to the logger
-  /// as events happen).
+  /// The structured event stream (also recorded as "deploy" flight-
+  /// recorder events and deploy.events.<phase> counters in the current
+  /// telemetry registry, and passed to the logger as events happen).
   [[nodiscard]] const std::vector<DeployEvent>& events() const { return events_; }
 
   /// Backward-compatible rendered view of events().

@@ -36,8 +36,6 @@ void MultiHostDeployer::emit(DeployPhase phase, std::string detail) {
   DeployEvent event{phase, std::move(detail)};
   obs::Registry& obs = obs::Registry::current();
   obs.counter(std::string("deploy.events.") + to_string(phase)).inc();
-  obs.log_event("deploy", {{"phase", to_string(phase)},
-                           {"detail", event.detail}});
   obs::record("deploy", deploy_event_severity(phase), to_string(phase),
               {{"detail", event.detail}});
   if (logger_) logger_(event);

@@ -71,8 +71,9 @@ class MultiHostDeployer {
   /// successful deploy.
   [[nodiscard]] emulation::EmulatedNetwork* network() { return network_.get(); }
 
-  /// The structured event stream (also mirrored as obs "deploy" log
-  /// events in the current telemetry registry).
+  /// The structured event stream (also recorded as "deploy" flight-
+  /// recorder events and deploy.events.<phase> counters in the current
+  /// telemetry registry).
   [[nodiscard]] const std::vector<DeployEvent>& events() const { return events_; }
 
   /// Backward-compatible rendered view of events().

@@ -1,9 +1,8 @@
 #include "experiment/journal.hpp"
 
-#include <fstream>
-#include <sstream>
+#include <stdexcept>
 
-#include "core/checkpoint.hpp"
+#include "experiment/campaign.hpp"
 #include "nidb/value.hpp"
 
 namespace autonet::experiment {
@@ -35,14 +34,15 @@ std::string RunResult::to_json() const {
   return nidb::Value(std::move(object)).to_json();
 }
 
-RunResult RunResult::from_json(const std::string& line) {
-  const nidb::Value value = nidb::parse_json(line);
+namespace {
+
+/// A result record; nullopt without an "id" (checkpoint pointers, the
+/// identity line).
+std::optional<RunResult> result_from(const nidb::Value& value) {
+  const nidb::Value* id = value.find("id");
+  if (id == nullptr || id->as_string() == nullptr) return std::nullopt;
   RunResult result;
-  if (const nidb::Value* v = value.find("id"); v && v->as_string()) {
-    result.id = *v->as_string();
-  } else {
-    throw std::runtime_error("journal line without an id");
-  }
+  result.id = *id->as_string();
   if (const nidb::Value* v = value.find("index")) {
     result.index = static_cast<std::size_t>(v->as_int().value_or(0));
   }
@@ -78,6 +78,14 @@ RunResult RunResult::from_json(const std::string& line) {
   return result;
 }
 
+}  // namespace
+
+RunResult RunResult::from_json(const std::string& line) {
+  std::optional<RunResult> result = result_from(nidb::parse_json(line));
+  if (!result) throw std::runtime_error("journal line without an id");
+  return std::move(*result);
+}
+
 std::string CheckpointRecord::to_json() const {
   nidb::Object inner;
   inner["run_id"] = run_id;
@@ -91,17 +99,16 @@ std::string CheckpointRecord::to_json() const {
   return nidb::Value(std::move(object)).to_json();
 }
 
-std::optional<CheckpointRecord> CheckpointRecord::from_json(
-    const std::string& line) {
-  const nidb::Value value = nidb::parse_json(line);
+namespace {
+
+/// A {"ckpt":{...}} pointer; nullopt for anything else, a pointer
+/// without a run id included.
+std::optional<CheckpointRecord> checkpoint_from(const nidb::Value& value) {
   const nidb::Value* inner = value.find("ckpt");
-  if (inner == nullptr || !inner->is_object()) return std::nullopt;
+  const nidb::Value* run_id = inner != nullptr ? inner->find("run_id") : nullptr;
+  if (run_id == nullptr || run_id->as_string() == nullptr) return std::nullopt;
   CheckpointRecord record;
-  if (const nidb::Value* v = inner->find("run_id"); v && v->as_string()) {
-    record.run_id = *v->as_string();
-  } else {
-    throw std::runtime_error("ckpt journal line without a run_id");
-  }
+  record.run_id = *run_id->as_string();
   if (const nidb::Value* v = inner->find("dir"); v && v->as_string()) {
     record.dir = *v->as_string();
   }
@@ -118,91 +125,81 @@ std::optional<CheckpointRecord> CheckpointRecord::from_json(
   return record;
 }
 
-std::map<std::string, RunResult> Journal::load() const {
-  std::map<std::string, RunResult> results;
-  if (path_.empty()) return results;
-  std::ifstream file(path_, std::ios::binary);
-  if (!file) return results;
-  std::string line;
-  while (std::getline(file, line)) {
-    if (line.empty()) continue;
-    try {
-      RunResult result = RunResult::from_json(line);
-      std::string key = result.id;
-      results.insert_or_assign(std::move(key), std::move(result));
-    } catch (const std::exception&) {
-      // A kill mid-append leaves at most one torn line; skip it and let
-      // the runner redo that run.
-      continue;
+}  // namespace
+
+std::optional<CheckpointRecord> CheckpointRecord::from_json(
+    const std::string& line) {
+  return checkpoint_from(nidb::parse_json(line));
+}
+
+void Journal::claim(const CampaignSpec& spec) {
+  auto strings = [](std::initializer_list<std::string> items) {
+    nidb::Array out;
+    for (const std::string& item : items) out.emplace_back(item);
+    return nidb::Value(std::move(out));
+  };
+  nidb::Array axes;
+  nidb::Array options;
+  nidb::Array incident;
+  nidb::Array probes;
+  for (const Axis& axis : spec.axes) {
+    nidb::Array values{nidb::Value(axis.key)};
+    values.insert(values.end(), axis.values.begin(), axis.values.end());
+    axes.emplace_back(std::move(values));
+  }
+  for (const auto& [key, value] : spec.options) {
+    options.push_back(strings({key, value}));
+  }
+  for (const emulation::IncidentStep& step : spec.incident) {
+    incident.push_back(strings({emulation::to_string(step.action), step.a, step.b}));
+  }
+  for (const Probe& probe : spec.probes) {
+    probes.push_back(strings({probe.kind, probe.src, probe.dst}));
+  }
+  nidb::Object identity{{"name", nidb::Value(spec.name)},
+                        {"topology", nidb::Value(spec.topology)},
+                        {"repetitions", nidb::Value(spec.repetitions)},
+                        {"seed", nidb::Value(static_cast<std::int64_t>(spec.seed))},
+                        {"axes", nidb::Value(std::move(axes))},
+                        {"options", nidb::Value(std::move(options))},
+                        {"incident", nidb::Value(std::move(incident))},
+                        {"probes", nidb::Value(std::move(probes))}};
+  journal_.claim(
+      nidb::Value(nidb::Object{{"campaign", nidb::Value(std::move(identity))}})
+          .to_json());
+}
+
+Journal::Contents Journal::read() const {
+  Contents out;
+  for (const nidb::Value& record : journal_.records()) {
+    if (std::optional<CheckpointRecord> ckpt = checkpoint_from(record)) {
+      std::string key = ckpt->run_id;
+      out.checkpoints.insert_or_assign(std::move(key), std::move(*ckpt));
+    } else if (std::optional<RunResult> result = result_from(record)) {
+      // An ok result spends the run's pending checkpoint pointer: the
+      // run resumed mid-pipeline and completed.
+      if (result->ok && out.checkpoints.erase(result->id) != 0) {
+        out.resumed.push_back(result->id);
+      }
+      std::string key = result->id;
+      out.results.insert_or_assign(std::move(key), std::move(*result));
     }
   }
-  return results;
+  return out;
 }
+
+std::map<std::string, RunResult> Journal::load() const { return read().results; }
 
 std::map<std::string, CheckpointRecord> Journal::load_checkpoints() const {
-  std::map<std::string, CheckpointRecord> records;
-  if (path_.empty()) return records;
-  std::ifstream file(path_, std::ios::binary);
-  if (!file) return records;
-  std::string line;
-  while (std::getline(file, line)) {
-    if (line.empty()) continue;
-    try {
-      if (auto record = CheckpointRecord::from_json(line)) {
-        std::string key = record->run_id;
-        records.insert_or_assign(std::move(key), std::move(*record));
-        continue;
-      }
-      // A completed result supersedes any earlier checkpoint pointer for
-      // the same run.
-      const RunResult result = RunResult::from_json(line);
-      if (result.ok) records.erase(result.id);
-    } catch (const std::exception&) {
-      continue;  // torn tail
-    }
-  }
-  return records;
+  return read().checkpoints;
 }
 
-std::vector<std::string> Journal::resumed_ids() const {
-  std::vector<std::string> resumed;
-  if (path_.empty()) return resumed;
-  std::ifstream file(path_, std::ios::binary);
-  if (!file) return resumed;
-  std::map<std::string, bool> pending;  // run id -> still unspent
-  std::string line;
-  while (std::getline(file, line)) {
-    if (line.empty()) continue;
-    try {
-      if (auto record = CheckpointRecord::from_json(line)) {
-        pending[record->run_id] = true;
-        continue;
-      }
-      const RunResult result = RunResult::from_json(line);
-      auto it = pending.find(result.id);
-      if (it != pending.end() && it->second && result.ok) {
-        it->second = false;
-        resumed.push_back(result.id);
-      }
-    } catch (const std::exception&) {
-      continue;  // torn tail
-    }
-  }
-  return resumed;
-}
+std::vector<std::string> Journal::resumed_ids() const { return read().resumed; }
 
-void Journal::append(const RunResult& result) {
-  if (path_.empty()) return;
-  const std::string line = result.to_json();
-  std::lock_guard lock(mutex_);
-  core::append_line_durable(path_, line);
-}
+void Journal::append(const RunResult& result) { journal_.append(result.to_json()); }
 
 void Journal::append_checkpoint(const CheckpointRecord& record) {
-  if (path_.empty()) return;
-  const std::string line = record.to_json();
-  std::lock_guard lock(mutex_);
-  core::append_line_durable(path_, line);
+  journal_.append(record.to_json());
 }
 
 }  // namespace autonet::experiment

@@ -1,19 +1,23 @@
 // The campaign journal: one JSON line per completed run, appended
-// durably (O_APPEND + fsync) as results land, so a campaign killed
-// mid-matrix resumes by replaying the journal and executing only the
-// missing runs — the same philosophy as the deployer's retries, applied
-// at campaign scope. A truncated final line (the kill landed mid-write)
-// is skipped on load. Besides results, the journal records checkpoint
-// pointers ({"ckpt":...} lines) for runs interrupted mid-pipeline, so a
-// resumed campaign restarts those runs from their last completed phase.
+// durably as results land, so a campaign killed mid-matrix resumes by
+// replaying the journal and executing only the missing runs — the same
+// philosophy as the deployer's retries, applied at campaign scope. It is
+// a core::Journal: the first line names the campaign (claim()), and a
+// journal that names another campaign, or none, is started over, so an
+// edited spec never resumes the old spec's results. A truncated final
+// line (the kill landed mid-write) is skipped on load. Besides results,
+// the journal records checkpoint pointers ({"ckpt":...} lines) for runs
+// interrupted mid-pipeline, so a resumed campaign restarts those runs
+// from their last completed phase.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
+
+#include "core/checkpoint.hpp"
 
 namespace autonet::experiment {
 
@@ -56,23 +60,32 @@ struct CheckpointRecord {
 
   [[nodiscard]] std::string to_json() const;
   /// Parses a {"ckpt": ...} line; nullopt when the line is a result (or
-  /// anything else); throws std::runtime_error on malformed JSON.
+  /// anything else, such as a pointer without a run id); throws
+  /// std::runtime_error on malformed JSON.
   [[nodiscard]] static std::optional<CheckpointRecord> from_json(
       const std::string& line);
 };
 
+struct CampaignSpec;
+
 class Journal {
  public:
   /// An empty path disables persistence (in-memory campaign).
-  explicit Journal(std::string path) : path_(std::move(path)) {}
+  explicit Journal(std::string path) : journal_(std::move(path)) {}
 
-  /// Loads completed results keyed by run id. Malformed trailing lines
-  /// (from a mid-write kill) and checkpoint records are ignored; a
-  /// missing file is an empty journal.
+  /// Binds the journal to `spec`: its first line becomes the campaign's
+  /// identity — every spec field that decides a run's result (name,
+  /// topology, repetitions, seed, axes, options, incident, probes; not
+  /// jobs). A journal that starts with anything else is started over.
+  void claim(const CampaignSpec& spec);
+
+  /// Loads completed results keyed by run id (latest wins). Malformed
+  /// lines (a mid-write kill tears the last one), checkpoint records and
+  /// the identity line are ignored; a missing file is an empty journal.
   [[nodiscard]] std::map<std::string, RunResult> load() const;
 
   /// Loads checkpoint records keyed by run id (latest wins). Runs that
-  /// later completed — a result line follows the ckpt line — are
+  /// later completed — an ok result line follows the ckpt line — are
   /// excluded: their checkpoints are spent.
   [[nodiscard]] std::map<std::string, CheckpointRecord> load_checkpoints() const;
 
@@ -91,11 +104,19 @@ class Journal {
   /// durability).
   void append_checkpoint(const CheckpointRecord& record);
 
-  [[nodiscard]] const std::string& path() const { return path_; }
+  [[nodiscard]] const std::string& path() const { return journal_.path(); }
 
  private:
-  std::string path_;
-  std::mutex mutex_;
+  /// What load(), load_checkpoints() and resumed_ids() return, from one
+  /// pass over the records.
+  struct Contents {
+    std::map<std::string, RunResult> results;
+    std::map<std::string, CheckpointRecord> checkpoints;
+    std::vector<std::string> resumed;
+  };
+  [[nodiscard]] Contents read() const;
+
+  core::Journal journal_;
 };
 
 }  // namespace autonet::experiment

@@ -191,6 +191,7 @@ CampaignResult CampaignRunner::run() {
   }
 
   Journal journal(options_.journal_path);
+  journal.claim(spec_);
   std::map<std::string, RunResult> done =
       options_.resume ? journal.load() : std::map<std::string, RunResult>{};
   std::map<std::string, CheckpointRecord> pending_ckpts =
@@ -254,9 +255,6 @@ CampaignResult CampaignRunner::run() {
           execute_run(run, spec_, &run_registry, ckpt_dir, options_.control,
                       report_path, i == 0 ? std::string() : baseline_dir);
       journal.append(result);
-      campaign_obs.log_event("exp", {{"campaign", spec_.name},
-                                     {"run", result.id},
-                                     {"ok", result.ok ? "true" : "false"}});
       run_histograms[i] = run_registry.histogram_values();
       campaign.results[i] = std::move(result);
       executed.fetch_add(1);

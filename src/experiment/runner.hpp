@@ -8,10 +8,11 @@
 // interleavings).
 //
 // The campaign itself gets a span tree in a campaign-level registry
-// (expand / execute / aggregate children under "campaign.<name>"), one
-// "exp" log event per completed run, and merged per-phase span
-// histograms (obs::merge_histograms over the per-run registries, in
-// matrix order).
+// (expand / execute / aggregate children under "campaign.<name>") and
+// merged per-phase span histograms (obs::merge_histograms over the
+// per-run registries, in matrix order). Each completed run is recorded
+// once, as its journal line (experiment/journal.hpp), whose first line
+// names the campaign so an edited spec never resumes another's results.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +31,8 @@ namespace autonet::experiment {
 struct RunnerOptions {
   /// Worker threads; 0 = spec.jobs, then hardware concurrency.
   int jobs = 0;
-  /// Journal path; empty = no persistence (every run executes).
+  /// Journal path; empty = no persistence (every run executes). A
+  /// journal written for another spec is started over.
   std::string journal_path;
   /// When false, previously journalled runs are re-executed.
   bool resume = true;

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -45,16 +44,6 @@ std::string string_field(const nidb::Value& record, const char* key) {
   return s != nullptr ? *s : "";
 }
 
-std::vector<std::string> read_lines(const std::string& path) {
-  std::vector<std::string> lines;
-  std::ifstream in(path, std::ios::binary);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty()) lines.push_back(line);
-  }
-  return lines;
-}
-
 /// The oracles this campaign schedules, in registry order.
 std::vector<const Oracle*> enabled_oracles(const FuzzOptions& options) {
   std::vector<const Oracle*> out;
@@ -80,34 +69,19 @@ FuzzReport run_fuzz(const FuzzOptions& options, core::RunControl* control) {
   }
 
   fs::create_directories(options.corpus_dir);
-  const std::string journal_path =
-      (fs::path(options.corpus_dir) / "journal.jsonl").string();
-  const std::string header = campaign_header(options);
+  core::Journal journal((fs::path(options.corpus_dir) / "journal.jsonl").string());
 
-  // Resume: adopt the existing journal's recorded runs when it belongs
-  // to this exact campaign; otherwise start the journal over.
+  // Resume: adopt the recorded runs of a journal that belongs to this
+  // exact campaign; claim() starts any other journal over.
+  journal.claim(campaign_header(options));
   std::vector<std::optional<nidb::Value>> done(options.runs);  // by run index
-  bool fresh = true;
-  if (fs::exists(journal_path)) {
-    const std::vector<std::string> lines = read_lines(journal_path);
-    if (!lines.empty() && lines.front() == header) {
-      fresh = false;
-      for (std::size_t i = 1; i < lines.size(); ++i) {
-        nidb::Value record;
-        try {
-          record = nidb::parse_json(lines[i]);
-        } catch (const std::exception&) {
-          continue;  // a line torn by a kill mid-append: run it again
-        }
-        const nidb::Value* run = record.find("run");
-        const std::int64_t index = run != nullptr ? run->as_int().value_or(-1) : -1;
-        if (index >= 0 && static_cast<std::size_t>(index) < options.runs) {
-          done[static_cast<std::size_t>(index)] = std::move(record);
-        }
-      }
+  for (nidb::Value& record : journal.records()) {
+    const nidb::Value* run = record.find("run");
+    const std::int64_t index = run != nullptr ? run->as_int().value_or(-1) : -1;
+    if (index >= 0 && static_cast<std::size_t>(index) < options.runs) {
+      done[static_cast<std::size_t>(index)] = std::move(record);
     }
   }
-  if (fresh) core::write_file_atomic(journal_path, header + "\n");
 
   auto& registry = obs::Registry::current();
   const auto started = std::chrono::steady_clock::now();
@@ -172,7 +146,7 @@ FuzzReport run_fuzz(const FuzzOptions& options, core::RunControl* control) {
       } else {
         record.status = "pass";
       }
-      core::append_line_durable(journal_path, record_line(record));
+      journal.append(record_line(record));
     }
 
     if (record.status == "fail") {

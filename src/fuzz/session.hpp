@@ -1,8 +1,9 @@
 // The fuzz campaign driver: generates seed-addressed scenarios, runs
 // them through the oracle registry round-robin, shrinks and persists
-// violations, and journals every run as one JSONL line. The journal is
-// the campaign's durable state: re-running the same campaign over an
-// existing journal skips the runs already recorded (crash/^C-resumable),
+// violations, and journals every run as one JSONL line (a core::Journal
+// whose first line names the campaign). The journal is the campaign's
+// durable state: re-running the same campaign over an existing journal
+// skips the runs already recorded (crash/^C-resumable),
 // and a completed campaign re-run is a byte-for-byte no-op — the
 // determinism contract `autonet fuzz --seed 1 --runs 50` is tested
 // against.

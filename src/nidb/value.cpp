@@ -329,7 +329,9 @@ class JsonCursor {
   }
 
   std::string parse_string() {
-    if (next() != '"') fail("expected string");
+    // Object keys reach here without a peek: text cut after a ',' ends
+    // where the key's quote should be.
+    if (eof() || next() != '"') fail("expected string");
     std::string out;
     while (true) {
       // Bulk-copy the run up to the next quote or escape; most strings in

@@ -1,5 +1,5 @@
 // Shared event vocabulary for the telemetry layer: the ordered key/value
-// annotation list used by spans, log events and the flight recorder, the
+// annotation list used by spans and the flight recorder, the
 // three-level severity scale, and the flight-recorder event record
 // itself. Split out of registry.hpp so the recorder can be included by
 // low-level code without pulling in the full registry.

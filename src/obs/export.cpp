@@ -64,15 +64,6 @@ std::string prometheus_help(std::string_view name) {
   return "Source metric '" + std::string(name) + "'.";
 }
 
-void append_event_object(std::ostringstream& out, const LogEvent& event) {
-  out << "{\"ts_us\":" << event.ts_us << ",\"kind\":\""
-      << json_escape(event.kind) << "\"";
-  for (const auto& [key, value] : event.fields) {
-    out << ",\"" << json_escape(key) << "\":\"" << json_escape(value) << "\"";
-  }
-  out << "}";
-}
-
 }  // namespace
 
 std::string json_escape(std::string_view s) {
@@ -132,29 +123,6 @@ std::string to_prometheus(const Registry& registry) {
     out << pname << "_sum " << snap.sum << "\n";
     out << pname << "_count " << snap.count << "\n";
   }
-  return out.str();
-}
-
-std::string to_jsonl(const Registry& registry) {
-  std::ostringstream out;
-  for (const LogEvent& event : registry.log_events()) {
-    append_event_object(out, event);
-    out << "\n";
-  }
-  return out.str();
-}
-
-std::string events_to_json(const Registry& registry) {
-  std::ostringstream out;
-  out << "[";
-  bool first = true;
-  for (const LogEvent& event : registry.log_events()) {
-    if (!first) out << ",";
-    first = false;
-    out << "\n  ";
-    append_event_object(out, event);
-  }
-  out << "\n]";
   return out.str();
 }
 

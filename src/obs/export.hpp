@@ -1,11 +1,11 @@
-// Exporters over a Registry snapshot. Three formats, three audiences:
+// Exporters over a Registry snapshot. Two formats, two audiences:
 //  - Chrome trace-event JSON: load into Perfetto / chrome://tracing to
 //    see the pipeline's span tree on a timeline (§3.2 phase methodology,
 //    but zoomable).
 //  - Prometheus text exposition: counters/gauges/histograms for scrape-
 //    style collection and for byte-exact golden comparison in tests.
-//  - JSONL: the structured-event log (deploy transfers/boots/retries,
-//    bench results), one JSON object per line, greppable and streamable.
+// Structured events (deploy transfers, boots, retries, ...) go to the
+// flight recorder (obs/recorder.hpp), which has its own JSONL encoding.
 #pragma once
 
 #include <string>
@@ -25,14 +25,6 @@ namespace autonet::obs {
 /// cumulative buckets (non-empty finite buckets plus "+Inf"), _sum and
 /// _count.
 [[nodiscard]] std::string to_prometheus(const Registry& registry);
-
-/// Structured-event log: one JSON object per line
-/// ({"ts_us":...,"kind":...,<fields...>}).
-[[nodiscard]] std::string to_jsonl(const Registry& registry);
-
-/// The same structured events as a single JSON array document (used by
-/// the bench harness for BENCH_<name>.json).
-[[nodiscard]] std::string events_to_json(const Registry& registry);
 
 /// JSON string escaping (core/json_escape.hpp, returned as a new
 /// string), shared by the exporters and the bench harness.

@@ -84,17 +84,6 @@ Histogram& Registry::histogram(std::string_view name) {
   return *it->second;
 }
 
-void Registry::log_event(std::string kind, Fields fields) {
-  if (!enabled()) return;
-  const std::uint64_t ts = now_us();
-  std::lock_guard lock(mutex_);
-  if (events_.size() >= kMaxEvents) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  events_.push_back(LogEvent{ts, std::move(kind), std::move(fields)});
-}
-
 void Registry::record_span(TraceEvent event) {
   if (!enabled()) return;
   std::lock_guard lock(mutex_);
@@ -147,18 +136,12 @@ std::vector<TraceEvent> Registry::trace_events() const {
   return spans_;
 }
 
-std::vector<LogEvent> Registry::log_events() const {
-  std::lock_guard lock(mutex_);
-  return events_;
-}
-
 void Registry::reset() {
   std::lock_guard lock(mutex_);
   counters_.clear();
   gauges_.clear();
   histograms_.clear();
   spans_.clear();
-  events_.clear();
   dropped_.store(0, std::memory_order_relaxed);
 }
 

@@ -1,5 +1,5 @@
 // The process-wide telemetry registry: named counters/gauges/histograms,
-// completed-span trace events, and structured log events, all behind one
+// completed-span trace events and the flight recorder, all behind one
 // thread-safe object. Library code reaches it through
 // Registry::current() — a thread-local override (set by RegistryScope)
 // falling back to Registry::global() — so instrumentation never needs a
@@ -7,10 +7,11 @@
 // a pipeline's telemetry into an isolated registry with a virtual clock
 // and golden-compare the exports.
 //
-// Disabled mode (set_enabled(false)) drops span/event recording while
-// leaving metric objects valid; hot paths keep only a relaxed atomic
-// increment. Defining AUTONET_OBS_DISABLED compiles recording out
-// entirely (kCompiledIn below folds every branch to the no-op side).
+// Disabled mode (set_enabled(false)) drops span and flight-recorder
+// recording while leaving metric objects valid; hot paths keep only a
+// relaxed atomic increment. Defining AUTONET_OBS_DISABLED compiles
+// recording out entirely (kCompiledIn below folds every branch to the
+// no-op side).
 #pragma once
 
 #include <atomic>
@@ -45,14 +46,6 @@ struct TraceEvent {
   /// Nesting depth at the time the span opened (0 = top level).
   int depth = 0;
   Fields args;
-};
-
-/// A structured log event (deployer transfer/boot/retry, ...).
-struct LogEvent {
-  std::uint64_t ts_us = 0;
-  /// Event family, e.g. "deploy" or "bench".
-  std::string kind;
-  Fields fields;
 };
 
 class Registry {
@@ -103,9 +96,6 @@ class Registry {
   Histogram& histogram(std::string_view name);
 
   // --- Events -----------------------------------------------------------
-  /// Appends a structured event (timestamped now). Dropped when disabled
-  /// or past the buffer cap.
-  void log_event(std::string kind, Fields fields);
   /// Appends a completed span. Normally called by obs::Span.
   void record_span(TraceEvent event);
   /// The registry's flight recorder (always present; gate writes on
@@ -128,13 +118,12 @@ class Registry {
       const;
   [[nodiscard]] std::vector<HistogramSnapshot> histogram_values() const;
   [[nodiscard]] std::vector<TraceEvent> trace_events() const;
-  [[nodiscard]] std::vector<LogEvent> log_events() const;
-  /// Events discarded once a buffer hit kMaxEvents.
+  /// Spans discarded once the buffer hit kMaxEvents.
   [[nodiscard]] std::uint64_t dropped_events() const {
     return dropped_.load(std::memory_order_relaxed);
   }
 
-  /// Clears all metrics and buffered events (tests, bench harness).
+  /// Clears all metrics and buffered spans (tests).
   void reset();
 
   /// Name-prefixing view: scope("emulation").counter("spf_runs") is
@@ -152,9 +141,6 @@ class Registry {
     Histogram& histogram(std::string_view name) {
       return registry_->histogram(prefix_ + "." + std::string(name));
     }
-    void log_event(Fields fields) {
-      registry_->log_event(prefix_, std::move(fields));
-    }
     [[nodiscard]] Registry& registry() { return *registry_; }
 
    private:
@@ -165,9 +151,9 @@ class Registry {
     return ScopeView(*this, std::move(prefix));
   }
 
-  /// Buffer cap per event stream; beyond it events are counted in
-  /// dropped_events() instead of stored (keeps long benchmark loops from
-  /// accumulating unbounded trace memory).
+  /// Span buffer cap; beyond it spans are counted in dropped_events()
+  /// instead of stored (keeps long benchmark loops from accumulating
+  /// unbounded trace memory).
   static constexpr std::size_t kMaxEvents = 1 << 16;
 
  private:
@@ -182,7 +168,6 @@ class Registry {
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
   std::vector<TraceEvent> spans_;
-  std::vector<LogEvent> events_;
 };
 
 /// RAII thread-local registry override: while alive, Registry::current()

@@ -19,10 +19,6 @@ namespace autonet::report {
 
 namespace {
 
-// Pipeline order; must match core::Workflow's kPipeline.
-constexpr const char* kPipeline[] = {"load",   "design", "compile", "render",
-                                     "lint",   "deploy", "measure"};
-
 // %.17g: doubles round-trip exactly, matching the checkpoint manifest,
 // so a restored phase duration serializes to the same bytes as the
 // fresh one.
@@ -183,7 +179,7 @@ std::string run_report_json(core::Workflow& wf) {
   std::map<std::string, std::size_t> by_category;
   std::size_t by_severity[3] = {0, 0, 0};
   std::size_t total_events = 0;
-  for (const char* phase : kPipeline) {
+  for (const char* phase : core::kPipeline) {
     auto it = wf.phase_events().find(phase);
     if (it == wf.phase_events().end()) continue;
     for (const obs::RecorderEvent& event : it->second) {
@@ -211,7 +207,7 @@ std::string run_report_json(core::Workflow& wf) {
 
   out << "  \"phases\": [";
   bool first = true;
-  for (const char* phase : kPipeline) {
+  for (const char* phase : core::kPipeline) {
     auto it = wf.timings().ms.find(phase);
     if (it == wf.timings().ms.end()) continue;
     if (!first) out << ",";
@@ -253,7 +249,7 @@ std::string run_report_json(core::Workflow& wf) {
 
   out << "  \"events\": [";
   std::size_t emitted = 0;
-  for (const char* phase : kPipeline) {
+  for (const char* phase : core::kPipeline) {
     auto it = wf.phase_events().find(phase);
     if (it == wf.phase_events().end()) continue;
     for (const obs::RecorderEvent& event : it->second) {

@@ -82,6 +82,32 @@ TEST(AppendLineDurable, AppendsOneLinePerCall) {
   fs::remove_all(dir);
 }
 
+TEST(Journal, ClaimKeepsItsOwnCampaignAndStartsAnyOtherOver) {
+  const std::string dir = temp_dir("autonet_core_journal_test");
+  fs::create_directories(dir);
+  const std::string path = dir + "/journal.jsonl";
+  const std::string mine = "{\"campaign\":{\"seed\":1}}";
+  {
+    // Written before journals named their campaign: started over.
+    std::ofstream file(path, std::ios::binary);
+    file << "{\"run\":0}\n";
+  }
+  core::Journal journal(path);
+  journal.claim(mine);
+  EXPECT_EQ(slurp(path), mine + "\n");
+  journal.append("{\"run\":0}");
+  journal.append("{\"run\":1");  // torn by a kill mid-append
+  journal.claim(mine);
+  const std::vector<nidb::Value> records = journal.records();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].find("run")->as_int(), 0);
+
+  journal.claim("{\"campaign\":{\"seed\":2}}");
+  EXPECT_EQ(slurp(path), "{\"campaign\":{\"seed\":2}}\n");
+  EXPECT_TRUE(journal.records().empty());
+  fs::remove_all(dir);
+}
+
 // --- CheckpointStore ------------------------------------------------------
 
 TEST(CheckpointStore, RecordsRestoresAndPersistsAcrossReopen) {
@@ -169,19 +195,6 @@ TEST(CheckpointStore, InvalidateDropsDownstreamRecordsOnly) {
   // The invalidation is durable, not just in-memory.
   core::CheckpointStore reopened(dir);
   EXPECT_EQ(reopened.phases(), (std::vector<std::string>{"load"}));
-  fs::remove_all(dir);
-}
-
-TEST(CheckpointStore, DiscardClearsEverything) {
-  const std::string dir = temp_dir("autonet_ckpt_discard_test");
-  core::CheckpointStore store(dir);
-  store.record_phase("load", "load.json", "l", 1);
-  store.set_meta("options", "sig");
-  store.discard();
-  EXPECT_TRUE(store.phases().empty());
-  EXPECT_EQ(store.meta("options"), "");
-  core::CheckpointStore reopened(dir);
-  EXPECT_TRUE(reopened.phases().empty());
   fs::remove_all(dir);
 }
 

@@ -412,11 +412,8 @@ TEST(CampaignRunner, RunsMatrixInParallelAndAggregates) {
     EXPECT_GT(run.metric("emulation.spf_runs"), 0) << run.id;
     EXPECT_GT(run.metric("phase.deploy.ms", -1), -1) << run.id;
   }
-  // Campaign telemetry: a span tree and one "exp" event per run.
-  const auto events = runner.telemetry().log_events();
-  std::size_t exp_events = 0;
-  for (const auto& event : events) exp_events += event.kind == "exp" ? 1 : 0;
-  EXPECT_EQ(exp_events, 8u);
+  // Campaign telemetry: a span tree (each run's record is its journal
+  // line, not a campaign event).
   std::vector<std::string> span_names;
   for (const auto& span : runner.telemetry().trace_events()) {
     span_names.push_back(span.name);
@@ -454,6 +451,7 @@ TEST(CampaignRunner, ResumeSkipsJournalledRuns) {
   {
     const std::vector<experiment::RunSpec> matrix = experiment::expand(spec);
     experiment::Journal journal(path);
+    journal.claim(spec);  // the identity line the runner resumes under
     for (std::size_t i = 0; i < 3; ++i) {
       experiment::RunResult done = experiment::CampaignRunner::execute_run(
           matrix[i], spec);
@@ -489,6 +487,36 @@ TEST(CampaignRunner, ResumeSkipsJournalledRuns) {
   experiment::CampaignRunner rerun(spec, no_resume);
   EXPECT_EQ(rerun.run().executed, 8u);
   std::filesystem::remove(path);
+}
+
+// The journal's first line names the campaign: an edited spec, or a
+// journal written before journals named their campaign, starts over
+// instead of resuming results another spec produced.
+TEST(CampaignRunner, JournalOfAnotherSpecStartsOver) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "autonet_journal_identity_test")
+          .string();
+  std::filesystem::remove_all(dir);
+  experiment::RunnerOptions opts;
+  opts.journal_path = dir + "/journal.jsonl";
+  experiment::CampaignSpec spec = fast_spec();
+  {
+    // No identity line: every run executes again.
+    experiment::Journal unnamed(opts.journal_path);
+    unnamed.append(experiment::CampaignRunner::execute_run(
+        experiment::expand(spec).front(), spec));
+  }
+  experiment::CampaignRunner first(spec, opts);
+  EXPECT_EQ(first.run().executed, 8u);
+  experiment::CampaignRunner again(spec, opts);
+  EXPECT_EQ(again.run().skipped, 8u);
+
+  spec.options.emplace_back("platform", "dynagen");
+  experiment::CampaignRunner edited(spec, opts);
+  const experiment::CampaignResult result = edited.run();
+  EXPECT_EQ(result.executed, 8u);
+  EXPECT_EQ(result.skipped, 0u);
+  std::filesystem::remove_all(dir);
 }
 
 // --- Concurrency isolation (satellite) ------------------------------------

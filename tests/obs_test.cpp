@@ -11,6 +11,7 @@
 #include "deploy/deployer.hpp"
 #include "nidb/value.hpp"
 #include "obs/export.hpp"
+#include "obs/recorder.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
 #include "topology/builtin.hpp"
@@ -110,15 +111,16 @@ TEST(ObsRegistry, CurrentFallsBackToGlobal) {
 
 TEST(ObsRegistry, DisabledRecordsNoEventsButSpansStillTime) {
   obs::Registry reg(std::make_unique<obs::VirtualClock>(5));
+  obs::RegistryScope use(reg);
   reg.set_enabled(false);
-  reg.log_event("deploy", {{"phase", "boot"}});
+  obs::record("deploy", "boot", {{"host", "h1"}});
   double ms = 0;
   {
     obs::Span span(reg, "load");
     ms = span.stop_ms();
   }
   EXPECT_TRUE(reg.trace_events().empty());
-  EXPECT_TRUE(reg.log_events().empty());
+  EXPECT_TRUE(reg.recorder().drain().empty());
   // The virtual clock advanced 5us per reading: the span still measured.
   EXPECT_DOUBLE_EQ(ms, 0.005);
 }
@@ -126,12 +128,12 @@ TEST(ObsRegistry, DisabledRecordsNoEventsButSpansStillTime) {
 TEST(ObsRegistry, EventBufferCapCountsDrops) {
   obs::Registry reg;
   for (std::size_t i = 0; i < obs::Registry::kMaxEvents + 10; ++i) {
-    reg.log_event("k", {});
+    reg.record_span(obs::TraceEvent{"k", 0, 1, 0, {}});
   }
-  EXPECT_EQ(reg.log_events().size(), obs::Registry::kMaxEvents);
+  EXPECT_EQ(reg.trace_events().size(), obs::Registry::kMaxEvents);
   EXPECT_EQ(reg.dropped_events(), 10u);
   reg.reset();
-  EXPECT_TRUE(reg.log_events().empty());
+  EXPECT_TRUE(reg.trace_events().empty());
   EXPECT_EQ(reg.dropped_events(), 0u);
 }
 
@@ -196,18 +198,6 @@ TEST(ObsExport, PrometheusHelpEscapesBackslashAndNewline) {
       << text;
 }
 
-TEST(ObsExport, JsonlGoldenAndEscaping) {
-  obs::Registry reg(std::make_unique<obs::VirtualClock>(7));
-  reg.log_event("deploy", {{"phase", "boot"}, {"detail", "r1 \"up\"\n"}});
-  EXPECT_EQ(obs::to_jsonl(reg),
-            "{\"ts_us\":7,\"kind\":\"deploy\","
-            "\"phase\":\"boot\",\"detail\":\"r1 \\\"up\\\"\\n\"}\n");
-  // The array form must be valid JSON.
-  auto parsed = nidb::parse_json(obs::events_to_json(reg));
-  ASSERT_NE(parsed.as_array(), nullptr);
-  EXPECT_EQ(parsed.as_array()->size(), 1u);
-}
-
 // --- Pipeline integration -------------------------------------------------
 
 TEST(ObsWorkflow, TraceContainsAllSixPhases) {
@@ -249,23 +239,30 @@ TEST(ObsWorkflow, TraceContainsAllSixPhases) {
 }
 
 TEST(ObsWorkflow, SeededRunsExportByteIdenticalTelemetry) {
+  // Returns the run's flight-recorder timeline, phase by phase.
   auto run_once = [](obs::Registry& reg) {
     core::Workflow wf;
     wf.use_telemetry(&reg);
     wf.run(topology::small_internet());
-    ASSERT_TRUE(wf.ok());
+    EXPECT_TRUE(wf.ok());
     wf.measure();
+    std::string timeline;
+    for (const auto& [phase, events] : wf.phase_events()) {
+      timeline += phase + "\n" + obs::events_to_jsonl(events);
+    }
+    return timeline;
   };
   obs::Registry a(std::make_unique<obs::VirtualClock>(1));
   obs::Registry b(std::make_unique<obs::VirtualClock>(1));
-  run_once(a);
-  run_once(b);
-  // Counters, gauges, histograms AND span timings (virtual time) are
-  // deterministic functions of the code path, so the full exports match
-  // byte for byte.
+  const std::string timeline_a = run_once(a);
+  const std::string timeline_b = run_once(b);
+  // Counters, gauges, histograms, span timings (virtual time) AND the
+  // event timeline are deterministic functions of the code path, so the
+  // full exports match byte for byte.
   EXPECT_EQ(obs::to_prometheus(a), obs::to_prometheus(b));
   EXPECT_EQ(obs::to_chrome_trace(a), obs::to_chrome_trace(b));
-  EXPECT_EQ(obs::to_jsonl(a), obs::to_jsonl(b));
+  EXPECT_NE(timeline_a.find("\"category\":\"deploy\""), std::string::npos);
+  EXPECT_EQ(timeline_a, timeline_b);
 }
 
 TEST(ObsWorkflow, CountersReflectPipelineWork) {
@@ -290,13 +287,14 @@ TEST(ObsWorkflow, CountersReflectPipelineWork) {
   EXPECT_GT(stats.decision_reruns, 0u);
   EXPECT_GT(stats.lsa_floods, 0u);
 
-  // Deploy events were mirrored into the registry.
+  // Deploy events reach the registry as counters and as the deploy
+  // phase's flight-recorder events, one boot event per counted boot.
   EXPECT_GT(reg.counter("deploy.events.boot").value(), 0u);
-  bool saw_deploy_event = false;
-  for (const auto& e : reg.log_events()) {
-    if (e.kind == "deploy") saw_deploy_event = true;
+  std::uint64_t boots = 0;
+  for (const auto& e : wf.phase_events().at("deploy")) {
+    if (e.category == "deploy" && e.name == "boot") ++boots;
   }
-  EXPECT_TRUE(saw_deploy_event);
+  EXPECT_EQ(boots, reg.counter("deploy.events.boot").value());
 }
 
 TEST(ObsWorkflow, PhaseTimingsIncludeMeasure) {

@@ -503,6 +503,48 @@ TEST(RunReportResume, ResumeThatRecordsAPhaseRemovesThePostMortem) {
   fs::remove_all(dir);
 }
 
+// The store drops every record a run over another input cannot use; the
+// run report written next to those records goes with them.
+TEST(RunReportResume, DroppedRecordsTakeTheirRunReportWithThem) {
+  const std::string dir = temp_dir("autonet_report_dropped");
+  obs::Registry registry(std::make_unique<obs::VirtualClock>());
+  obs::RegistryScope scope(registry);
+  {
+    core::Workflow wf;
+    wf.use_telemetry(&registry);
+    wf.checkpoint_to(dir);
+    wf.run(topology::small_internet());
+    report::write_run_report(wf, dir + "/" + core::kRunReportFile);
+  }
+  ASSERT_TRUE(fs::exists(dir + "/" + core::kRunReportFile));
+  core::RunControl control;
+  control.trip_hook = [](std::string_view at) { return at == "phase.load"; };
+  core::Workflow other;
+  other.use_telemetry(&registry);
+  other.use_control(&control);
+  other.checkpoint_to(dir);
+  EXPECT_THROW(other.run(topology::figure5()), core::Cancelled);
+  EXPECT_TRUE(core::CheckpointStore(dir).phases().empty());
+  EXPECT_FALSE(fs::exists(dir + "/" + core::kRunReportFile));
+  fs::remove_all(dir);
+}
+
+// A deadline only peeks at the clock: armed but never firing, it leaves
+// every span, and so the virtual-clock report, exactly as it is without
+// one.
+TEST(RunReportDeadline, ADeadlineThatNeverFiresLeavesTheReportUnchanged) {
+  obs::Registry registry(std::make_unique<obs::VirtualClock>(1));
+  obs::RegistryScope scope(registry);
+  core::RunControl control;
+  control.deadline = core::Deadline::after_ms(100000);
+  core::Workflow wf;
+  wf.use_telemetry(&registry);
+  wf.use_control(&control);
+  wf.run(topology::figure5());
+  wf.measure();
+  EXPECT_EQ(report::run_report_json(wf), run_report_once());
+}
+
 // --- Journal resume provenance ---------------------------------------------
 
 TEST(Journal, ResumedIdsAreDerivedFromJournalShape) {

@@ -3,14 +3,18 @@
 // user-supplied files and hand-edited configs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <random>
 #include <typeinfo>
 
+#include "core/checkpoint.hpp"
 #include "emulation/config_parse.hpp"
 #include "emulation/incident.hpp"
 #include "emulation/network.hpp"
+#include "experiment/campaign.hpp"
+#include "experiment/journal.hpp"
 #include "measure/textfsm.hpp"
 #include "nidb/value.hpp"
 #include "templates/template.hpp"
@@ -36,6 +40,7 @@ std::vector<std::string> garbage_corpus() {
       "${unterminated",
       "% for x in:\n% endfor\n",
       "]]]}}}",
+      "{\"k\":1,",
       std::string(10000, 'A'),
       std::string("\xff\xfe\xfd"),
   };
@@ -359,6 +364,102 @@ TEST(Robustness, DeepTemplateNestingBounded) {
   templates::Context ctx;
   ctx.set("xs", nidb::Value(nidb::Array{nidb::Value(1)}));
   EXPECT_EQ(templates::render(text, ctx), "y\n");
+}
+
+// The journal reader that campaigns and fuzzing share: a three-record
+// campaign journal cut at any byte reads back as a prefix of its records
+// (the torn line skipped); with any one byte flipped, every record on a
+// line the flip left alone still reads back, in order. The reader never
+// throws on what it reads.
+TEST(Robustness, CampaignJournalCutOrFlippedReadsBackWhatSurvives) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "autonet_robust_journal";
+  std::filesystem::remove_all(dir);
+  const std::string path = (dir / "journal.jsonl").string();
+  {
+    // Ids of distinct lengths, so one flipped byte cannot turn one
+    // record's id into another's.
+    experiment::Journal journal(path);
+    journal.claim(experiment::parse_campaign(
+        "campaign robust\ntopology figure5\naxis ibgp mesh rr\n"));
+    experiment::RunResult done;
+    done.id = "ibgp=mesh/rep0";
+    done.ok = true;
+    done.metrics = {{"convergence.rounds", 3}, {"phase.deploy.ms", 12.5}};
+    journal.append(done);
+    experiment::CheckpointRecord pointer;
+    pointer.run_id = "ibgp=rr/rep0";
+    pointer.dir = "ckpt/rr";
+    pointer.phases = {"load", "design"};
+    journal.append_checkpoint(pointer);
+    experiment::RunResult resumed;
+    resumed.id = "ibgp=rr/rep0";
+    resumed.index = 1;
+    resumed.ok = true;
+    resumed.axis_values = {{"ibgp", "rr"}};
+    journal.append(resumed);
+  }
+  std::ifstream in(path, std::ios::binary);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  // The record lines after the identity line, and where each ends.
+  std::vector<std::string> records;
+  std::vector<std::size_t> ends;  // offset of each line's '\n'
+  for (std::size_t start = text.find('\n') + 1; start < text.size();) {
+    const std::size_t end = text.find('\n', start);
+    records.push_back(text.substr(start, end - start));
+    ends.push_back(end);
+    start = end + 1;
+  }
+  ASSERT_EQ(records.size(), 3u);
+
+  auto read_back = [&](const std::string& bytes) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+    std::vector<std::string> out;
+    for (const nidb::Value& record : core::Journal(path).records()) {
+      out.push_back(record.to_json());
+    }
+    const experiment::Journal journal(path);
+    (void)journal.load();
+    (void)journal.load_checkpoints();
+    (void)journal.resumed_ids();
+    return out;
+  };
+  ASSERT_EQ(read_back(text), records);
+  EXPECT_EQ(experiment::Journal(path).resumed_ids(),
+            std::vector<std::string>{"ibgp=rr/rep0"});
+  for (std::size_t cut = 0; cut < text.size(); ++cut) {
+    // A line cut just before its '\n' is whole.
+    std::vector<std::string> prefix;
+    for (std::size_t i = 0; i < records.size() && ends[i] <= cut; ++i) {
+      prefix.push_back(records[i]);
+    }
+    EXPECT_EQ(read_back(text.substr(0, cut)), prefix) << "cut at " << cut;
+  }
+  for (std::size_t at = 0; at < text.size(); ++at) {
+    for (const int mask : {0x01, 0x80}) {
+      std::string flipped = text;
+      flipped[at] = static_cast<char>(flipped[at] ^ mask);
+      // A record line is touched when the flip lands in it or on the
+      // '\n' that ends the line before it (which joins the two).
+      std::vector<std::string> untouched;
+      for (std::size_t i = 0; i < records.size(); ++i) {
+        const std::size_t begin = ends[i] - records[i].size() - 1;
+        if (at < begin || at > ends[i]) untouched.push_back(records[i]);
+      }
+      const std::vector<std::string> got = read_back(flipped);
+      std::vector<std::string> kept;
+      for (const std::string& record : got) {
+        if (std::find(untouched.begin(), untouched.end(), record) !=
+            untouched.end()) {
+          kept.push_back(record);
+        }
+      }
+      EXPECT_EQ(kept, untouched) << "flip at " << at;
+      EXPECT_LE(got.size(), records.size() + 1) << "flip at " << at;
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Robustness, HugeJsonRoundTrip) {

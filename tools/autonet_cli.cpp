@@ -848,7 +848,7 @@ int cmd_run(const Args& args) {
   // the same bytes an uninterrupted one would.
   auto write_report = [&]() {
     std::vector<std::string> targets;
-    if (!ckpt_dir.empty()) targets.push_back(ckpt_dir + "/run_report.json");
+    if (!ckpt_dir.empty()) targets.push_back(ckpt_dir + "/" + core::kRunReportFile);
     if (args.has("report")) targets.push_back(args.get("report"));
     for (const std::string& path : targets) {
       try {
@@ -869,7 +869,11 @@ int cmd_run(const Args& args) {
     return interrupted(e, 130);
   }
   if (!wf.restored_phases().empty()) {
-    std::printf("resumed from %s: restored", ckpt_dir.c_str());
+    std::string from;
+    for (const std::string& dir : wf.restored_from()) {
+      from += (from.empty() ? "" : " and ") + dir;
+    }
+    std::printf("resumed from %s: restored", from.c_str());
     for (const std::string& phase : wf.restored_phases()) {
       std::printf(" %s", phase.c_str());
     }
