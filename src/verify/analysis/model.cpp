@@ -6,7 +6,7 @@
 #include <queue>
 #include <utility>
 
-#include "emulation/router.hpp"
+#include "core/hash.hpp"
 #include "nidb/value.hpp"
 
 namespace autonet::verify::analysis {
@@ -15,7 +15,6 @@ using addressing::Ipv4Addr;
 using addressing::Ipv4Interface;
 using addressing::Ipv4Prefix;
 using emulation::BgpNeighborConfig;
-using emulation::BgpRoute;
 using emulation::BgpSession;
 using emulation::FibEntry;
 using emulation::InterfaceConfig;
@@ -35,6 +34,7 @@ using nidb::Value;
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
 
 const std::string* find_string(const Value& v, std::string_view path) {
   const Value* f = v.find_path(path);
@@ -54,45 +54,6 @@ std::optional<Ipv4Interface> parse_interface_addr(std::string_view with_len) {
   auto prefix = Ipv4Prefix::parse(with_len);
   if (!addr || !prefix) return std::nullopt;
   return Ipv4Interface{*addr, *prefix};
-}
-
-struct Adjacency {
-  std::size_t to;
-  double cost;
-  std::string out_interface;
-  Ipv4Addr next_hop;  // peer's interface address on the shared subnet
-};
-
-struct SpfResult {
-  std::map<std::size_t, double> dist;
-  std::map<std::size_t, const Adjacency*> first_hop;
-};
-
-SpfResult spf(std::size_t src,
-              const std::map<std::size_t, std::vector<Adjacency>>& adj) {
-  SpfResult out;
-  out.dist[src] = 0;
-  using Item = std::pair<double, std::size_t>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
-  heap.emplace(0.0, src);
-  while (!heap.empty()) {
-    auto [d, u] = heap.top();
-    heap.pop();
-    auto du = out.dist.find(u);
-    if (du != out.dist.end() && d > du->second) continue;
-    auto it = adj.find(u);
-    if (it == adj.end()) continue;
-    for (const auto& a : it->second) {
-      double nd = d + a.cost;
-      auto dv = out.dist.find(a.to);
-      if (dv == out.dist.end() || nd < dv->second) {
-        out.dist[a.to] = nd;
-        out.first_hop[a.to] = u == src ? &a : out.first_hop[u];
-        heap.emplace(nd, a.to);
-      }
-    }
-  }
-  return out;
 }
 
 std::vector<Segment> build_segments(const std::vector<RouterConfig>& routers,
@@ -117,7 +78,7 @@ std::vector<Segment> build_segments(const std::vector<RouterConfig>& routers,
 }  // namespace
 
 Model Model::from_nidb(const nidb::Nidb& nidb) {
-  Model model;
+  std::vector<RouterConfig> configs;
   for (const nidb::DeviceRecord* rec : nidb.devices()) {
     const Value& d = rec->data;
     const std::string* type = find_string(d, "device_type");
@@ -238,10 +199,15 @@ Model Model::from_nidb(const nidb::Nidb& nidb) {
     } else {
       cfg.asn = find_int(d, "asn", 0);
     }
-    model.configs_.push_back(std::move(cfg));
+    configs.push_back(std::move(cfg));
   }
+  return from_router_configs(std::move(configs));
+}
 
-  // nidb.devices() is name-sorted; keep that order and index it.
+Model Model::from_router_configs(std::vector<RouterConfig> configs) {
+  Model model;
+  model.configs_ = std::move(configs);
+  std::ranges::stable_sort(model.configs_, {}, &RouterConfig::hostname);
   for (std::size_t r = 0; r < model.configs_.size(); ++r) {
     const RouterConfig& cfg = model.configs_[r];
     model.by_name_[cfg.hostname] = r;
@@ -292,27 +258,142 @@ std::vector<Link> Model::links() const {
 // predict(): OSPF SPF per area, BGP decision process, FIB install. Every
 // stage mirrors the corresponding src/emulation/ algorithm; divergence
 // here is a bug that `autonet analyze --cross-check` exists to catch.
+//
+// The state is flat. SPF results are rows indexed by router, OSPF and BGP
+// prefixes are interned once per call, and BGP keeps one Adj-RIB-In vector
+// and one Loc-RIB slot per (router, prefix). A write that changes an
+// Adj-RIB-In entry marks its slot, and a router decides only its marked
+// slots: a selection can change only where its Adj-RIB-In did, and every
+// slot starts empty. Every BGP router runs in round 1, afterwards only
+// those with a marked slot. Routers decide in index order and updates
+// apply at once, so every round and every selection is the one that
+// deciding every slot of every router in every round gives. The
+// oscillation check keeps a running hash of the selections, updated per
+// changed slot.
 // ---------------------------------------------------------------------------
 
-Prediction predict(const Model& model, const std::set<Ipv4Prefix>& failed_subnets,
-                   std::size_t max_bgp_rounds) {
-  const std::vector<RouterConfig>& routers = model.routers();
+namespace {
+
+struct Adjacency {
+  std::size_t to;
+  double cost;
+  std::string out_interface;
+  Ipv4Addr next_hop;  // peer's interface address on the shared subnet
+};
+
+/// One OSPF area: the adjacencies formed in it and the SPF result from
+/// every router that has one. The area's graph falls apart into connected
+/// components (IGP domains that number their areas alike); a result is a
+/// dense row over its source's component, so a distance is two array reads.
+class AreaSpf {
+ public:
+  explicit AreaSpf(std::size_t routers)
+      : adj_(routers), component_(routers, kNone), local_(routers, 0), dist_(routers),
+        first_hop_(routers) {}
+
+  void connect(std::size_t from, Adjacency a) { adj_[from].push_back(std::move(a)); }
+
+  /// Labels the components, then runs SPF from every router with an
+  /// adjacency here; returns how many ran.
+  std::size_t solve() {
+    std::vector<std::size_t> stack;
+    for (std::size_t r = 0; r < adj_.size(); ++r) {
+      if (adj_[r].empty() || component_[r] != kNone) continue;
+      const auto c = static_cast<std::uint32_t>(sizes_.size());
+      std::uint32_t size = 0;
+      component_[r] = c;
+      stack.assign(1, r);
+      while (!stack.empty()) {
+        const std::size_t u = stack.back();
+        stack.pop_back();
+        local_[u] = size++;
+        for (const Adjacency& a : adj_[u]) {
+          if (component_[a.to] == kNone) {
+            component_[a.to] = c;
+            stack.push_back(a.to);
+          }
+        }
+      }
+      sizes_.push_back(size);
+    }
+    std::size_t runs = 0;
+    for (std::size_t r = 0; r < adj_.size(); ++r) {
+      if (adj_[r].empty()) continue;
+      run(r);
+      ++runs;
+    }
+    return runs;
+  }
+
+  /// Distance and first adjacency from `r` to `d` within the area:
+  /// {0, nullptr} to itself, {inf, nullptr} when out of reach.
+  [[nodiscard]] std::pair<double, const Adjacency*> to(std::size_t r, std::size_t d) const {
+    if (r == d) return {0.0, nullptr};
+    if (component_[r] == kNone || component_[r] != component_[d]) return {kInf, nullptr};
+    return {dist_[r][local_[d]], first_hop_[r][local_[d]]};
+  }
+
+ private:
+  void run(std::size_t src) {
+    std::vector<double>& dist = dist_[src];
+    std::vector<const Adjacency*>& first_hop = first_hop_[src];
+    dist.assign(sizes_[component_[src]], kInf);
+    first_hop.assign(dist.size(), nullptr);
+    dist[local_[src]] = 0;
+    // Heap ties break on the router index: the first hop kept among
+    // equal-cost paths depends on it.
+    using Item = std::pair<double, std::size_t>;
+    std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
+    heap.emplace(0.0, src);
+    while (!heap.empty()) {
+      const auto [d, u] = heap.top();
+      heap.pop();
+      if (d > dist[local_[u]]) continue;
+      for (const Adjacency& a : adj_[u]) {
+        const double nd = d + a.cost;
+        const std::uint32_t v = local_[a.to];
+        if (nd < dist[v]) {
+          dist[v] = nd;
+          first_hop[v] = u == src ? &a : first_hop[local_[u]];
+          heap.emplace(nd, a.to);
+        }
+      }
+    }
+  }
+
+  std::vector<std::vector<Adjacency>> adj_;  // by router
+  std::vector<std::uint32_t> component_;     // by router; kNone: no adjacency here
+  std::vector<std::uint32_t> local_;         // by router: position in its component
+  std::vector<std::uint32_t> sizes_;         // by component
+  std::vector<std::vector<double>> dist_;    // by source router, by position
+  std::vector<std::vector<const Adjacency*>> first_hop_;
+};
+
+std::pair<double, const Adjacency*> intra_dist(const AreaSpf* area, std::size_t r,
+                                               std::size_t d) {
+  if (r == d) return {0.0, nullptr};
+  if (area == nullptr) return {kInf, nullptr};
+  return area->to(r, d);
+}
+
+/// Per router, the IGP distance to every router its OSPF routes reach, as
+/// (router, distance) in router order: what BGP resolves next hops with.
+using IgpRows = std::vector<std::vector<std::pair<std::size_t, double>>>;
+
+/// OSPF: adjacency per area (both ends cover the subnet in the same area),
+/// per-(router, area) SPF, inter-area routing through ABRs. Puts every
+/// router's connected and OSPF routes in its FIB and returns the IGP
+/// distances; the SPF results go with the call.
+IgpRows predict_ospf(const std::vector<RouterConfig>& routers,
+                     const std::vector<Segment>& segments, Prediction& out) {
   const std::size_t n = routers.size();
-  Prediction out;
-  out.fibs.assign(n, {});
-  out.igp_dist.assign(n, {});
-
-  const std::vector<Segment> segments = build_segments(routers, failed_subnets);
-
-  // --- OSPF: adjacency per area (both ends cover the subnet in the same
-  // area), per-(router, area) SPF, inter-area routing through ABRs.
-  std::map<std::int64_t, std::map<std::size_t, std::vector<Adjacency>>> area_adj;
-  std::map<std::size_t, std::set<std::int64_t>> router_areas;
+  std::map<std::int64_t, AreaSpf> areas;
+  std::vector<std::vector<std::int64_t>> areas_of(n);  // sorted, unique
   for (const auto& segment : segments) {
     for (const auto& a : segment.members) {
       std::int64_t area_a = 0;
       if (!ospf_covers(routers[a.router], segment.subnet, &area_a)) continue;
-      router_areas[a.router].insert(area_a);
+      areas_of[a.router].push_back(area_a);
       const auto& iface_a = routers[a.router].interfaces[a.iface];
       for (const auto& b : segment.members) {
         if (a.router == b.router) continue;
@@ -320,57 +401,9 @@ Prediction predict(const Model& model, const std::set<Ipv4Prefix>& failed_subnet
         if (!ospf_covers(routers[b.router], segment.subnet, &area_b)) continue;
         if (area_a != area_b) continue;  // mismatched areas: no adjacency
         const auto& iface_b = routers[b.router].interfaces[b.iface];
-        area_adj[area_a][a.router].push_back(
-            {b.router, static_cast<double>(iface_a.ospf_cost), iface_a.id,
-             iface_b.address.address});
-      }
-    }
-  }
-  for (std::size_t r = 0; r < n; ++r) {
-    const RouterConfig& cfg = routers[r];
-    if (!cfg.ospf_enabled) continue;
-    if (cfg.loopback) {
-      std::int64_t area = 0;
-      if (ospf_covers(cfg, cfg.loopback->prefix, &area)) {
-        router_areas[r].insert(area);
-      }
-    }
-  }
-
-  std::map<std::pair<std::size_t, std::int64_t>, SpfResult> spf_of;
-  for (const auto& [area, adj] : area_adj) {
-    for (const auto& [r, list] : adj) {
-      (void)list;
-      ++out.spf_runs;
-      spf_of[{r, area}] = spf(r, adj);
-    }
-  }
-  auto spf_for = [&spf_of](std::size_t r, std::int64_t area) -> const SpfResult* {
-    auto it = spf_of.find({r, area});
-    return it == spf_of.end() ? nullptr : &it->second;
-  };
-
-  std::map<std::int64_t, std::vector<std::size_t>> abrs;
-  for (const auto& [r, areas] : router_areas) {
-    if (!areas.contains(0)) continue;
-    for (std::int64_t area : areas) {
-      if (area != 0) abrs[area].push_back(r);
-    }
-  }
-
-  struct Advertised {
-    std::size_t owner;
-    Ipv4Prefix prefix;
-    std::int64_t area;
-  };
-  std::vector<Advertised> prefixes;
-  for (const auto& segment : segments) {
-    std::set<std::pair<std::size_t, std::int64_t>> done;
-    for (const auto& m : segment.members) {
-      std::int64_t area = 0;
-      if (!ospf_covers(routers[m.router], segment.subnet, &area)) continue;
-      if (done.insert({m.router, area}).second) {
-        prefixes.push_back({m.router, segment.subnet, area});
+        areas.try_emplace(area_a, n).first->second.connect(
+            a.router, {b.router, static_cast<double>(iface_a.ospf_cost), iface_a.id,
+                       iface_b.address.address});
       }
     }
   }
@@ -378,354 +411,517 @@ Prediction predict(const Model& model, const std::set<Ipv4Prefix>& failed_subnet
     const RouterConfig& cfg = routers[r];
     std::int64_t area = 0;
     if (cfg.loopback && ospf_covers(cfg, cfg.loopback->prefix, &area)) {
-      prefixes.push_back({r, cfg.loopback->prefix, area});
+      areas_of[r].push_back(area);
+    }
+    std::ranges::sort(areas_of[r]);
+    areas_of[r].erase(std::unique(areas_of[r].begin(), areas_of[r].end()), areas_of[r].end());
+  }
+  for (auto& [area, spf] : areas) out.spf_runs += spf.solve();
+  const auto area_spf = [&areas](std::int64_t area) -> const AreaSpf* {
+    const auto it = areas.find(area);
+    return it == areas.end() ? nullptr : &it->second;
+  };
+  const AreaSpf* backbone = area_spf(0);
+
+  // ABRs of an area: routers present in both the area and the backbone.
+  std::map<std::int64_t, std::vector<std::size_t>> abrs;
+  for (std::size_t r = 0; r < n; ++r) {
+    if (!std::ranges::binary_search(areas_of[r], std::int64_t{0})) continue;
+    for (const std::int64_t area : areas_of[r]) {
+      if (area != 0) abrs[area].push_back(r);
     }
   }
 
-  auto intra_dist = [&](std::size_t r, std::int64_t area,
-                        std::size_t d) -> std::pair<double, const Adjacency*> {
-    if (r == d) return {0.0, nullptr};
-    const SpfResult* result = spf_for(r, area);
-    if (result == nullptr) return {kInf, nullptr};
-    auto it = result->dist.find(d);
-    if (it == result->dist.end()) return {kInf, nullptr};
-    return {it->second, result->first_hop.at(d)};
+  // Every advertised prefix: (owner, prefix, area), once per owner and area
+  // on a subnet, then the covered loopbacks.
+  struct Advertised {
+    std::size_t owner;
+    Ipv4Prefix prefix;
+    std::int64_t area;
+    std::uint32_t id = 0;            // OSPF prefix id
+    const AreaSpf* spf = nullptr;    // the area's SPF; nullptr: no adjacency in it
+    std::span<const std::size_t> abrs{};  // the area's ABRs
+  };
+  std::vector<Advertised> advertised;
+  std::vector<std::pair<std::size_t, std::int64_t>> done;
+  for (const auto& segment : segments) {
+    done.clear();
+    for (const auto& m : segment.members) {
+      std::int64_t area = 0;
+      if (!ospf_covers(routers[m.router], segment.subnet, &area)) continue;
+      const std::pair<std::size_t, std::int64_t> key{m.router, area};
+      if (std::ranges::find(done, key) != done.end()) continue;
+      done.push_back(key);
+      advertised.push_back({m.router, segment.subnet, area});
+    }
+  }
+  for (std::size_t r = 0; r < n; ++r) {
+    const RouterConfig& cfg = routers[r];
+    std::int64_t area = 0;
+    if (cfg.loopback && ospf_covers(cfg, cfg.loopback->prefix, &area)) {
+      advertised.push_back({r, cfg.loopback->prefix, area});
+    }
+  }
+
+  // Prefix ids in prefix order: the FIB's OSPF order.
+  std::vector<Ipv4Prefix> prefixes;
+  prefixes.reserve(advertised.size());
+  for (const Advertised& adv : advertised) prefixes.push_back(adv.prefix);
+  std::ranges::sort(prefixes);
+  prefixes.erase(std::unique(prefixes.begin(), prefixes.end()), prefixes.end());
+  const auto id_of = [&prefixes](const Ipv4Prefix& prefix) {
+    const auto it = std::ranges::lower_bound(prefixes, prefix);
+    return it != prefixes.end() && *it == prefix
+               ? static_cast<std::uint32_t>(it - prefixes.begin())
+               : kNone;
+  };
+  for (Advertised& adv : advertised) {
+    adv.id = id_of(adv.prefix);
+    adv.spf = area_spf(adv.area);
+    if (const auto it = abrs.find(adv.area); it != abrs.end()) adv.abrs = it->second;
+  }
+  // Per destination router, the ids of its loopback and interface prefixes
+  // for its IGP distance. A prefix nobody advertises, such as a failed
+  // subnet's, has no id.
+  std::vector<std::uint32_t> loopback_id(n, kNone);
+  std::vector<std::vector<std::uint32_t>> interface_ids(n);
+  for (std::size_t d = 0; d < n; ++d) {
+    const RouterConfig& dc = routers[d];
+    if (dc.loopback) loopback_id[d] = id_of(dc.loopback->prefix);
+    for (const auto& iface : dc.interfaces) {
+      if (const std::uint32_t id = id_of(iface.address.prefix); id != kNone) {
+        interface_ids[d].push_back(id);
+      }
+    }
+  }
+
+  // Best OSPF candidate per prefix id (intra-area beats inter-area), reset
+  // after each router through the ids holding one.
+  struct Candidate {
+    bool intra = false;
+    double metric = kInf;
+    const Adjacency* hop = nullptr;
+  };
+  std::vector<Candidate> best(prefixes.size());
+  std::vector<std::uint32_t> offered;
+  const auto offer = [&best, &offered](std::uint32_t id, bool intra, double metric,
+                                       const Adjacency* hop) {
+    if (metric == kInf || hop == nullptr) return;
+    Candidate& cur = best[id];
+    if (cur.hop == nullptr) offered.push_back(id);
+    if ((intra && !cur.intra) || (intra == cur.intra && metric < cur.metric)) {
+      cur = {intra, metric, hop};
+    }
   };
 
+  IgpRows igp(n);
   for (std::size_t r = 0; r < n; ++r) {
     auto& fib = out.fibs[r];
     const RouterConfig& cfg = routers[r];
     for (const auto& iface : cfg.interfaces) {
-      fib.push_back(FibEntry{iface.address.prefix, RouteSource::kConnected,
-                             iface.id, std::nullopt, 0});
+      fib.push_back(FibEntry{iface.address.prefix, RouteSource::kConnected, iface.id,
+                             std::nullopt, 0});
     }
     if (cfg.loopback) {
       fib.push_back(FibEntry{cfg.loopback->prefix, RouteSource::kConnected, "",
                              std::nullopt, 0});
     }
     if (!cfg.ospf_enabled) continue;
-    const auto& my_areas = router_areas[r];
+    const std::vector<std::int64_t>& mine = areas_of[r];
+    const bool in_backbone = std::ranges::binary_search(mine, std::int64_t{0});
 
-    struct Candidate {
-      bool intra = false;
-      double metric = kInf;
-      const Adjacency* hop = nullptr;
-    };
-    std::map<Ipv4Prefix, Candidate> best;
-    auto offer = [&best](const Ipv4Prefix& prefix, bool intra, double metric,
-                         const Adjacency* hop) {
-      if (metric == kInf || hop == nullptr) return;
-      Candidate& cur = best[prefix];
-      if ((intra && !cur.intra) || (intra == cur.intra && metric < cur.metric)) {
-        cur = {intra, metric, hop};
-      }
-    };
-
-    for (const auto& adv : prefixes) {
+    for (const Advertised& adv : advertised) {
       if (adv.owner == r) continue;
-      if (my_areas.contains(adv.area)) {
-        auto [dist, hop] = intra_dist(r, adv.area, adv.owner);
-        offer(adv.prefix, true, dist, hop);
+      if (std::ranges::binary_search(mine, adv.area)) {
+        const auto [dist, hop] = intra_dist(adv.spf, r, adv.owner);
+        offer(adv.id, true, dist, hop);
       }
-      if (adv.area != 0 || !my_areas.contains(0)) {
-        const auto& target_abrs =
-            adv.area == 0 ? std::vector<std::size_t>{adv.owner} : abrs[adv.area];
-        for (std::size_t abr_b : target_abrs) {
-          double remote = 0.0;
-          if (abr_b != adv.owner) {
-            remote = intra_dist(abr_b, adv.area, adv.owner).first;
-          }
-          if (remote == kInf) continue;
-          if (my_areas.contains(0)) {
-            auto [d0, hop] = intra_dist(r, 0, abr_b);
-            offer(adv.prefix, false, d0 + remote, hop);
-          } else {
-            for (std::int64_t area : my_areas) {
-              for (std::size_t abr_a : abrs[area]) {
-                double backbone =
-                    abr_a == abr_b ? 0.0 : intra_dist(abr_a, 0, abr_b).first;
-                if (backbone == kInf) continue;
-                auto [da, hop] = intra_dist(r, area, abr_a);
-                offer(adv.prefix, false, da + backbone + remote, hop);
-              }
-            }
+      // Inter-area, via the backbone: from area 0 to one of the prefix
+      // area's ABRs, or first to one of our own area's ABRs.
+      if (adv.area == 0 && in_backbone) continue;
+      const std::span<const std::size_t> target_abrs =
+          adv.area == 0 ? std::span<const std::size_t>(&adv.owner, 1) : adv.abrs;
+      for (const std::size_t abr_b : target_abrs) {
+        const double remote =
+            abr_b == adv.owner ? 0.0 : intra_dist(adv.spf, abr_b, adv.owner).first;
+        if (remote == kInf) continue;
+        if (in_backbone) {
+          const auto [d0, hop] = intra_dist(backbone, r, abr_b);
+          offer(adv.id, false, d0 + remote, hop);
+          continue;
+        }
+        for (const std::int64_t area : mine) {
+          const auto own_abrs = abrs.find(area);
+          if (own_abrs == abrs.end()) continue;
+          for (const std::size_t abr_a : own_abrs->second) {
+            const double via =
+                abr_a == abr_b ? 0.0 : intra_dist(backbone, abr_a, abr_b).first;
+            if (via == kInf) continue;
+            const auto [da, hop] = intra_dist(area_spf(area), r, abr_a);
+            offer(adv.id, false, da + via + remote, hop);
           }
         }
       }
     }
 
-    for (const auto& [prefix, cand] : best) {
-      bool connected = false;
-      for (const auto& iface : cfg.interfaces) {
-        if (iface.address.prefix == prefix) connected = true;
-      }
-      if (cfg.loopback && cfg.loopback->prefix == prefix) connected = true;
+    std::ranges::sort(offered);
+    for (const std::uint32_t id : offered) {
+      const Ipv4Prefix& prefix = prefixes[id];
+      const bool connected =
+          (cfg.loopback && cfg.loopback->prefix == prefix) ||
+          std::ranges::any_of(cfg.interfaces, [&prefix](const InterfaceConfig& iface) {
+            return iface.address.prefix == prefix;
+          });
       if (connected) continue;
+      const Candidate& cand = best[id];
       fib.push_back(FibEntry{prefix, RouteSource::kOspf, cand.hop->out_interface,
                              cand.hop->next_hop, cand.metric});
     }
-
+    // IGP distance to a router: its loopback's route, else the nearest of
+    // its interface prefixes.
     for (std::size_t d = 0; d < n; ++d) {
       if (d == r) continue;
       double metric = kInf;
-      const RouterConfig& dc = routers[d];
-      if (dc.loopback) {
-        auto it = best.find(dc.loopback->prefix);
-        if (it != best.end()) metric = it->second.metric;
-      }
-      if (metric == kInf) {
-        for (const auto& iface : dc.interfaces) {
-          auto it = best.find(iface.address.prefix);
-          if (it != best.end()) metric = std::min(metric, it->second.metric);
+      if (loopback_id[d] != kNone && best[loopback_id[d]].hop != nullptr) {
+        metric = best[loopback_id[d]].metric;
+      } else {
+        for (const std::uint32_t id : interface_ids[d]) {
+          if (best[id].hop != nullptr) metric = std::min(metric, best[id].metric);
         }
       }
-      if (metric != kInf) out.igp_dist[r][d] = metric;
+      if (metric != kInf) igp[r].emplace_back(d, metric);
     }
+    for (const std::uint32_t id : offered) best[id] = {};
+    offered.clear();
   }
+  return igp;
+}
 
-  // --- BGP: sessions, propagation rounds, decision process, install.
-  auto igp_metric_to = [&](std::size_t r, Ipv4Addr addr) -> double {
-    auto owner = model.by_address().find(addr.value());
-    if (owner == model.by_address().end()) return kInf;
+/// A BGP route as a router holds it (attributes after ingress policy). The
+/// prefix is that of the slot holding it.
+struct Route {
+  std::vector<std::int64_t> as_path;
+  Ipv4Addr next_hop;
+  std::int64_t local_pref = 100;
+  std::int64_t med = 0;
+  std::int64_t weight = 0;  // 32768 for a locally originated route
+  bool ebgp_learned = false;  // session type at the holder
+  bool local_originated = false;
+  Ipv4Addr originator_id;
+  std::vector<Ipv4Addr> cluster_list;
+  Ipv4Addr from_peer;  // session address it arrived over
+
+  friend bool operator==(const Route&, const Route&) = default;
+};
+
+/// An Adj-RIB-In entry: the route, the advertiser's session address it
+/// arrived over (0 for a route originated here), and what the receiver
+/// resolved for its next hop when the entry was written.
+struct RibEntry {
+  std::uint32_t from = 0;
+  bool resolvable = true;
+  double igp_metric = 0;  // the receiver's IGP metric to the next hop
+  Route route;
+};
+
+/// One (router, prefix) slot's term of the running state hash: FNV-1a over
+/// the slot and the route's AS path, next hop, arrival session and
+/// local-pref, the fields that tell one selection state from another. Two
+/// states hash alike when their selections agree on them, as the revisit
+/// rounds of Bad Gadget and MED churn require.
+std::uint64_t state_term(std::size_t router, std::size_t prefix, const Route& route) {
+  std::uint64_t h = kFnvOffsetBasis;
+  const auto fold = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (i * 8)) & 0xff;
+      h *= kFnvPrime;
+    }
+  };
+  fold(router);
+  fold(prefix);
+  fold(route.as_path.size());
+  for (const std::int64_t as : route.as_path) fold(static_cast<std::uint64_t>(as));
+  fold(route.next_hop.value());
+  fold(route.from_peer.value());
+  fold(static_cast<std::uint64_t>(route.local_pref));
+  return h;
+}
+
+/// BGP: sessions, propagation rounds, decision process, install. Appends
+/// every router's BGP routes to its FIB.
+void predict_bgp(const Model& model, const std::set<Ipv4Prefix>& failed_subnets,
+                 const IgpRows& igp, std::size_t max_rounds, Prediction& out) {
+  const std::vector<RouterConfig>& routers = model.routers();
+  const std::map<std::uint32_t, std::size_t>& by_address = model.by_address();
+  const std::size_t n = routers.size();
+  const auto igp_metric_to = [&](std::size_t r, Ipv4Addr addr) -> double {
+    const auto owner = by_address.find(addr.value());
+    if (owner == by_address.end()) return kInf;
     if (owner->second == r) return 0.0;
-    const auto& dist = out.igp_dist[r];
-    auto it = dist.find(owner->second);
-    return it == dist.end() ? kInf : it->second;
+    const auto& row = igp[r];
+    const auto it = std::ranges::lower_bound(row, owner->second, {},
+                                             &std::pair<std::size_t, double>::first);
+    return it != row.end() && it->first == owner->second ? it->second : kInf;
   };
 
+  // --- Sessions: both ends configured for each other, and reachable.
   std::vector<BgpSession> sessions;
   for (std::size_t r = 0; r < n; ++r) {
     const RouterConfig& cfg = routers[r];
     if (!cfg.bgp_enabled) continue;
     for (const auto& neighbor : cfg.bgp_neighbors) {
-      auto owner = model.by_address().find(neighbor.neighbor.value());
-      if (owner == model.by_address().end()) continue;
-      std::size_t peer = owner->second;
+      const auto owner = by_address.find(neighbor.neighbor.value());
+      if (owner == by_address.end()) continue;
+      const std::size_t peer = owner->second;
       if (peer == r) continue;
       const RouterConfig& pc = routers[peer];
       if (!pc.bgp_enabled) continue;
-      bool matched = false;
-      for (const auto& pn : pc.bgp_neighbors) {
-        if (owns_address(cfg, pn.neighbor) && pn.remote_as == cfg.asn &&
-            neighbor.remote_as == pc.asn) {
-          matched = true;
-          break;
-        }
-      }
+      const bool matched = std::ranges::any_of(pc.bgp_neighbors, [&](const auto& pn) {
+        return owns_address(cfg, pn.neighbor) && pn.remote_as == cfg.asn &&
+               neighbor.remote_as == pc.asn;
+      });
       if (!matched) continue;
       BgpSession s;
       s.local = r;
       s.peer = peer;
       s.peer_addr = neighbor.neighbor;
-      s.local_addr =
-          session_source(cfg, neighbor.neighbor, neighbor.update_source_loopback);
+      s.local_addr = session_source(cfg, neighbor.neighbor, neighbor.update_source_loopback);
       s.ebgp = cfg.asn != pc.asn;
       s.peer_is_client = neighbor.rr_client;
       s.next_hop_self = neighbor.next_hop_self;
       s.only_local_out = neighbor.only_local_out;
       s.med_out = neighbor.med_out;
-      bool reachable = false;
-      for (const auto& iface : cfg.interfaces) {
-        if (iface.address.prefix.contains(neighbor.neighbor) &&
-            !failed_subnets.contains(iface.address.prefix)) {
-          reachable = true;
-          break;
-        }
-      }
-      if (!reachable) reachable = igp_metric_to(r, neighbor.neighbor) != kInf;
+      const bool reachable =
+          std::ranges::any_of(cfg.interfaces,
+                              [&](const InterfaceConfig& iface) {
+                                return iface.address.prefix.contains(neighbor.neighbor) &&
+                                       !failed_subnets.contains(iface.address.prefix);
+                              }) ||
+          igp_metric_to(r, neighbor.neighbor) != kInf;
       if (!reachable) continue;
       sessions.push_back(s);
     }
   }
   out.bgp_sessions = sessions.size();
-
   std::vector<std::vector<std::size_t>> sessions_of(n);
   for (std::size_t i = 0; i < sessions.size(); ++i) {
     sessions_of[sessions[i].local].push_back(i);
   }
 
-  std::map<std::pair<std::size_t, std::uint32_t>, std::int64_t> pref_in;
-  for (std::size_t r = 0; r < n; ++r) {
-    for (const auto& neighbor : routers[r].bgp_neighbors) {
-      if (neighbor.local_pref_in > 0) {
-        pref_in[{r, neighbor.neighbor.value()}] = neighbor.local_pref_in;
+  // What the rounds would otherwise recompute per route: router ids, and
+  // per session the receiver's ingress local-pref for the advertiser's
+  // address (its last such statement; 100 without one) and the
+  // advertiser's next-hop-self address.
+  std::vector<Ipv4Addr> ids(n);
+  for (std::size_t r = 0; r < n; ++r) ids[r] = router_id(routers[r]);
+  std::vector<std::int64_t> session_pref(sessions.size(), 100);
+  std::vector<Ipv4Addr> session_nh_self(sessions.size());
+  for (std::size_t i = 0; i < sessions.size(); ++i) {
+    const BgpSession& s = sessions[i];
+    for (const auto& nb : routers[s.peer].bgp_neighbors) {
+      if (nb.local_pref_in > 0 && nb.neighbor == s.local_addr) {
+        session_pref[i] = nb.local_pref_in;
       }
     }
+    session_nh_self[i] = session_source(routers[s.local], s.peer_addr, true);
   }
 
-  using RibInKey = std::pair<std::string, std::uint32_t>;
-  std::vector<std::map<RibInKey, BgpRoute>> rib_in(n);
-  std::vector<std::map<std::string, BgpRoute>> bgp_best(n);
+  // --- Prefixes, interned in text order: the FIB's BGP order.
+  std::vector<std::pair<std::string, Ipv4Prefix>> prefixes;
+  for (const RouterConfig& cfg : routers) {
+    for (const Ipv4Prefix& prefix : cfg.bgp_networks) {
+      prefixes.emplace_back(prefix.to_string(), prefix);
+    }
+  }
+  std::ranges::sort(prefixes);
+  prefixes.erase(std::unique(prefixes.begin(), prefixes.end()), prefixes.end());
+  const std::size_t np = prefixes.size();
+
+  // --- Slots: Adj-RIB-In entries sorted by session address, the Loc-RIB
+  // selection, and the dirty mark of each (router, prefix).
+  std::vector<std::vector<RibEntry>> rib_in(n * np);
+  std::vector<std::optional<Route>> best(n * np);
+  std::vector<std::uint8_t> dirty(n * np, 0);
+  std::vector<std::size_t> dirty_count(n, 0);
+  const auto mark = [&](std::size_t r, std::size_t slot) {
+    if (dirty[slot] == 0) {
+      dirty[slot] = 1;
+      ++dirty_count[r];
+    }
+  };
+  // Resolves an entry's next hop at its receiver: self, connected or
+  // IGP-known.
+  const auto resolve = [&](std::size_t r, RibEntry& e) {
+    const Ipv4Addr nh = e.route.next_hop;
+    e.igp_metric = igp_metric_to(r, nh);
+    e.resolvable = e.route.local_originated || owns_address(routers[r], nh) ||
+                   std::ranges::any_of(routers[r].interfaces,
+                                       [nh](const InterfaceConfig& iface) {
+                                         return iface.address.prefix.contains(nh);
+                                       }) ||
+                   e.igp_metric != kInf;
+  };
+  const auto write = [&](std::size_t r, std::size_t k, std::uint32_t from, const Route& route) {
+    const std::size_t slot = r * np + k;
+    std::vector<RibEntry>& list = rib_in[slot];
+    auto it = std::ranges::lower_bound(list, from, {}, &RibEntry::from);
+    if (it != list.end() && it->from == from) {
+      if (it->route == route) return;
+      const bool moved = it->route.next_hop != route.next_hop ||
+                         it->route.local_originated != route.local_originated;
+      it->route = route;
+      if (moved) resolve(r, *it);
+    } else {
+      it = list.insert(it, RibEntry{.from = from, .route = route});
+      resolve(r, *it);
+    }
+    mark(r, slot);
+  };
+  const auto erase = [&](std::size_t r, std::size_t k, std::uint32_t from) {
+    const std::size_t slot = r * np + k;
+    std::vector<RibEntry>& list = rib_in[slot];
+    const auto it = std::ranges::lower_bound(list, from, {}, &RibEntry::from);
+    if (it == list.end() || it->from != from) return;
+    list.erase(it);
+    mark(r, slot);
+  };
+
   for (std::size_t r = 0; r < n; ++r) {
-    const RouterConfig& cfg = routers[r];
-    for (const auto& prefix : cfg.bgp_networks) {
-      BgpRoute route;
-      route.prefix = prefix;
-      route.next_hop = router_id(cfg);
+    for (const Ipv4Prefix& prefix : routers[r].bgp_networks) {
+      Route route;
+      route.next_hop = ids[r];
       route.weight = 32768;
       route.local_originated = true;
-      route.originator_id = router_id(cfg);
-      rib_in[r][{prefix.to_string(), 0}] = route;
+      route.originator_id = ids[r];
+      const auto k = std::ranges::lower_bound(prefixes, prefix.to_string(), {},
+                                              &std::pair<std::string, Ipv4Prefix>::first);
+      write(r, static_cast<std::size_t>(k - prefixes.begin()), 0, route);
     }
   }
 
-  auto better = [&](std::size_t r, const BgpRoute& a, const BgpRoute& b) {
+  const auto better = [&routers](std::size_t r, const RibEntry& x, const RibEntry& y) {
+    const Route& a = x.route;
+    const Route& b = y.route;
     if (a.weight != b.weight) return a.weight > b.weight;
     if (a.local_pref != b.local_pref) return a.local_pref > b.local_pref;
-    if (a.as_path.size() != b.as_path.size()) {
-      return a.as_path.size() < b.as_path.size();
-    }
-    if (!a.as_path.empty() && !b.as_path.empty() &&
-        a.as_path.front() == b.as_path.front() && a.med != b.med) {
+    if (a.as_path.size() != b.as_path.size()) return a.as_path.size() < b.as_path.size();
+    if (!a.as_path.empty() && !b.as_path.empty() && a.as_path.front() == b.as_path.front() &&
+        a.med != b.med) {
       return a.med < b.med;
     }
     if (a.ebgp_learned != b.ebgp_learned) return a.ebgp_learned;
-    if (routers[r].igp_tiebreak) {
-      double ma = igp_metric_to(r, a.next_hop);
-      double mb = igp_metric_to(r, b.next_hop);
-      if (ma != mb) return ma < mb;
+    if (routers[r].igp_tiebreak && x.igp_metric != y.igp_metric) {
+      return x.igp_metric < y.igp_metric;
     }
     if (a.originator_id != b.originator_id) return a.originator_id < b.originator_id;
     return a.from_peer < b.from_peer;
   };
 
-  auto select_best = [&](std::size_t r) {
-    std::map<std::string, BgpRoute> best;
-    for (const auto& [key, route] : rib_in[r]) {
-      if (!route.local_originated) {
-        bool resolvable = owns_address(routers[r], route.next_hop);
-        if (!resolvable) {
-          for (const auto& iface : routers[r].interfaces) {
-            if (iface.address.prefix.contains(route.next_hop)) resolvable = true;
-          }
-        }
-        if (!resolvable) resolvable = igp_metric_to(r, route.next_hop) != kInf;
-        if (!resolvable) continue;
+  // Advertises router r's selection for prefix k over each of its
+  // sessions, or withdraws it where policy or loop prevention forbids.
+  Route adv;  // the advertisement; its buffers are reused
+  const auto advertise = [&](std::size_t r, std::size_t k, const Route& route) {
+    std::optional<bool> from_client;
+    for (const std::size_t si : sessions_of[r]) {
+      const BgpSession& s = sessions[si];
+      const std::uint32_t key = s.local_addr.value();
+      if (!route.local_originated && route.from_peer == s.peer_addr) {
+        erase(s.peer, k, key);
+        continue;
       }
-      auto it = best.find(key.first);
-      if (it == best.end() || better(r, route, it->second)) {
-        best[key.first] = route;
+      if (s.only_local_out && !route.local_originated) {
+        erase(s.peer, k, key);
+        continue;
+      }
+      bool advertised = false;
+      adv = route;
+      adv.from_peer = s.local_addr;
+      adv.weight = 0;
+      adv.local_originated = false;
+      if (s.ebgp) {
+        advertised = true;
+        adv.as_path.insert(adv.as_path.begin(), routers[r].asn);
+        adv.next_hop = s.local_addr;
+        adv.local_pref = session_pref[si];
+        adv.med = s.med_out >= 0 ? s.med_out : 0;
+        adv.originator_id = Ipv4Addr{};
+        adv.cluster_list.clear();
+        adv.ebgp_learned = true;
+      } else {
+        adv.ebgp_learned = false;
+        if (route.local_originated || route.ebgp_learned) {
+          advertised = true;
+          if (s.next_hop_self || route.local_originated) adv.next_hop = session_nh_self[si];
+          adv.originator_id = ids[r];
+        } else {
+          if (!from_client) {
+            from_client = false;
+            for (const std::size_t lj : sessions_of[r]) {
+              if (sessions[lj].peer_addr == route.from_peer) {
+                from_client = sessions[lj].peer_is_client;
+                break;
+              }
+            }
+          }
+          advertised = *from_client || s.peer_is_client;
+          if (advertised) adv.cluster_list.push_back(ids[r]);
+        }
+      }
+      const bool drop =
+          !advertised ||
+          (s.ebgp ? std::ranges::find(adv.as_path, routers[s.peer].asn) != adv.as_path.end()
+                  : adv.originator_id == ids[s.peer] ||
+                        std::ranges::find(adv.cluster_list, ids[s.peer]) !=
+                            adv.cluster_list.end());
+      if (drop) {
+        erase(s.peer, k, key);
+      } else {
+        write(s.peer, k, key, adv);
       }
     }
-    return best;
   };
 
-  std::map<std::size_t, std::size_t> seen_states;
-  for (std::size_t round = 1; round <= max_bgp_rounds; ++round) {
+  std::map<std::uint64_t, std::size_t> seen_states;  // state hash -> round
+  std::uint64_t state = 0;
+  for (std::size_t round = 1; round <= max_rounds; ++round) {
     bool changed = false;
     for (std::size_t r = 0; r < n; ++r) {
       if (!routers[r].bgp_enabled) continue;
-      auto best = select_best(r);
-      if (best == bgp_best[r] && round > 1) continue;
-
-      for (const auto& [prefix, old_route] : bgp_best[r]) {
-        (void)old_route;
-        if (best.contains(prefix)) continue;
-        for (std::size_t si : sessions_of[r]) {
-          const BgpSession& s = sessions[si];
-          rib_in[s.peer].erase({prefix, s.local_addr.value()});
+      if (round > 1 && dirty_count[r] == 0) continue;
+      ++out.decision_reruns;
+      for (std::size_t k = 0; k < np; ++k) {
+        const std::size_t slot = r * np + k;
+        if (dirty[slot] == 0) continue;
+        dirty[slot] = 0;
+        --dirty_count[r];
+        const RibEntry* chosen = nullptr;
+        for (const RibEntry& e : rib_in[slot]) {
+          if (e.resolvable && (chosen == nullptr || better(r, e, *chosen))) chosen = &e;
+        }
+        std::optional<Route>& selected = best[slot];
+        if (chosen == nullptr) {
+          if (!selected) continue;
+          for (const std::size_t si : sessions_of[r]) {
+            erase(sessions[si].peer, k, sessions[si].local_addr.value());
+          }
+          state -= state_term(r, k, *selected);
+          selected.reset();
+        } else {
+          if (selected && *selected == chosen->route) continue;
+          advertise(r, k, chosen->route);
+          if (selected) state -= state_term(r, k, *selected);
+          state += state_term(r, k, chosen->route);
+          selected = chosen->route;
         }
         changed = true;
       }
-
-      for (const auto& [prefix, route] : best) {
-        const BgpRoute* previous = nullptr;
-        auto prev_it = bgp_best[r].find(prefix);
-        if (prev_it != bgp_best[r].end()) previous = &prev_it->second;
-        const bool is_new = previous == nullptr || !(*previous == route);
-        if (!is_new) continue;
-        changed = true;
-        for (std::size_t si : sessions_of[r]) {
-          const BgpSession& s = sessions[si];
-          const auto rib_key = std::make_pair(prefix, s.local_addr.value());
-          if (!route.local_originated && route.from_peer == s.peer_addr) {
-            rib_in[s.peer].erase(rib_key);
-            continue;
-          }
-          if (s.only_local_out && !route.local_originated) {
-            rib_in[s.peer].erase(rib_key);
-            continue;
-          }
-          bool advertise = false;
-          BgpRoute adv = route;
-          adv.from_peer = s.local_addr;
-          adv.weight = 0;
-          adv.local_originated = false;
-          if (s.ebgp) {
-            advertise = true;
-            adv.as_path.insert(adv.as_path.begin(), routers[r].asn);
-            adv.next_hop = s.local_addr;
-            auto pref = pref_in.find({s.peer, s.local_addr.value()});
-            adv.local_pref = pref == pref_in.end() ? 100 : pref->second;
-            adv.med = s.med_out >= 0 ? s.med_out : 0;
-            adv.originator_id = Ipv4Addr{};
-            adv.cluster_list.clear();
-            adv.ebgp_learned = true;
-          } else {
-            adv.ebgp_learned = false;
-            if (route.local_originated || route.ebgp_learned) {
-              advertise = true;
-              if (s.next_hop_self || route.local_originated) {
-                adv.next_hop = session_source(routers[r], s.peer_addr, true);
-              }
-              adv.originator_id = router_id(routers[r]);
-            } else {
-              const bool learned_from_client = [&]() {
-                for (std::size_t lj : sessions_of[r]) {
-                  const BgpSession& ls = sessions[lj];
-                  if (ls.peer_addr == route.from_peer) return ls.peer_is_client;
-                }
-                return false;
-              }();
-              advertise = learned_from_client || s.peer_is_client;
-              if (advertise) {
-                adv.cluster_list.push_back(router_id(routers[r]));
-              }
-            }
-          }
-          if (!advertise) {
-            rib_in[s.peer].erase(rib_key);
-            continue;
-          }
-          bool drop = false;
-          if (s.ebgp) {
-            for (auto as : adv.as_path) {
-              if (as == routers[s.peer].asn) drop = true;
-            }
-          } else {
-            const Ipv4Addr peer_id = router_id(routers[s.peer]);
-            if (adv.originator_id == peer_id) drop = true;
-            for (const auto& cluster : adv.cluster_list) {
-              if (cluster == peer_id) drop = true;
-            }
-          }
-          if (drop) {
-            rib_in[s.peer].erase(rib_key);
-          } else {
-            rib_in[s.peer][rib_key] = adv;
-          }
-        }
-      }
-      bgp_best[r] = std::move(best);
     }
-
     out.bgp_rounds = round;
     if (!changed) {
       out.bgp_converged = true;
       break;
     }
-    std::string state;
-    for (std::size_t r = 0; r < n; ++r) {
-      state += routers[r].hostname + "{";
-      for (const auto& [prefix, route] : bgp_best[r]) {
-        (void)prefix;
-        state += route.fingerprint() + ";";
-      }
-      state += "}";
-    }
-    std::size_t h = std::hash<std::string>{}(state);
-    auto [it, inserted] = seen_states.emplace(h, round);
-    if (!inserted) {
+    if (!seen_states.emplace(state, round).second) {
       out.bgp_oscillating = true;
       break;
     }
@@ -735,36 +931,47 @@ Prediction predict(const Model& model, const std::set<Ipv4Prefix>& failed_subnet
   // or recursively via a non-BGP route) and add the FIB entry.
   for (std::size_t r = 0; r < n; ++r) {
     auto& fib = out.fibs[r];
-    for (const auto& [prefix_str, route] : bgp_best[r]) {
-      (void)prefix_str;
-      if (route.local_originated) continue;
+    for (std::size_t k = 0; k < np; ++k) {
+      const std::optional<Route>& route = best[r * np + k];
+      if (!route || route->local_originated) continue;
       std::string out_interface;
       std::optional<Ipv4Addr> immediate;
       bool resolved = false;
       for (const auto& iface : routers[r].interfaces) {
-        if (iface.address.prefix.contains(route.next_hop)) {
+        if (iface.address.prefix.contains(route->next_hop)) {
           out_interface = iface.id;
-          immediate = route.next_hop;
+          immediate = route->next_hop;
           resolved = true;
           break;
         }
       }
       if (!resolved) {
-        const FibEntry* via = lookup(fib, route.next_hop);
+        const FibEntry* via = lookup(fib, route->next_hop);
         if (via != nullptr && via->source != RouteSource::kEbgp &&
             via->source != RouteSource::kIbgp) {
           out_interface = via->out_interface;
-          immediate = via->next_hop ? via->next_hop : route.next_hop;
+          immediate = via->next_hop ? via->next_hop : route->next_hop;
           resolved = true;
         }
       }
       if (!resolved) continue;
-      fib.push_back(FibEntry{
-          route.prefix,
-          route.ebgp_learned ? RouteSource::kEbgp : RouteSource::kIbgp,
-          out_interface, immediate, static_cast<double>(route.as_path.size())});
+      fib.push_back(FibEntry{prefixes[k].second,
+                             route->ebgp_learned ? RouteSource::kEbgp : RouteSource::kIbgp,
+                             out_interface, immediate,
+                             static_cast<double>(route->as_path.size())});
     }
   }
+}
+
+}  // namespace
+
+Prediction predict(const Model& model, const std::set<Ipv4Prefix>& failed_subnets,
+                   std::size_t max_bgp_rounds) {
+  Prediction out;
+  out.fibs.assign(model.size(), {});
+  const IgpRows igp =
+      predict_ospf(model.routers(), build_segments(model.routers(), failed_subnets), out);
+  predict_bgp(model, failed_subnets, igp, max_bgp_rounds, out);
   return out;
 }
 

@@ -10,11 +10,14 @@
 // target), the segment and session records, the hop-by-hop walk behind
 // trace() and the per-destination column behind PathTable. The control
 // plane that fills the FIBs — segment grouping, SPF, the BGP decision
-// process and FIB install — is written separately here, mirroring
-// src/emulation/ step for step, so that
-// `--cross-check` can use the emulation as a differential oracle; only
-// the *inputs* differ (NIDB records here, rendered-and-reparsed configs
-// there).
+// process and FIB install — is written separately in model.cpp,
+// mirroring src/emulation/ step for step, so that `--cross-check` can use
+// the emulation as a differential oracle; only the *inputs* differ (NIDB
+// records here, rendered-and-reparsed configs there). Its state is flat
+// and index-addressed, as the emulation's is, but shares no code with it:
+// SPF results are rows indexed by router, prefixes are interned once per
+// prediction, and BGP reruns a router's decision only for the prefixes
+// whose Adj-RIB-In changed.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +49,12 @@ struct Link {
 /// share read-only across analysis worker threads.
 class Model {
  public:
+  /// Lifts every router record of the NIDB (from_router_configs).
   [[nodiscard]] static Model from_nidb(const nidb::Nidb& nidb);
+  /// A model of hand-built configurations, sorted by hostname and indexed
+  /// by name and address: the counterpart of
+  /// EmulatedNetwork::from_router_configs.
+  [[nodiscard]] static Model from_router_configs(std::vector<emulation::RouterConfig> configs);
 
   [[nodiscard]] const std::vector<emulation::RouterConfig>& routers() const {
     return configs_;
@@ -73,14 +81,14 @@ class Model {
 struct Prediction {
   /// fibs[i] belongs to Model::routers()[i].
   std::vector<std::vector<emulation::FibEntry>> fibs;
-  /// igp_dist[r]: router index -> IGP distance (same semantics as the
-  /// emulation's igp_dist_).
-  std::vector<std::map<std::size_t, double>> igp_dist;
   bool bgp_converged = false;
   bool bgp_oscillating = false;
   std::size_t bgp_rounds = 0;
   std::size_t bgp_sessions = 0;
   std::size_t spf_runs = 0;
+  /// Routers that ran the BGP decision process, summed over rounds: every
+  /// BGP router in round 1, afterwards only those whose Adj-RIB-In changed.
+  std::size_t decision_reruns = 0;
 };
 
 /// Derives the predicted FIBs with the given subnets administratively

@@ -30,6 +30,7 @@ std::shared_ptr<const Prediction> Workspace::predict_cached(
     fib_builds_.fetch_add(1, std::memory_order_relaxed);
     spf_runs_.fetch_add(prediction->spf_runs, std::memory_order_relaxed);
     bgp_rounds_.fetch_add(prediction->bgp_rounds, std::memory_order_relaxed);
+    decision_reruns_.fetch_add(prediction->decision_reruns, std::memory_order_relaxed);
   }
   return prediction;
 }
@@ -70,6 +71,7 @@ Stats Workspace::stats() const {
   out.fib_cache_hits = fib_cache_hits_.load(std::memory_order_relaxed);
   out.spf_runs = spf_runs_.load(std::memory_order_relaxed);
   out.bgp_rounds = bgp_rounds_.load(std::memory_order_relaxed);
+  out.decision_reruns = decision_reruns_.load(std::memory_order_relaxed);
   out.whatif_scenarios = whatif_scenarios_.load(std::memory_order_relaxed);
   return out;
 }

@@ -25,6 +25,7 @@ struct Stats {
   std::size_t fib_cache_hits = 0;    // predictions served from the cache
   std::size_t spf_runs = 0;          // Dijkstra invocations across builds
   std::size_t bgp_rounds = 0;        // BGP propagation rounds across builds
+  std::size_t decision_reruns = 0;   // BGP decision reruns across builds
   std::size_t whatif_scenarios = 0;  // failure scenarios evaluated
 };
 
@@ -72,6 +73,7 @@ class Workspace {
   mutable std::atomic<std::size_t> fib_cache_hits_{0};
   mutable std::atomic<std::size_t> spf_runs_{0};
   mutable std::atomic<std::size_t> bgp_rounds_{0};
+  mutable std::atomic<std::size_t> decision_reruns_{0};
   mutable std::atomic<std::size_t> whatif_scenarios_{0};
 };
 

@@ -282,6 +282,7 @@ Report run_lint(const LintInput& input, const LintOptions& options,
       analysis_scope.counter("fib_cache_hits").inc(stats.fib_cache_hits);
       analysis_scope.counter("spf_runs").inc(stats.spf_runs);
       analysis_scope.counter("bgp_rounds").inc(stats.bgp_rounds);
+      analysis_scope.counter("decision_reruns").inc(stats.decision_reruns);
       analysis_scope.counter("whatif_scenarios").inc(stats.whatif_scenarios);
       obs::record("analysis", obs::Severity::kInfo, "predicted_fibs",
                   {{"fib_builds", std::to_string(stats.fib_builds)},

@@ -381,6 +381,29 @@ TEST(AnalysisRules, RunsWithoutBootingEmulation) {
   EXPECT_EQ(obs::to_prometheus(reg).find("emulation"), std::string::npos);
 }
 
+TEST(AnalysisRules, PublishesDecisionRerunsNextToBgpRounds) {
+  // After round 1, a router reruns the BGP decision only where its
+  // Adj-RIB-In changed: small-internet's 14 BGP routers converge in 5
+  // rounds with 53 reruns, not the 70 of deciding everywhere every round.
+  auto nidb = compiled(topology::small_internet());
+  const Model model = Model::from_nidb(nidb);
+  const Prediction prediction = verify::analysis::predict(model);
+  const auto bgp_routers = static_cast<std::size_t>(std::ranges::count_if(
+      model.routers(), [](const auto& cfg) { return cfg.bgp_enabled; }));
+  EXPECT_EQ(bgp_routers, 14u);
+  EXPECT_EQ(prediction.bgp_rounds, 5u);
+  EXPECT_EQ(prediction.decision_reruns, 53u);
+
+  FibCache::global().clear();  // force fresh builds, not cross-test hits
+  obs::Registry reg;
+  obs::RegistryScope scope(reg);
+  (void)analyze(nidb);
+  EXPECT_EQ(reg.counter("analysis.fib_builds").value(),
+            1 + reg.counter("analysis.whatif_scenarios").value());
+  EXPECT_GE(reg.counter("analysis.decision_reruns").value(), prediction.decision_reruns);
+  EXPECT_GT(reg.counter("analysis.bgp_rounds").value(), 0u);
+}
+
 TEST(AnalysisRules, ReportIsDeterministicAcrossWorkerCounts) {
   auto nidb = loop_fixture();
   std::string baseline;
