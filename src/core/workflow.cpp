@@ -8,7 +8,6 @@
 
 #include "core/hash.hpp"
 #include "deploy/archive.hpp"
-#include "incremental/hot_apply.hpp"
 #include "nidb/value.hpp"
 #include "obs/recorder.hpp"
 #include "obs/span.hpp"
@@ -149,8 +148,8 @@ deploy::DeployResult deploy_result_from_value(const nidb::Value& v) {
   return r;
 }
 
-// One decoder per phase artifact, shared by checkpoint restore, the
-// input delta and hot-apply. The NIDB decodes with Nidb::from_json.
+// One decoder per phase artifact, shared by checkpoint restore and the
+// input delta. The NIDB decodes with Nidb::from_json.
 
 anm::AbstractNetworkModel anm_from_artifact(const std::string& artifact) {
   anm::AbstractNetworkModel anm;
@@ -214,7 +213,6 @@ std::string IncrementalReport::to_text() const {
         << delta.to_text();
   }
   for (const std::string& line : plan.explain) out << line << "\n";
-  if (hot_applied) out << "deploy: delta hot-applied to the running emulation\n";
   return out.str();
 }
 
@@ -727,55 +725,6 @@ Workflow& Workflow::lint() {
 Workflow& Workflow::deploy() {
   if (!configs_) throw std::logic_error("Workflow::deploy before render");
   if (try_restore("deploy")) return *this;
-  // Hot-apply: when every input change maps to a scoped action (link
-  // cost, link failure), boot the *baseline* emulation and mutate it in
-  // place instead of a full redeploy. Routers keep their identity and
-  // sessions; one reconvergence pass settles the applied actions.
-  // Excluded from the byte-equivalence contract — its deploy artifact is
-  // a synthesis, validated by the FIB-equivalence tests instead. Only
-  // this path reads the baseline's compile and render records.
-  if (hot_apply_ && !incr_.delta.empty()) {
-    const incremental::HotApplyPlan hplan =
-        incremental::plan_hot_apply(incr_.delta, options_.ospf.cost_attr);
-    std::optional<nidb::Nidb> base_nidb;
-    render::ConfigTree base_configs;
-    if (hplan.applicable()) {
-      try {
-        base_nidb = nidb::Nidb::from_json(baseline_->artifact("compile"));
-        base_configs = configs_from_artifact(baseline_->artifact("render"));
-      } catch (const std::exception&) {
-        base_nidb.reset();
-        incr_.plan.explain.emplace_back(
-            "hot-apply not applicable: baseline build records unreadable: full "
-            "deploy");
-      }
-    } else {
-      incr_.plan.explain.emplace_back("hot-apply not applicable: full deploy");
-      for (const std::string& reason : hplan.unsupported) {
-        incr_.plan.explain.push_back("  " + reason);
-      }
-    }
-    if (base_nidb) {
-      timed("deploy", [this, &hplan, &base_nidb, &base_configs]() {
-        host_ = std::make_unique<deploy::EmulationHost>("localhost");
-        host_->receive(deploy::pack(base_configs));
-        host_->extract();
-        host_->start_network(*base_nidb, host_->filesystem(), {}, nullptr);
-        const incremental::HotApplyResult result =
-            incremental::hot_apply(*host_->network(), hplan, 128, control_);
-        deploy_result_ = {};
-        deploy_result_.success =
-            result.failed == 0 && result.convergence.converged;
-        for (const auto* rec : base_nidb->devices()) {
-          deploy_result_.booted.push_back(rec->name);
-        }
-        deploy_result_.convergence = result.convergence;
-        incr_.hot_applied = true;
-      });
-      save_phase("deploy");
-      return *this;
-    }
-  }
   timed("deploy", [this]() {
     host_ = std::make_unique<deploy::EmulationHost>("localhost");
     host_->attach_faults(faults_);

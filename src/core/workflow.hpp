@@ -104,7 +104,6 @@ struct IncrementalReport {
     /// One line per decision, for `autonet run --explain`.
     std::vector<std::string> explain;
   } plan;
-  bool hot_applied = false;
 
   /// The --explain rendering: mode, delta, then the decision lines.
   [[nodiscard]] std::string to_text() const;
@@ -219,18 +218,8 @@ class Workflow {
   /// every phase when the input and options match ("warm"), load..lint
   /// when only the deploy options differ ("partial"). An edited input
   /// runs cold; against a baseline with the same build options it
-  /// reports the input delta, which set_hot_apply() can apply. Obs
-  /// counters: "incr.phase_reused", "incr.hot_apply".
+  /// reports the input delta. Obs counter: "incr.phase_reused".
   Workflow& incremental_from(const std::string& baseline_dir);
-  /// Opt-in: when the input delta maps entirely onto scoped emulation
-  /// actions (link cost changes, link removals), deploy() boots the
-  /// baseline configuration and hot-applies the delta instead of a full
-  /// redeploy. The resulting control plane converges to the new design;
-  /// the deploy result is synthesized (see docs/incremental.md).
-  Workflow& set_hot_apply(bool on) {
-    hot_apply_ = on;
-    return *this;
-  }
   /// What the incremental machinery decided and did this run.
   [[nodiscard]] const IncrementalReport& incremental_report() const {
     return incr_;
@@ -358,7 +347,6 @@ class Workflow {
   // --- Incremental state -------------------------------------------------
   std::unique_ptr<CheckpointStore> baseline_;  // incremental_from() source
   ReuseMode reuse_ = ReuseMode::kCold;
-  bool hot_apply_ = false;
   IncrementalReport incr_;
 };
 

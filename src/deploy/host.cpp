@@ -47,33 +47,6 @@ std::vector<std::string> EmulationHost::assigned_machines(
   return out;
 }
 
-std::vector<std::string> EmulationHost::boot_assigned(
-    const nidb::Nidb& nidb,
-    const std::function<void(const std::string& machine, bool ok)>& progress) {
-  std::vector<std::string> booted;
-  for (const auto& machine : assigned_machines(nidb)) {
-    const bool ok = try_boot(machine);
-    if (progress) progress(machine, ok);
-    if (ok) booted.push_back(machine);
-  }
-  return booted;
-}
-
-std::vector<std::string> EmulationHost::lstart(
-    const nidb::Nidb& nidb,
-    const std::function<void(const std::string& machine, bool ok)>& progress) {
-  std::vector<std::string> booted;
-  for (const auto* rec : nidb.devices()) {
-    const bool ok = try_boot(rec->name);
-    if (progress) progress(rec->name, ok);
-    if (ok) booted.push_back(rec->name);
-  }
-  if (booted.size() == nidb.device_count()) {
-    start_network(nidb, fs_);
-  }
-  return booted;
-}
-
 const emulation::ConvergenceReport& EmulationHost::start_network(
     const nidb::Nidb& nidb, const render::ConfigTree& configs,
     const std::set<std::string>& machines, core::RunControl* control) {

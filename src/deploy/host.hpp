@@ -1,13 +1,13 @@
 // A simulated emulation host (StarBed node / lab server): receives
 // archives over a simulated transfer, extracts them into its filesystem,
-// and boots the lab (`lstart`). Failure injection covers the paths a
+// boots machines one attempt at a time and starts the emulated control
+// plane over the ones that came up. Failure injection covers the paths a
 // real deployment can break on — truncated transfers, machines that
 // fail to boot, and hosts that are entirely dead — either through the
 // legacy one-shot hooks or through an attached deterministic FaultPlan,
 // so the deployer's retry/degradation logic is testable.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -55,21 +55,6 @@ class EmulationHost {
   /// dead. The deployer drives per-machine retries through this.
   bool try_boot(const std::string& machine);
 
-  /// Boots machines one at a time (Netkit lstart semantics), invoking
-  /// `progress` per machine. Machines in the boot-failure set report
-  /// false. Returns the booted machine names.
-  std::vector<std::string> lstart(
-      const nidb::Nidb& nidb,
-      const std::function<void(const std::string& machine, bool ok)>& progress = {});
-
-  /// Boots only the machines assigned to this host (device records whose
-  /// `host` field equals name()), without starting a control plane —
-  /// used by distributed deployments where one coordinator runs the
-  /// combined network (§5.4 cross-host stitching).
-  std::vector<std::string> boot_assigned(
-      const nidb::Nidb& nidb,
-      const std::function<void(const std::string& machine, bool ok)>& progress = {});
-
   /// Machine names assigned to this host (device records whose `host`
   /// field equals name()).
   [[nodiscard]] std::vector<std::string> assigned_machines(
@@ -85,7 +70,7 @@ class EmulationHost {
       const std::set<std::string>& machines = {},
       core::RunControl* control = nullptr);
 
-  /// The running emulated network; nullptr before a successful lstart.
+  /// The running emulated network; nullptr before start_network().
   [[nodiscard]] emulation::EmulatedNetwork* network() { return network_.get(); }
   [[nodiscard]] const emulation::EmulatedNetwork* network() const {
     return network_.get();

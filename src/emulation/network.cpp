@@ -174,22 +174,6 @@ bool EmulatedNetwork::restore_link(std::string_view router_a,
   return failed_subnets_.erase(*subnet) > 0;
 }
 
-bool EmulatedNetwork::set_link_cost(std::string_view router_a,
-                                    std::string_view router_b,
-                                    std::int64_t cost) {
-  VirtualRouter* a = router(router_a);
-  VirtualRouter* b = router(router_b);
-  if (a == nullptr || b == nullptr) return false;
-  auto subnet = shared_subnet(a->config(), b->config());
-  if (!subnet) return false;
-  for (VirtualRouter* r : {a, b}) {
-    for (auto& iface : r->mutable_config().interfaces) {
-      if (iface.address.prefix == *subnet) iface.ospf_cost = cost;
-    }
-  }
-  return true;
-}
-
 bool EmulatedNetwork::fail_node(std::string_view router_name) {
   auto it = by_name_.find(router_name);
   if (it == by_name_.end()) return false;

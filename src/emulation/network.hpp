@@ -119,12 +119,6 @@ class EmulatedNetwork {
   bool fail_link(std::string_view router_a, std::string_view router_b);
   /// Restores a previously failed link.
   bool restore_link(std::string_view router_a, std::string_view router_b);
-  /// Hot-applies a new OSPF cost to the link between two routers: both
-  /// endpoints' interfaces on the shared subnet take the cost, without a
-  /// reboot — adjacencies and BGP sessions survive. Returns false when
-  /// the routers share no link. Call start() again to reconverge.
-  bool set_link_cost(std::string_view router_a, std::string_view router_b,
-                     std::int64_t cost);
   [[nodiscard]] std::size_t failed_link_count() const {
     return failed_subnets_.size();
   }

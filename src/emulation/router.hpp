@@ -113,9 +113,6 @@ class VirtualRouter {
   explicit VirtualRouter(RouterConfig config) : config_(std::move(config)) {}
 
   [[nodiscard]] const RouterConfig& config() const { return config_; }
-  /// Mutable config access for hot-apply (incremental pipeline): scoped
-  /// edits — an interface cost change — take effect on the next start().
-  [[nodiscard]] RouterConfig& mutable_config() { return config_; }
   [[nodiscard]] const std::string& name() const { return config_.hostname; }
   /// Renames the router (used when mapping C-BGP address-named nodes back
   /// to device names).

@@ -1,6 +1,5 @@
 // Typed diffs between two attribute graphs: what an incremental run
-// reports against its baseline. `autonet diff <a> <b>` prints one, and
-// hot-apply (hot_apply.hpp) maps one onto a running emulation.
+// reports against its baseline, and what `autonet diff <a> <b>` prints.
 #pragma once
 
 #include <string>

@@ -93,24 +93,17 @@ std::vector<RecorderEvent> FlightRecorder::drain() {
 }
 
 PhaseScope::PhaseScope(std::string name) : name_(std::move(name)) {
-  if constexpr (kCompiledIn) {
-    start_us_ = Registry::current().peek_us();
-    previous_ = t_phase_scope;
-    t_phase_scope = this;
-  }
+  start_us_ = Registry::current().peek_us();
+  previous_ = t_phase_scope;
+  t_phase_scope = this;
 }
 
-PhaseScope::~PhaseScope() {
-  if constexpr (kCompiledIn) {
-    t_phase_scope = previous_;
-  }
-}
+PhaseScope::~PhaseScope() { t_phase_scope = previous_; }
 
 const PhaseScope* PhaseScope::current() { return t_phase_scope; }
 
 void record(std::string category, Severity severity, std::string name,
             Fields fields) {
-  if constexpr (!kCompiledIn) return;
   Registry& registry = Registry::current();
   if (!registry.enabled()) return;
   RecorderEvent event;

@@ -17,8 +17,6 @@
 // phase-relative, which makes a phase's event slice a pure function of
 // the code executed inside it (the property checkpoint replay relies
 // on; see core/checkpoint).
-//
-// Under AUTONET_OBS_DISABLED, obs::record() compiles to nothing.
 #pragma once
 
 #include <atomic>
@@ -124,8 +122,7 @@ class PhaseScope {
 
 /// Records an event into Registry::current()'s flight recorder: stamps
 /// the phase + phase-relative timestamp and enqueues. No-op when the
-/// registry is disabled; compiles out entirely under
-/// AUTONET_OBS_DISABLED.
+/// registry is disabled.
 void record(std::string category, Severity severity, std::string name,
             Fields fields = {});
 inline void record(std::string category, std::string name, Fields fields = {}) {

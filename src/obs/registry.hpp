@@ -9,9 +9,7 @@
 //
 // Disabled mode (set_enabled(false)) drops span and flight-recorder
 // recording while leaving metric objects valid; hot paths keep only a
-// relaxed atomic increment. Defining AUTONET_OBS_DISABLED compiles
-// recording out entirely (kCompiledIn below folds every branch to the
-// no-op side).
+// relaxed atomic increment.
 #pragma once
 
 #include <atomic>
@@ -31,12 +29,6 @@
 namespace autonet::obs {
 
 class FlightRecorder;
-
-#ifdef AUTONET_OBS_DISABLED
-inline constexpr bool kCompiledIn = false;
-#else
-inline constexpr bool kCompiledIn = true;
-#endif
 
 /// A completed span (RAII timer), as recorded by obs::Span.
 struct TraceEvent {
@@ -71,12 +63,12 @@ class Registry {
   static Registry& current();
 
   /// Runtime switch for span/event recording. Metric objects stay live
-  /// either way; compiled-out builds ignore this entirely.
+  /// either way.
   void set_enabled(bool enabled) {
     enabled_.store(enabled, std::memory_order_relaxed);
   }
   [[nodiscard]] bool enabled() const {
-    return kCompiledIn && enabled_.load(std::memory_order_relaxed);
+    return enabled_.load(std::memory_order_relaxed);
   }
 
   [[nodiscard]] std::uint64_t now_us() { return clock_->now_us(); }

@@ -26,6 +26,7 @@
 #include "emulation/network.hpp"
 #include "fuzz/scenario.hpp"
 #include "partial_ibgp_mesh.hpp"
+#include "reflected_next_hop.hpp"
 #include "topology/builtin.hpp"
 
 namespace autonet::emulation {
@@ -566,6 +567,38 @@ TEST(BgpReference, PartialIbgpMeshWithdraws) {
   EXPECT_GT(expect_same(fast, slow, 128, "partial iBGP mesh"), 0u);
   EXPECT_TRUE(fast.last_report().converged);
   EXPECT_EQ(fast.router("y")->bgp_best().begin(), fast.router("y")->bgp_best().end());
+}
+
+TEST(BgpReference, ReflectedNextHopMovesAndResolvesAgain) {
+  // a's route from c keeps its session and changes its next hop
+  // (reflected_next_hop.hpp). Both boots take the same failure first.
+  const std::vector<emulation::RouterConfig> configs = fixtures::reflected_next_hop_moves();
+  const std::vector<std::pair<std::string, std::string>> links{
+      {"a", "c"}, {"c", "e"}, {"c", "bd"}, {"e", "bd"}};
+  for (const std::size_t k : {1, 2, 3, 128}) {
+    for (std::size_t down = 0; down <= links.size(); ++down) {
+      auto fast = EmulatedNetwork::from_router_configs(configs);
+      auto slow = EmulatedNetwork::from_router_configs(configs);
+      std::string label = "k=" + std::to_string(k);
+      if (down < links.size()) {
+        const auto& [x, y] = links[down];
+        ASSERT_TRUE(fast.fail_link(x, y));
+        ASSERT_TRUE(slow.fail_link(x, y));
+        label += " " + x + "-" + y + " down";
+      } else {
+        label += " intact";
+      }
+      expect_same(fast, slow, k, label);
+    }
+  }
+  auto network = EmulatedNetwork::from_router_configs(configs);
+  EXPECT_TRUE(network.start().converged);
+  const auto& fib = network.router("a")->fib();
+  const auto prefix = *addressing::Ipv4Prefix::parse("198.51.100.0/24");
+  const auto route = std::ranges::find(fib, prefix, &emulation::FibEntry::prefix);
+  ASSERT_NE(route, fib.end());
+  EXPECT_EQ(route->source, emulation::RouteSource::kIbgp);
+  EXPECT_EQ(route->next_hop, addressing::Ipv4Addr::parse("10.1.0.2"));
 }
 
 TEST(BgpReference, BadGadgetOnEveryPlatformAndBudget) {

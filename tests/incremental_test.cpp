@@ -1,11 +1,12 @@
 // The incremental pipeline's contract, bottom to top: typed graph
-// diffs, the hot-apply action table — and, at the workflow level, the
-// byte-identity guarantee: a warm re-run restores every phase with zero
-// recompute work, and a run over a seeded single-attribute edit reports
-// the delta, rebuilds cold and produces design/compile/render/lint
-// artifacts, SARIF, and a run_report.json byte-identical to a
-// from-scratch run of the edited topology, whatever else the baseline
-// directory holds.
+// diffs — and, at the workflow level, the byte-identity guarantee: a
+// warm re-run restores every phase with zero recompute work, and a run
+// over a seeded single-attribute edit reports the delta, rebuilds cold
+// and produces design/compile/render/lint artifacts, SARIF, and a
+// run_report.json byte-identical to a from-scratch run of the edited
+// topology, whatever else the baseline directory holds. A structural
+// edit (a new link) rebuilds and redeploys to the scratch build's
+// artifacts and control plane.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -21,7 +22,6 @@
 #include "experiment/runner.hpp"
 #include "graph/graph.hpp"
 #include "incremental/delta.hpp"
-#include "incremental/hot_apply.hpp"
 #include "obs/registry.hpp"
 #include "report/run_report.hpp"
 #include "topology/builtin.hpp"
@@ -146,44 +146,6 @@ TEST(DiffGraphs, TypedDeltasComeOutInDeterministicOrder) {
   const auto second = incremental::diff_graphs(a, topology::figure5());
   EXPECT_EQ(first.to_json(true), second.to_json(true));
   EXPECT_EQ(first.to_text(), second.to_text());
-}
-
-// --- Hot-apply planning ---------------------------------------------------
-
-TEST(HotApplyPlan, ActionTableMapsScopedDeltasAndRejectsTheRest) {
-  using incremental::DeltaKind;
-  incremental::DeltaSet cost_change;
-  cost_change.deltas.push_back(
-      {DeltaKind::kLinkAttrChanged, "", "a", "b", "ospf_cost", "1", "5"});
-  auto plan = incremental::plan_hot_apply(cost_change, "ospf_cost");
-  ASSERT_TRUE(plan.applicable());
-  ASSERT_EQ(plan.actions.size(), 1u);
-  EXPECT_EQ(plan.actions[0].kind, incremental::HotAction::Kind::kLinkCost);
-  EXPECT_EQ(plan.actions[0].a, "a");
-  EXPECT_EQ(plan.actions[0].b, "b");
-  EXPECT_EQ(plan.actions[0].cost, 5);
-
-  incremental::DeltaSet removal;
-  removal.deltas.push_back({DeltaKind::kLinkRemoved, "", "a", "b", "", "", ""});
-  plan = incremental::plan_hot_apply(removal, "ospf_cost");
-  ASSERT_TRUE(plan.applicable());
-  EXPECT_EQ(plan.actions[0].kind, incremental::HotAction::Kind::kFailLink);
-
-  // Anything structural beyond a link removal needs a full redeploy.
-  incremental::DeltaSet node_added;
-  node_added.deltas.push_back({DeltaKind::kNodeAdded, "d", "", "", "", "", ""});
-  EXPECT_FALSE(incremental::plan_hot_apply(node_added, "ospf_cost").applicable());
-
-  // A non-cost attribute change has no scoped action.
-  incremental::DeltaSet other_attr;
-  other_attr.deltas.push_back(
-      {DeltaKind::kLinkAttrChanged, "", "a", "b", "bandwidth", "10", "40"});
-  plan = incremental::plan_hot_apply(other_attr, "ospf_cost");
-  EXPECT_FALSE(plan.applicable());
-  EXPECT_EQ(plan.unsupported.size(), 1u);
-
-  // An empty delta has nothing to apply.
-  EXPECT_FALSE(incremental::plan_hot_apply({}, "ospf_cost").applicable());
 }
 
 // --- Workflow: warm no-op -------------------------------------------------
@@ -417,66 +379,12 @@ TEST(IncrementalWorkflow, InterruptedRebuildInTheBaselineCannotLeakIntoAChainedR
   fs::remove_all(dir);
 }
 
-// --- Workflow: hot-apply --------------------------------------------------
+// --- Workflow: structural edits -------------------------------------------
 
-TEST(IncrementalWorkflow, HotApplyConvergesToTheScratchControlPlane) {
-  const std::string base = temp_dir("autonet_incr_hot_base");
-  const graph::Graph g = topology::figure5();
-  graph::Graph edited = topology::figure5();
-  // Push r1->r4 traffic off the r1-r3 link.
-  set_cost(edited, "r1", "r3", 10);
-
-  {
-    obs::Registry registry(std::make_unique<obs::VirtualClock>(1));
-    obs::RegistryScope scope(registry);
-    core::Workflow wf;
-    wf.use_telemetry(&registry);
-    wf.checkpoint_to(base);
-    wf.run(g);
-  }
-
-  obs::Registry scratch_registry(std::make_unique<obs::VirtualClock>(1));
-  core::Workflow scratch;
-  scratch.use_telemetry(&scratch_registry);
-  {
-    obs::RegistryScope scope(scratch_registry);
-    scratch.run(edited);
-  }
-
-  obs::Registry hot_registry(std::make_unique<obs::VirtualClock>(1));
-  core::Workflow hot;
-  hot.use_telemetry(&hot_registry);
-  {
-    obs::RegistryScope scope(hot_registry);
-    hot.incremental_from(base);
-    hot.set_hot_apply(true);
-    hot.run(edited);
-  }
-
-  EXPECT_TRUE(hot.incremental_report().hot_applied);
-  EXPECT_GE(counter_value(hot_registry, "incr.hot_apply"), 1u);
-  EXPECT_TRUE(hot.ok());
-  EXPECT_TRUE(hot.validate_ospf().ok);
-
-  // The hot-applied network's control plane matches a full redeploy of
-  // the edited design: same reachability, same forwarding paths.
-  const auto reach_scratch = scratch.measurement().reachability();
-  const auto reach_hot = hot.measurement().reachability();
-  EXPECT_EQ(reach_hot.routers, reach_scratch.routers);
-  EXPECT_EQ(reach_hot.reached, reach_scratch.reached);
-  const auto path_scratch = scratch.measurement().traceroute("r1", "r4");
-  const auto path_hot = hot.measurement().traceroute("r1", "r4");
-  EXPECT_TRUE(path_hot.reached);
-  EXPECT_EQ(path_hot.node_path, path_scratch.node_path);
-
-  fs::remove_all(base);
-}
-
-TEST(IncrementalWorkflow, LinkAddFallsBackToRebuildNotHotApply) {
-  // A *structural* edit (new link) has no scoped emulation action: the
-  // hot-apply planner must refuse it and the workflow must fall back to
-  // a full redeploy whose results match a from-scratch run — with the
-  // decision visible in the --explain report.
+TEST(IncrementalWorkflow, LinkAddAgainstABaselineRedeploysLikeScratch) {
+  // A *structural* edit (new link) built against a baseline: the run
+  // rebuilds and redeploys to the results of a from-scratch run, and
+  // its --explain report names the new link.
   const std::string base = temp_dir("autonet_incr_linkadd_base");
   const graph::Graph g = topology::figure5();
   graph::Graph edited = topology::figure5();
@@ -499,72 +407,36 @@ TEST(IncrementalWorkflow, LinkAddFallsBackToRebuildNotHotApply) {
     scratch.run(edited);
   }
 
-  obs::Registry hot_registry(std::make_unique<obs::VirtualClock>(1));
-  core::Workflow hot;
-  hot.use_telemetry(&hot_registry);
+  obs::Registry chained_registry(std::make_unique<obs::VirtualClock>(1));
+  core::Workflow chained;
+  chained.use_telemetry(&chained_registry);
   {
-    obs::RegistryScope scope(hot_registry);
-    hot.incremental_from(base);
-    hot.set_hot_apply(true);  // requested, but not applicable
-    hot.run(edited);
+    obs::RegistryScope scope(chained_registry);
+    chained.incremental_from(base);
+    chained.run(edited);
   }
 
-  // The planner itself rejects the delta...
-  const auto plan =
-      incremental::plan_hot_apply(hot.incremental_report().delta, "ospf_cost");
-  EXPECT_FALSE(plan.applicable());
-  EXPECT_FALSE(plan.unsupported.empty());
-  // ...so the workflow must not have hot-applied, and said so.
-  EXPECT_FALSE(hot.incremental_report().hot_applied);
-  EXPECT_EQ(counter_value(hot_registry, "incr.hot_apply"), 0u);
-  const std::string explain = hot.incremental_report().to_text();
-  EXPECT_NE(explain.find("link"), std::string::npos) << explain;
+  const std::string explain = chained.incremental_report().to_text();
+  EXPECT_NE(explain.find("+ link r1 -- r4"), std::string::npos) << explain;
 
-  // The fall-back redeploy converges to the scratch control plane.
-  EXPECT_TRUE(hot.ok());
-  EXPECT_TRUE(hot.validate_ospf().ok);
+  // The redeploy converges to the scratch control plane.
+  EXPECT_TRUE(chained.ok());
+  EXPECT_TRUE(chained.validate_ospf().ok);
   const auto reach_scratch = scratch.measurement().reachability();
-  const auto reach_hot = hot.measurement().reachability();
-  EXPECT_EQ(reach_hot.routers, reach_scratch.routers);
-  EXPECT_EQ(reach_hot.reached, reach_scratch.reached);
+  const auto reach_chained = chained.measurement().reachability();
+  EXPECT_EQ(reach_chained.routers, reach_scratch.routers);
+  EXPECT_EQ(reach_chained.reached, reach_scratch.reached);
   // The new link carries r1->r4 traffic directly in both worlds.
   const auto path_scratch = scratch.measurement().traceroute("r1", "r4");
-  const auto path_hot = hot.measurement().traceroute("r1", "r4");
-  EXPECT_TRUE(path_hot.reached);
-  EXPECT_EQ(path_hot.node_path, path_scratch.node_path);
+  const auto path_chained = chained.measurement().traceroute("r1", "r4");
+  EXPECT_TRUE(path_chained.reached);
+  EXPECT_EQ(path_chained.node_path, path_scratch.node_path);
 
   // And the built artifacts are byte-identical to scratch.
-  EXPECT_EQ(hot.nidb().to_json(), scratch.nidb().to_json());
-  EXPECT_TRUE(hot.configs() == scratch.configs());
+  EXPECT_EQ(chained.nidb().to_json(), scratch.nidb().to_json());
+  EXPECT_TRUE(chained.configs() == scratch.configs());
 
   fs::remove_all(base);
-}
-
-TEST(HotApply, FailLinkActionDrainsTheLinkAndReconverges) {
-  obs::Registry registry(std::make_unique<obs::VirtualClock>(1));
-  obs::RegistryScope scope(registry);
-  core::Workflow wf;
-  wf.use_telemetry(&registry);
-  wf.run(topology::figure5());
-  ASSERT_TRUE(wf.ok());
-
-  incremental::HotApplyPlan plan;
-  plan.actions.push_back(
-      {incremental::HotAction::Kind::kFailLink, "r1", "r3", 0});
-  const auto result = incremental::hot_apply(wf.network(), plan);
-  EXPECT_EQ(result.applied, 1u);
-  EXPECT_EQ(result.failed, 0u);
-  EXPECT_TRUE(result.convergence.converged);
-  // Redundant paths keep the network fully connected.
-  EXPECT_TRUE(wf.measurement().reachability().fully_connected());
-
-  // An unknown link is rejected, not fatal.
-  incremental::HotApplyPlan bogus;
-  bogus.actions.push_back(
-      {incremental::HotAction::Kind::kFailLink, "r1", "nope", 0});
-  const auto rejected = incremental::hot_apply(wf.network(), bogus);
-  EXPECT_EQ(rejected.applied, 0u);
-  EXPECT_EQ(rejected.failed, 1u);
 }
 
 // --- Campaigns ------------------------------------------------------------

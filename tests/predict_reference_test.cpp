@@ -28,6 +28,7 @@
 #include "emulation/router.hpp"
 #include "fuzz/scenario.hpp"
 #include "partial_ibgp_mesh.hpp"
+#include "reflected_next_hop.hpp"
 #include "topology/builtin.hpp"
 #include "verify/analysis/model.hpp"
 
@@ -692,39 +693,9 @@ TEST(PredictReference, BuiltinsOnEveryPlatformBudgetAndFailure) {
   }
 }
 
-/// Adds 10.1.0.<4k>/30 between x (.1) and y (.2) at the given OSPF cost,
-/// covered by both routers' OSPF (area 0) when `ospf`.
-void link(RouterConfig& x, RouterConfig& y, std::uint32_t k, std::int64_t cost, bool ospf) {
-  const Ipv4Prefix subnet(Ipv4Addr(0x0a010000u + 4 * k), 30);
-  std::uint32_t host = 1;
-  for (RouterConfig* cfg : {&x, &y}) {
-    cfg->interfaces.push_back({"eth" + std::to_string(cfg->interfaces.size()),
-                               {Ipv4Addr(subnet.network().value() + host++), subnet},
-                               cost});
-    if (ospf) {
-      cfg->ospf_enabled = true;
-      cfg->ospf_networks.push_back({subnet, 0});
-    }
-  }
-}
-
-/// A neighbor statement, for the caller to set its policy flags.
-emulation::BgpNeighborConfig& neighbor(RouterConfig& cfg, const char* address,
-                                       std::int64_t remote_as) {
-  emulation::BgpNeighborConfig& nc = cfg.bgp_neighbors.emplace_back();
-  nc.neighbor = *Ipv4Addr::parse(address);
-  nc.remote_as = remote_as;
-  return nc;
-}
-
-RouterConfig router(const char* name, std::int64_t asn, bool bgp = true) {
-  RouterConfig cfg;
-  cfg.hostname = name;
-  cfg.syntax = "ios";
-  cfg.asn = asn;
-  cfg.bgp_enabled = bgp;
-  return cfg;
-}
+using fixtures::link;
+using fixtures::neighbor;
+using fixtures::router;
 
 /// No router has a loopback, so an IGP distance to a router falls back to
 /// the nearest of its interface prefixes. AS 1 is the OSPF ring
@@ -772,34 +743,9 @@ TEST(PredictReference, LoopbacklessRoutersResolveThroughInterfacePrefixes) {
   EXPECT_EQ(via({*Ipv4Prefix::parse("10.1.0.0/30")}), "10.1.0.13");  // straight to e
 }
 
-/// c reflects to its client a, without next-hop-self, first bd's eBGP
-/// route, whose next hop on the c-bd link (outside OSPF) a cannot resolve,
-/// then e's, preferred for its local-pref 200, whose next hop (e's address
-/// on c-e) a reaches through OSPF. The entry a holds from c keeps its
-/// session and changes its next hop, and a's resolution must follow.
-std::vector<RouterConfig> reflected_next_hop_moves() {
-  RouterConfig a = router("a", 1);
-  RouterConfig bd = router("bd", 2);
-  RouterConfig c = router("c", 1);
-  RouterConfig e = router("e", 1);
-  link(a, c, 0, 1, true);    // a 10.1.0.1, c 10.1.0.2
-  link(c, e, 1, 1, true);    // c 10.1.0.5, e 10.1.0.6
-  link(c, bd, 2, 1, false);  // c 10.1.0.9, bd 10.1.0.10
-  link(e, bd, 3, 1, false);  // e 10.1.0.13, bd 10.1.0.14
-  neighbor(a, "10.1.0.2", 1);
-  neighbor(c, "10.1.0.1", 1).rr_client = true;
-  neighbor(c, "10.1.0.6", 1);
-  neighbor(c, "10.1.0.10", 2);
-  neighbor(e, "10.1.0.5", 1).next_hop_self = true;
-  neighbor(e, "10.1.0.14", 2).local_pref_in = 200;
-  neighbor(bd, "10.1.0.9", 1);
-  neighbor(bd, "10.1.0.13", 1);
-  bd.bgp_networks.push_back(*Ipv4Prefix::parse("198.51.100.0/24"));
-  return {a, bd, c, e};
-}
-
 TEST(PredictReference, ReflectedNextHopMovesAndResolvesAgain) {
-  const Model model = Model::from_router_configs(reflected_next_hop_moves());
+  // The reflected next hop moves (reflected_next_hop.hpp).
+  const Model model = Model::from_router_configs(fixtures::reflected_next_hop_moves());
   expect_same_under_failures(model, {1, 2, 3, 128}, "reflected next hop");
   const Prediction prediction = verify::analysis::predict(model);
   const Ipv4Prefix prefix = *Ipv4Prefix::parse("198.51.100.0/24");

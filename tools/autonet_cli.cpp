@@ -20,7 +20,7 @@
 //   autonet run   <topology> [--platform P] [--ibgp MODE]
 //                 [--traceroute SRC DST] [--trace FILE] [--validate]
 //                 [--metrics FILE] [--checkpoint DIR] [--resume DIR]
-//                 [--incremental] [--since DIR] [--explain] [--hot-apply]
+//                 [--incremental] [--since DIR] [--explain]
 //                 [--deadline MS] [--report FILE]
 //   autonet diff  <topologyA> <topologyB> [--format text|json] [--out FILE]
 //   autonet exp run <campaign.file> [--out DIR] [--jobs N] [--fresh]
@@ -106,8 +106,7 @@ int usage() {
                "              [--metrics FILE] [--checkpoint DIR] "
                "[--resume DIR] [--deadline MS] [--report FILE] "
                "[--virtual-clock]\n"
-               "              [--incremental] [--since DIR] [--explain] "
-               "[--hot-apply]\n"
+               "              [--incremental] [--since DIR] [--explain]\n"
                "  autonet diff <topologyA> <topologyB> "
                "[--format text|json] [--out FILE]\n"
                "  autonet exp run <campaign.file> [--out DIR] [--jobs N] "
@@ -139,7 +138,7 @@ struct Args {
       if (arg == "--isis" || arg == "--dns" || arg == "--validate" ||
           arg == "--list-rules" || arg == "--fresh" || arg == "--checkpoints" ||
           arg == "--virtual-clock" || arg == "--cross-check" ||
-          arg == "--incremental" || arg == "--explain" || arg == "--hot-apply" ||
+          arg == "--incremental" || arg == "--explain" ||
           arg == "--list-oracles") {
         args.options[arg.substr(2)] = "1";
       } else if (arg == "--traceroute" && i + 2 < argc) {
@@ -189,6 +188,21 @@ core::WorkflowOptions workflow_options(const Args& args) {
   return opts;
 }
 
+int write_file_checked(const std::string& path, const std::string& content) {
+  std::ofstream file(path, std::ios::binary);
+  if (!file) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return 1;
+  }
+  file << content;
+  file.flush();
+  if (!file) {
+    std::fprintf(stderr, "error writing %s\n", path.c_str());
+    return 1;
+  }
+  return 0;
+}
+
 int cmd_generate(const Args& args) {
   if (args.positional.empty()) return usage();
   auto g = named_topology(args.positional[0]);
@@ -227,13 +241,11 @@ int cmd_build(const Args& args) {
     std::printf("configuration tree written to %s/\n", args.get("out").c_str());
   }
   if (args.has("nidb")) {
-    std::ofstream file(args.get("nidb"));
-    file << wf.nidb().to_json();
+    if (write_file_checked(args.get("nidb"), wf.nidb().to_json())) return 2;
     std::printf("resource database written to %s\n", args.get("nidb").c_str());
   }
   if (args.has("viz")) {
-    std::ofstream file(args.get("viz"));
-    file << viz::anm_to_d3_json(wf.anm());
+    if (write_file_checked(args.get("viz"), viz::anm_to_d3_json(wf.anm()))) return 2;
     std::printf("visualization JSON written to %s\n", args.get("viz").c_str());
   }
   return check.ok() ? 0 : 1;
@@ -482,21 +494,6 @@ int cmd_analyze(const Args& args) {
 }
 
 // --- Experiment campaigns -------------------------------------------------
-
-int write_file_checked(const std::string& path, const std::string& content) {
-  std::ofstream file(path, std::ios::binary);
-  if (!file) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return 1;
-  }
-  file << content;
-  file.flush();
-  if (!file) {
-    std::fprintf(stderr, "error writing %s\n", path.c_str());
-    return 1;
-  }
-  return 0;
-}
 
 int cmd_exp_run(const Args& args) {
   if (args.positional.size() < 2) return usage();
@@ -829,7 +826,6 @@ int cmd_run(const Args& args) {
     return 2;
   }
   if (args.has("since")) wf.incremental_from(args.get("since"));
-  if (args.has("hot-apply")) wf.set_hot_apply(true);
 
   auto interrupted = [&](const core::Interrupted& e, int code) {
     std::fprintf(stderr, "autonet run: %s\n", e.what());
