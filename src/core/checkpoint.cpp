@@ -74,6 +74,12 @@ double parse_double_repr(const std::string& s) { return std::strtod(s.c_str(), n
 
 void write_file_atomic(const std::string& path, std::string_view content) {
   const fs::path target(path);
+  // The rename would replace a device, FIFO or directory with a file.
+  std::error_code status_error;
+  const fs::file_status status = fs::status(target, status_error);
+  if (fs::exists(status) && !fs::is_regular_file(status)) {
+    throw CheckpointError("refusing to replace " + path + ": not a regular file");
+  }
   if (target.has_parent_path()) {
     std::error_code ec;
     fs::create_directories(target.parent_path(), ec);

@@ -34,8 +34,10 @@ class CheckpointError : public std::runtime_error {
 /// Writes `content` to `path` crash-consistently: a temp file in the
 /// same directory is written, flushed with fsync, then renamed over the
 /// target (and the directory entry is fsynced). Throws CheckpointError
-/// on I/O failure. Shared by the checkpoint store and the experiment
-/// journal's recovery-critical writes.
+/// on I/O failure, and before writing anything when `path` exists and is
+/// not a regular file (a device, FIFO or directory). Shared by the
+/// checkpoint store and the experiment journal's recovery-critical
+/// writes.
 void write_file_atomic(const std::string& path, std::string_view content);
 
 /// Appends `line` + '\n' to `path` with O_APPEND + fsync (torn tails are

@@ -1,7 +1,10 @@
 #include "design/bgp.hpp"
 
+#include <algorithm>
 #include <map>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "graph/algorithms.hpp"
 #include "graph/transforms.hpp"
@@ -33,12 +36,22 @@ OverlayGraph build_ibgp_full_mesh(anm::AbstractNetworkModel& anm) {
   auto rtrs = g_phy.routers();
   OverlayGraph g_ibgp = anm.add_overlay("ibgp", rtrs, true, {"asn"});
   g_ibgp.data()["ibgp_mode"] = "mesh";
-  // Eq. 2: (s, t) for every ordered same-AS router pair.
-  for (const auto& s : rtrs) {
-    for (const auto& t : rtrs) {
-      if (s.name() != t.name() && s.asn() == t.asn()) {
-        g_ibgp.add_edge(s.name(), t.name());
-      }
+  // Eq. 2: (s, t) for every ordered same-AS router pair, s and then t in
+  // router order. Sorted by (asn, router), each AS's routers form one run
+  // of `by_as`, in router order.
+  std::vector<std::pair<std::int64_t, std::size_t>> by_as;
+  by_as.reserve(rtrs.size());
+  for (std::size_t i = 0; i < rtrs.size(); ++i) by_as.emplace_back(rtrs[i].asn(), i);
+  std::sort(by_as.begin(), by_as.end());
+  std::vector<std::pair<std::size_t, std::size_t>> run_of(rtrs.size());  // [first, last)
+  for (std::size_t first = 0, last = 0; first < by_as.size(); first = last) {
+    while (last < by_as.size() && by_as[last].first == by_as[first].first) ++last;
+    for (std::size_t k = first; k < last; ++k) run_of[by_as[k].second] = {first, last};
+  }
+  for (std::size_t s = 0; s < rtrs.size(); ++s) {
+    for (std::size_t k = run_of[s].first; k < run_of[s].second; ++k) {
+      const std::size_t t = by_as[k].second;
+      if (t != s) g_ibgp.add_edge(rtrs[s].name(), rtrs[t].name());
     }
   }
   return g_ibgp;

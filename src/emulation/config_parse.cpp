@@ -1,7 +1,6 @@
 #include "emulation/config_parse.hpp"
 
 #include <charconv>
-#include <sstream>
 
 namespace autonet::emulation {
 
@@ -9,15 +8,21 @@ using addressing::Ipv4Addr;
 using addressing::Ipv4Interface;
 using addressing::Ipv4Prefix;
 
-namespace {
-
 std::vector<std::string> tokenize(std::string_view line) {
+  // The bytes isspace() accepts in the "C" locale.
+  const auto space = [](char c) { return c == ' ' || (c >= '\t' && c <= '\r'); };
   std::vector<std::string> tokens;
-  std::istringstream in{std::string(line)};
-  std::string tok;
-  while (in >> tok) tokens.push_back(tok);
-  return tokens;
+  std::size_t at = 0;
+  while (true) {
+    while (at < line.size() && space(line[at])) ++at;
+    if (at == line.size()) return tokens;
+    const std::size_t start = at;
+    while (at < line.size() && !space(line[at])) ++at;
+    tokens.emplace_back(line.substr(start, at - start));
+  }
 }
+
+namespace {
 
 std::vector<std::string> lines_of(std::string_view text) {
   std::vector<std::string> lines;

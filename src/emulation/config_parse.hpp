@@ -83,6 +83,11 @@ struct RouterConfig {
   [[nodiscard]] const InterfaceConfig* interface(std::string_view id) const;
 };
 
+/// Splits a config line into its words at runs of whitespace (space, \t,
+/// \n, \v, \f, \r), as `std::istream >> std::string` does in the "C"
+/// locale. Every platform parser reads its lines through it.
+[[nodiscard]] std::vector<std::string> tokenize(std::string_view line);
+
 /// Parses a Quagga device directory (paths relative to the device folder:
 /// ".startup", "etc/quagga/ospfd.conf", "etc/quagga/bgpd.conf").
 [[nodiscard]] RouterConfig parse_quagga_device(const render::ConfigTree& tree,

@@ -21,6 +21,45 @@ bool preferred(const FibEntry& challenger, const FibEntry& incumbent) {
   return challenger.metric < incumbent.metric;
 }
 
+/// Dense ids for 64-bit keys, in first-seen order: linear probing in a
+/// power-of-two table that doubles at half load.
+class KeyIds {
+ public:
+  static constexpr std::uint32_t kNone = 0xffffffff;
+
+  /// The id of `key`, a new one when it is new.
+  std::uint32_t intern(std::uint64_t key) {
+    const std::size_t slot = probe(key);
+    if (slots_[slot] != kNone) return slots_[slot];
+    const auto id = static_cast<std::uint32_t>(keys_.size());
+    slots_[slot] = id;
+    keys_.push_back(key);
+    if (2 * keys_.size() > slots_.size()) grow();
+    return id;
+  }
+  /// The id of `key`, or kNone.
+  [[nodiscard]] std::uint32_t find(std::uint64_t key) const { return slots_[probe(key)]; }
+  /// Every key, by id.
+  [[nodiscard]] const std::vector<std::uint64_t>& keys() const { return keys_; }
+
+ private:
+  [[nodiscard]] std::size_t probe(std::uint64_t key) const {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t slot = (key * 0x9e3779b97f4a7c15ull) >> (64 - bits_);
+    while (slots_[slot] != kNone && keys_[slots_[slot]] != key) slot = (slot + 1) & mask;
+    return slot;
+  }
+  void grow() {
+    ++bits_;
+    slots_.assign(std::size_t{1} << bits_, kNone);
+    for (std::uint32_t id = 0; id < keys_.size(); ++id) slots_[probe(keys_[id])] = id;
+  }
+
+  unsigned bits_ = 4;
+  std::vector<std::uint32_t> slots_ = std::vector<std::uint32_t>(16, kNone);
+  std::vector<std::uint64_t> keys_;
+};
+
 }  // namespace
 
 const FibEntry* lookup(const std::vector<FibEntry>& fib, Ipv4Addr dst) {
@@ -40,52 +79,11 @@ const FibEntry* lookup(const std::vector<FibEntry>& fib, Ipv4Addr dst) {
   return best;
 }
 
-CompiledFib::CompiledFib(const std::vector<FibEntry>& fib) : fib_(fib.data()) {
-  // Longest prefix first, then by network, then in FIB order, so that
-  // the entries for one prefix meet the tie-break in the order the linear
-  // scan meets them.
-  std::vector<std::uint32_t> order(fib.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(), [&fib](std::uint32_t a, std::uint32_t b) {
-    const Ipv4Prefix& pa = fib[a].prefix;
-    const Ipv4Prefix& pb = fib[b].prefix;
-    if (pa.length() != pb.length()) return pa.length() > pb.length();
-    if (pa.network() != pb.network()) return pa.network() < pb.network();
-    return a < b;
-  });
-  networks_.reserve(order.size());
-  entries_.reserve(order.size());
-  for (std::size_t k = 0; k < order.size(); ++k) {
-    const std::uint32_t i = order[k];
-    const Ipv4Prefix& prefix = fib[i].prefix;
-    if (k == 0 || prefix.length() != fib[order[k - 1]].prefix.length()) {
-      lengths_.push_back({prefix.netmask(), 0});
-    } else if (networks_.back() == prefix.network().value()) {
-      if (preferred(fib[i], fib[entries_.back()])) entries_.back() = i;
-      continue;
-    }
-    networks_.push_back(prefix.network().value());
-    entries_.push_back(i);
-    lengths_.back().end = static_cast<std::uint32_t>(networks_.size());
-  }
-}
-
-const FibEntry* CompiledFib::lookup(Ipv4Addr dst) const {
-  auto first = networks_.begin();
-  for (const Length& length : lengths_) {
-    const auto last = networks_.begin() + length.end;
-    const std::uint32_t key = dst.value() & length.mask;
-    const auto it = std::lower_bound(first, last, key);
-    if (it != last && *it == key) return fib_ + entries_[it - networks_.begin()];
-    first = last;
-  }
-  return nullptr;
-}
-
-void ColumnBuilder::index_addresses(
-    const std::map<std::uint32_t, std::size_t>& by_address) {
+void ColumnBuilder::index(const std::map<std::uint32_t, std::size_t>& by_address) {
+  KeyIds addresses;  // by_address_'s index of each address
   by_address_.reserve(by_address.size());
   for (const auto& [address, router] : by_address) {
+    addresses.intern(address);
     by_address_.emplace_back(address, static_cast<std::uint32_t>(router));
   }
   for (std::uint32_t r = 0; r < routers_.size(); ++r) {
@@ -96,6 +94,105 @@ void ColumnBuilder::index_addresses(
     }
   }
   std::sort(owners_.begin(), owners_.end());
+
+  // Intern every FIB entry's prefix, keyed so that key order is longest
+  // first, then by network.
+  std::size_t entries = 0;
+  for (const Router& router : routers_) entries += router.fib->size();
+  KeyIds prefixes;
+  std::vector<std::uint32_t> prefix;  // of each entry, routers and FIBs in order
+  prefix.reserve(entries);
+  for (const Router& router : routers_) {
+    for (const FibEntry& entry : *router.fib) {
+      prefix.push_back(prefixes.intern(std::uint64_t{32 - entry.prefix.length()} << 32 |
+                                       entry.prefix.network().value()));
+    }
+  }
+  // Number the prefixes in key order; each length is one run of them.
+  const std::vector<std::uint64_t>& keys = prefixes.keys();
+  std::vector<std::uint32_t> order(keys.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(),
+            [&keys](std::uint32_t a, std::uint32_t b) { return keys[a] < keys[b]; });
+  std::vector<std::uint32_t> rank(keys.size());
+  networks_.reserve(keys.size());
+  for (std::uint32_t p = 0; p < order.size(); ++p) {
+    rank[order[p]] = p;
+    const std::uint64_t key = keys[order[p]];
+    const auto length = static_cast<unsigned>(32 - (key >> 32));
+    const std::uint32_t mask = Ipv4Prefix(Ipv4Addr{}, length).netmask();
+    if (lengths_.empty() || lengths_.back().mask != mask) lengths_.push_back({mask, p, p});
+    networks_.push_back(static_cast<std::uint32_t>(key));
+    lengths_.back().end = p + 1;
+  }
+
+  // Bucket the entries by prefix, keeping routers and FIBs in order, each
+  // with its next hop resolved.
+  holders_at_.assign(keys.size() + 1, 0);
+  for (std::uint32_t& p : prefix) {
+    p = rank[p];
+    ++holders_at_[p + 1];
+  }
+  std::partial_sum(holders_at_.begin(), holders_at_.end(), holders_at_.begin());
+  std::vector<std::uint32_t> fill(holders_at_.begin(), holders_at_.end() - 1);
+  holders_.resize(entries);
+  auto entry_prefix = prefix.begin();
+  for (std::uint32_t r = 0; r < routers_.size(); ++r) {
+    const std::vector<FibEntry>& fib = *routers_[r].fib;
+    for (std::uint32_t e = 0; e < fib.size(); ++e) {
+      Holder& holder = holders_[fill[*entry_prefix++]++];
+      holder = {r, e, kOnLink, {}};
+      if (const auto& next_hop = fib[e].next_hop) {
+        holder.reply = *next_hop;
+        const std::uint32_t id = addresses.find(next_hop->value());
+        holder.next = id == KeyIds::kNone ? kUnowned : by_address_[id].second;
+      }
+    }
+  }
+  // One holder per router and prefix, with the entry the linear scan
+  // picks among that router's entries for it.
+  const auto entry_of = [this](const Holder& h) -> const FibEntry& {
+    return (*routers_[h.router].fib)[h.entry];
+  };
+  std::uint32_t kept = 0;
+  for (std::size_t p = 0; p + 1 < holders_at_.size(); ++p) {
+    const std::uint32_t first = holders_at_[p];
+    const std::uint32_t last = holders_at_[p + 1];
+    holders_at_[p] = kept;
+    for (std::uint32_t h = first; h < last; ++h) {
+      const Holder holder = holders_[h];
+      if (kept > holders_at_[p] && holders_[kept - 1].router == holder.router) {
+        Holder& incumbent = holders_[kept - 1];
+        if (preferred(entry_of(holder), entry_of(incumbent))) incumbent = holder;
+      } else {
+        holders_[kept++] = holder;
+      }
+    }
+  }
+  holders_at_.back() = kept;
+  holders_.resize(kept);
+}
+
+std::uint32_t ColumnBuilder::prefix_of(const Length& length, Ipv4Addr dst) const {
+  const auto first = networks_.begin() + length.begin;
+  const auto last = networks_.begin() + length.end;
+  const std::uint32_t network = dst.value() & length.mask;
+  const auto it = std::lower_bound(first, last, network);
+  return it != last && *it == network ? static_cast<std::uint32_t>(it - networks_.begin())
+                                      : kNone;
+}
+
+const FibEntry* ColumnBuilder::lookup(std::size_t router, Ipv4Addr dst) const {
+  for (const Length& length : lengths_) {
+    const std::uint32_t p = prefix_of(length, dst);
+    if (p == kNone) continue;
+    const auto first = holders_.begin() + holders_at_[p];
+    const auto last = holders_.begin() + holders_at_[p + 1];
+    const auto it = std::lower_bound(
+        first, last, router, [](const Holder& h, std::size_t r) { return h.router < r; });
+    if (it != last && it->router == router) return &(*routers_[router].fib)[it->entry];
+  }
+  return nullptr;
 }
 
 void ColumnBuilder::build(Ipv4Addr dst, int max_ttl,
@@ -117,11 +214,6 @@ void ColumnBuilder::build(Ipv4Addr dst, int max_ttl,
     }
   };
   const auto by_key = [](const Owner& a, const Owner& b) { return a.first < b.first; };
-  const auto owner = [this, by_key](Ipv4Addr address) -> const Owner* {
-    const auto it = std::lower_bound(by_address_.begin(), by_address_.end(),
-                                     Owner{address.value(), 0}, by_key);
-    return it != by_address_.end() && it->first == address.value() ? &*it : nullptr;
-  };
 
   const std::size_t n = routers_.size();
   column.assign(n, ForwardingCell{});
@@ -129,8 +221,25 @@ void ColumnBuilder::build(Ipv4Addr dst, int max_ttl,
   const auto owners =
       std::equal_range(owners_.begin(), owners_.end(), Owner{dst.value(), 0}, by_key);
   for (auto it = owners.first; it != owners.second; ++it) owns_[it->second] = 1;
+  // On-link routes deliver to the owner of dst itself.
+  const auto dst_owner = std::lower_bound(by_address_.begin(), by_address_.end(),
+                                          Owner{dst.value(), 0}, by_key);
+  const std::uint32_t on_link =
+      dst_owner != by_address_.end() && dst_owner->first == dst.value() ? dst_owner->second
+                                                                        : kUnowned;
 
-  // One lookup per router: its own step towards dst.
+  // Each router's longest match: the holders of the prefixes containing
+  // dst, shortest prefix first, so that a longer one overwrites.
+  route_.assign(n, nullptr);
+  for (auto length = lengths_.rbegin(); length != lengths_.rend(); ++length) {
+    const std::uint32_t p = prefix_of(*length, dst);
+    if (p == kNone) continue;
+    for (std::uint32_t h = holders_at_[p]; h < holders_at_[p + 1]; ++h) {
+      route_[holders_[h].router] = &holders_[h];
+    }
+  }
+
+  // Each router's own step towards dst.
   enum : std::uint8_t { kSettled, kForwards, kOnChain };
   state_.assign(n, kSettled);
   for (std::uint32_t r = 0; r < n; ++r) {
@@ -146,27 +255,24 @@ void ColumnBuilder::build(Ipv4Addr dst, int max_ttl,
       cell.end = WalkEnd::kReached;
       continue;
     }
-    const FibEntry* route = routers_[r].fib.lookup(dst);
-    // On-link routes deliver to the owner of dst itself.
-    const Ipv4Addr target =
-        route != nullptr && route->next_hop ? *route->next_hop : dst;
-    const Owner* next = route != nullptr ? owner(target) : nullptr;
-    if (next == nullptr) {
+    const Holder* route = route_[r];
+    const std::uint32_t next =
+        route == nullptr ? kUnowned : route->next == kOnLink ? on_link : route->next;
+    if (next == kUnowned) {
       settle(cell, 0, WalkEnd::kDropped);
       continue;
     }
-    cell.next = next->second;
-    if (routers_[cell.next].down) {
+    cell.next = next;
+    if (routers_[next].down) {
       settle(cell, 0, WalkEnd::kDown);
-    } else if (owns_[cell.next] != 0) {
+    } else if (owns_[next] != 0) {
       cell.reply = dst;
       settle(cell, 1, WalkEnd::kReached);
     } else {
-      cell.reply = target;
+      cell.reply = route->next == kOnLink ? dst : route->reply;
       state_[r] = kForwards;
     }
   }
-
   // Routers that forward take their outcome from the next router, one
   // more hop away; a chain that comes back on itself is a cycle.
   for (std::uint32_t r = 0; r < n; ++r) {

@@ -7,7 +7,9 @@
 // segment and session records they build, the hop-by-hop walk that
 // serves single probes, and the per-destination forwarding column behind
 // every all-pairs answer (the reachability matrix, the predictor's path
-// table and the cross-check).
+// table and the cross-check), built over one network-wide prefix index of
+// every FIB. The walk and the linear lookup() are also the references
+// the index and the columns are tested against.
 //
 // What *fills* the FIBs — OSPF SPF, the BGP decision process, FIB
 // install and segment grouping — deliberately stays two independent
@@ -54,28 +56,6 @@ struct FibEntry {
 /// FIB order); nullptr when no entry covers `dst`.
 [[nodiscard]] const FibEntry* lookup(const std::vector<FibEntry>& fib,
                                      addressing::Ipv4Addr dst);
-
-/// A FIB compiled for lookup: for each prefix length present, longest
-/// first, the sorted networks of that length, each holding the entry the
-/// linear lookup() picks among the FIB's entries for that prefix. It
-/// points into the FIB it was built from, so it is built for one table
-/// build and must not outlive, or see a change of, that FIB.
-class CompiledFib {
- public:
-  explicit CompiledFib(const std::vector<FibEntry>& fib);
-  /// The same entry as lookup(fib, dst), for every address.
-  [[nodiscard]] const FibEntry* lookup(addressing::Ipv4Addr dst) const;
-
- private:
-  struct Length {
-    std::uint32_t mask;
-    std::uint32_t end;  // this length's networks end here
-  };
-  const FibEntry* fib_;
-  std::vector<Length> lengths_;          // longest prefix first
-  std::vector<std::uint32_t> networks_;  // sorted within each length
-  std::vector<std::uint32_t> entries_;   // the FIB index of each network's entry
-};
 
 /// The router id: explicit, else loopback, else highest interface.
 [[nodiscard]] addressing::Ipv4Addr router_id(const RouterConfig& cfg);
@@ -200,11 +180,18 @@ struct ForwardingCell {
 
 /// All-pairs forwarding, one destination at a time. build(dst, ...)
 /// fills one cell per router with what walk(router, dst, ...) returns
-/// and reports, from one FIB lookup per router: hop counts are shared
-/// along next-hop chains, cycles and max_ttl end in kTtlExceeded. The
-/// constructor takes walk's `by_address` and `router_at` and compiles
-/// every router's FIB, so a builder serves one table build over FIBs
-/// that stay unchanged while it lives.
+/// and reports, with O(1) work per router: hop counts are shared along
+/// next-hop chains, cycles and max_ttl end in kTtlExceeded.
+///
+/// The constructor takes walk's `by_address` and `router_at` and builds
+/// one network-wide prefix index: every distinct prefix of every FIB,
+/// longest first and then by network, each listing its holders in router
+/// order. A holder carries the entry lookup() picks among its router's
+/// entries for that prefix, its next hop resolved once: to the router
+/// owning it, to a drop when no router does, or on-link, to the owner of
+/// the destination, which each column resolves once. The index points
+/// into the FIBs, so a builder serves one table build over FIBs that stay
+/// unchanged while it lives.
 class ColumnBuilder {
  public:
   template <typename RouterAt>
@@ -214,29 +201,55 @@ class ColumnBuilder {
     routers_.reserve(routers);
     for (std::size_t r = 0; r < routers; ++r) {
       const ForwardingRouter router = router_at(r);
-      routers_.push_back({&router.config, CompiledFib(router.fib), router.down});
+      routers_.push_back({&router.config, &router.fib, router.down});
     }
-    index_addresses(by_address);
+    index(by_address);
   }
 
   /// Fills `column` (resized to one cell per router) with the walk from
   /// every router towards `dst`. max_ttl may be at most 65535.
   void build(addressing::Ipv4Addr dst, int max_ttl, std::vector<ForwardingCell>& column);
 
+  /// The entry lookup(router's FIB, dst) returns, read from the index.
+  [[nodiscard]] const FibEntry* lookup(std::size_t router, addressing::Ipv4Addr dst) const;
+
  private:
   struct Router {
     const RouterConfig* config;
-    CompiledFib fib;
+    const std::vector<FibEntry>* fib;
     bool down;
   };
+  /// One router's route for one prefix.
+  struct Holder {
+    std::uint32_t router;
+    std::uint32_t entry;         // index into the router's FIB
+    std::uint32_t next;          // the next hop's owner, kUnowned or kOnLink
+    addressing::Ipv4Addr reply;  // the next hop, which answers
+  };
+  /// The prefixes of one length: networks_[begin, end).
+  struct Length {
+    std::uint32_t mask;
+    std::uint32_t begin;
+    std::uint32_t end;
+  };
   using Owner = std::pair<std::uint32_t, std::uint32_t>;  // (address, router)
+  static constexpr std::uint32_t kNone = 0xffffffff;
+  static constexpr std::uint32_t kUnowned = kNone;
+  static constexpr std::uint32_t kOnLink = kNone - 1;
 
-  void index_addresses(const std::map<std::uint32_t, std::size_t>& by_address);
+  void index(const std::map<std::uint32_t, std::size_t>& by_address);
+  /// The prefix of this length that contains `dst`, or kNone.
+  [[nodiscard]] std::uint32_t prefix_of(const Length& length, addressing::Ipv4Addr dst) const;
 
   std::vector<Router> routers_;
-  std::vector<Owner> by_address_;  // walk's owner of each address
-  std::vector<Owner> owners_;      // every (address, router) owns_address holds
+  std::vector<Length> lengths_;            // longest first
+  std::vector<std::uint32_t> networks_;    // prefix p's network, sorted within each length
+  std::vector<std::uint32_t> holders_at_;  // prefix p's holders start here, up to p + 1's
+  std::vector<Holder> holders_;            // in router order within each prefix
+  std::vector<Owner> by_address_;          // walk's owner of each address
+  std::vector<Owner> owners_;              // every (address, router) owns_address holds
   // Per-build scratch.
+  std::vector<const Holder*> route_;  // each router's longest match
   std::vector<std::uint8_t> owns_;
   std::vector<std::uint8_t> state_;
   std::vector<std::uint32_t> chain_;

@@ -162,7 +162,7 @@ class EmulatedNetwork {
   /// MeasurementClient::reachability() and IncidentRunner.
   [[nodiscard]] ReachabilityMatrix reachability() const;
   /// The forwarding column (emulation/forwarding.hpp) towards each of
-  /// `targets` in turn, over the converged FIBs compiled once per call:
+  /// `targets` in turn, over one prefix index of the converged FIBs per call:
   /// visit(k, column) gets the column towards targets[k], one cell per
   /// router in router_names() order, router indices in that order too.
   /// A failed router neither sources nor answers probes. Throws

@@ -620,10 +620,11 @@ OracleResult run_measure_equivalence(const Scenario& s) {
 }
 
 /// Oracle 8 — fib-lookup: at every router of the prediction, the
-/// compiled FIB returns the linear lookup()'s entry for seeded random
-/// addresses and for each prefix's network and broadcast addresses and
-/// their neighbours — on the FIB itself and on a copy carrying seeded
-/// duplicate prefixes (other sources and metrics) and a default route.
+/// forwarding index (emulation::ColumnBuilder::lookup) returns the linear
+/// lookup()'s entry for seeded random addresses and for each prefix's
+/// network and broadcast addresses and their neighbours — on the FIBs
+/// themselves and on copies carrying seeded duplicate prefixes (other
+/// sources and metrics) and a default route.
 OracleResult run_fib_lookup(const Scenario& s) {
   auto registry = virtual_registry();
   obs::RegistryScope scope(*registry);
@@ -635,60 +636,71 @@ OracleResult run_fib_lookup(const Scenario& s) {
   if (model.size() == 0) return OracleResult::skip("no routers");
 
   Rng rng(mix(s.seed, fnv1a("autonet.fuzz.fib-lookup")));
-  const auto mismatch = [](const std::vector<emulation::FibEntry>& fib,
-                           const std::vector<addressing::Ipv4Addr>& probes) -> std::string {
-    const emulation::CompiledFib compiled(fib);
+  constexpr emulation::RouteSource kSources[] = {
+      emulation::RouteSource::kConnected, emulation::RouteSource::kOspf,
+      emulation::RouteSource::kEbgp, emulation::RouteSource::kIbgp};
+  std::vector<std::vector<addressing::Ipv4Addr>> probes(model.size());
+  std::vector<std::vector<emulation::FibEntry>> copies(model.size());
+  for (std::size_t r = 0; r < model.size(); ++r) {
+    const std::vector<emulation::FibEntry>& fib = prediction.fibs[r];
+    for (int i = 0; i < 64; ++i) {
+      probes[r].emplace_back(static_cast<std::uint32_t>(rng.next()));
+    }
+    for (const auto& entry : fib) {
+      for (const addressing::Ipv4Addr edge : {entry.prefix.network(), entry.prefix.broadcast()}) {
+        probes[r].push_back(edge);
+        probes[r].push_back(edge + 1);
+        probes[r].emplace_back(edge.value() - 1);
+      }
+    }
+    std::vector<emulation::FibEntry>& copy = copies[r] = fib;
+    for (const auto& entry : fib) {
+      if (!rng.chance(1, 3)) continue;
+      emulation::FibEntry twin = entry;
+      twin.source = kSources[rng.below(4)];
+      twin.metric = entry.metric + static_cast<double>(rng.range(-1, 1));
+      copy.insert(copy.begin() + static_cast<std::ptrdiff_t>(rng.below(copy.size() + 1)),
+                  std::move(twin));
+    }
+    emulation::FibEntry fallback;
+    fallback.prefix = addressing::Ipv4Prefix(addressing::Ipv4Addr{}, 0);
+    fallback.source = kSources[rng.below(4)];
+    copy.insert(copy.begin() + static_cast<std::ptrdiff_t>(rng.below(copy.size() + 1)),
+                std::move(fallback));
+  }
+
+  const auto& routers = model.routers();
+  const auto index_of = [&](const std::vector<std::vector<emulation::FibEntry>>& fibs) {
+    return emulation::ColumnBuilder(model.size(), model.by_address(), [&](std::size_t r) {
+      return emulation::ForwardingRouter{routers[r], fibs[r]};
+    });
+  };
+  const emulation::ColumnBuilder intact = index_of(prediction.fibs);
+  const emulation::ColumnBuilder twinned = index_of(copies);
+  const auto mismatch = [&probes](const emulation::ColumnBuilder& index, std::size_t r,
+                                  const std::vector<emulation::FibEntry>& fib) -> std::string {
     const auto shown = [&fib](const emulation::FibEntry* entry) {
       return entry == nullptr ? std::string("none")
                               : "#" + std::to_string(entry - fib.data()) + " " +
                                     entry->prefix.to_string();
     };
-    for (const auto probe : probes) {
+    for (const auto probe : probes[r]) {
       const emulation::FibEntry* linear = emulation::lookup(fib, probe);
-      const emulation::FibEntry* fast = compiled.lookup(probe);
+      const emulation::FibEntry* fast = index.lookup(r, probe);
       if (fast != linear) {
-        return probe.to_string() + ": linear " + shown(linear) + ", compiled " + shown(fast);
+        return probe.to_string() + ": linear " + shown(linear) + ", index " + shown(fast);
       }
     }
     return "";
   };
-  constexpr emulation::RouteSource kSources[] = {
-      emulation::RouteSource::kConnected, emulation::RouteSource::kOspf,
-      emulation::RouteSource::kEbgp, emulation::RouteSource::kIbgp};
   for (std::size_t r = 0; r < model.size(); ++r) {
-    const std::vector<emulation::FibEntry>& fib = prediction.fibs[r];
-    std::vector<addressing::Ipv4Addr> probes;
-    for (int i = 0; i < 64; ++i) {
-      probes.emplace_back(static_cast<std::uint32_t>(rng.next()));
-    }
-    for (const auto& entry : fib) {
-      for (const addressing::Ipv4Addr edge : {entry.prefix.network(), entry.prefix.broadcast()}) {
-        probes.push_back(edge);
-        probes.push_back(edge + 1);
-        probes.emplace_back(edge.value() - 1);
-      }
-    }
-    std::string detail = mismatch(fib, probes);
+    std::string detail = mismatch(intact, r, prediction.fibs[r]);
     if (detail.empty()) {
-      std::vector<emulation::FibEntry> copy = fib;
-      for (const auto& entry : fib) {
-        if (!rng.chance(1, 3)) continue;
-        emulation::FibEntry twin = entry;
-        twin.source = kSources[rng.below(4)];
-        twin.metric = entry.metric + static_cast<double>(rng.range(-1, 1));
-        copy.insert(copy.begin() + static_cast<std::ptrdiff_t>(rng.below(copy.size() + 1)),
-                    std::move(twin));
-      }
-      emulation::FibEntry fallback;
-      fallback.prefix = addressing::Ipv4Prefix(addressing::Ipv4Addr{}, 0);
-      fallback.source = kSources[rng.below(4)];
-      copy.insert(copy.begin() + static_cast<std::ptrdiff_t>(rng.below(copy.size() + 1)),
-                  std::move(fallback));
-      detail = mismatch(copy, probes);
+      detail = mismatch(twinned, r, copies[r]);
       if (!detail.empty()) detail = "with duplicates: " + detail;
     }
     if (!detail.empty()) {
-      return OracleResult::fail(truncate_detail(model.routers()[r].hostname + ": " + detail));
+      return OracleResult::fail(truncate_detail(routers[r].hostname + ": " + detail));
     }
   }
   return OracleResult::pass();
@@ -734,7 +746,7 @@ const std::vector<Oracle>& oracle_registry() {
        "forwarding tables equal the hop-by-hop walk for every pair, intact and failed",
        guarded(run_measure_equivalence)},
       {"fib-lookup",
-       "compiled FIB lookups return the linear lookup's entry",
+       "forwarding-index lookups return the linear lookup's entry",
        guarded(run_fib_lookup)},
   };
   return kOracles;

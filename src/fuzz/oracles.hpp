@@ -13,7 +13,7 @@
 //                       the deploy archive)
 //   measure-equivalence forwarding columns == the hop-by-hop walk, every
 //                       pair, in both layers, intact and after failures
-//   fib-lookup          compiled FIB lookup == the linear lookup
+//   fib-lookup          forwarding-index lookup == the linear lookup
 #pragma once
 
 #include <functional>

@@ -197,9 +197,13 @@ void check_asymmetric(const RuleContext& ctx, Emitter& out) {
     std::string example;
     for (std::size_t d = s + 1; d < model.size(); ++d) {
       if (!table.reached(s, d) || !table.reached(d, s)) continue;
-      table.routers(s, d, fwd);
-      table.routers(d, s, rev);
-      if (std::equal(fwd.begin(), fwd.end(), rev.rbegin(), rev.rend())) continue;
+      // Paths of different lengths differ; their routers are read only
+      // for the source's example.
+      if (table.cell(s, d).hops == table.cell(d, s).hops || example.empty()) {
+        table.routers(s, d, fwd);
+        table.routers(d, s, rev);
+        if (std::equal(fwd.begin(), fwd.end(), rev.rbegin(), rev.rend())) continue;
+      }
       peers.push_back(routers[d].hostname);
       if (example.empty()) {
         example = "e.g. forward " + shown(fwd.begin(), fwd.end()) + ", reverse " +

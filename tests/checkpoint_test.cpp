@@ -5,6 +5,8 @@
 // written in the earlier indented format, and the journal's
 // checkpoint-pointer records.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -79,6 +81,19 @@ TEST(WriteFileAtomic, WritesAndReplacesWithoutTemps) {
   }
   EXPECT_EQ(entries, 1u);
   fs::remove_all(dir);
+}
+
+TEST(WriteFileAtomic, RefusesToReplaceAFifo) {
+  std::string templ = (fs::temp_directory_path() / "autonet_atomic_fifo_XXXXXX").string();
+  ASSERT_NE(::mkdtemp(templ.data()), nullptr);
+  const std::string path = templ + "/pipe";
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+  EXPECT_THROW(core::write_file_atomic(path, "report"), core::CheckpointError);
+  struct stat st {};
+  ASSERT_EQ(::lstat(path.c_str(), &st), 0);
+  EXPECT_TRUE(S_ISFIFO(st.st_mode));
+  EXPECT_FALSE(fs::exists(path + ".tmp"));
+  fs::remove_all(templ);
 }
 
 TEST(AppendLineDurable, AppendsOneLinePerCall) {

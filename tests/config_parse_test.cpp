@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <random>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "core/workflow.hpp"
 #include "emulation/config_parse.hpp"
 #include "topology/builtin.hpp"
@@ -15,6 +20,42 @@ render::ConfigTree rendered(const std::string& platform) {
   core::Workflow wf(opts);
   wf.load(topology::small_internet()).design().compile().render();
   return wf.configs();
+}
+
+/// The stream tokenizer tokenize() replaced: the reference it must equal.
+std::vector<std::string> stream_tokenize(const std::string& line) {
+  std::vector<std::string> tokens;
+  std::istringstream in{line};
+  std::string tok;
+  while (in >> tok) tokens.push_back(tok);
+  return tokens;
+}
+
+TEST(Tokenize, EqualsTheStreamOnEveryByteValue) {
+  std::string every;
+  for (int b = 0; b < 256; ++b) {
+    const std::string c(1, static_cast<char>(b));
+    every += c;
+    for (const std::string& line :
+         {c, "ip" + c + "ospf", c + c + "cost" + c + "10" + c, "a b" + c + "\tc" + c + " "}) {
+      EXPECT_EQ(tokenize(line), stream_tokenize(line)) << "byte " << b;
+    }
+  }
+  EXPECT_EQ(tokenize(every), stream_tokenize(every));
+  EXPECT_EQ(tokenize(every + every), stream_tokenize(every + every));
+}
+
+TEST(Tokenize, EqualsTheStreamOnRandomLines) {
+  using namespace std::string_literals;
+  const std::string common = " \t\n\v\f\r\0ab1./!"s;
+  std::mt19937_64 rng(2013);
+  for (int i = 0; i < 20000; ++i) {
+    std::string line(rng() % 48, '\0');
+    for (char& c : line) {
+      c = rng() % 4 == 0 ? static_cast<char>(rng() % 256) : common[rng() % common.size()];
+    }
+    ASSERT_EQ(tokenize(line), stream_tokenize(line)) << "line " << i;
+  }
 }
 
 TEST(QuaggaParse, RoundTripFromRenderedConfigs) {

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <map>
+#include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/workflow.hpp"
 #include "emulation/network.hpp"
 #include "topology/builtin.hpp"
+#include "topology/generators.hpp"
 
 namespace {
 
@@ -60,29 +63,54 @@ struct Walked {
 
 /// walk() over the network as its public API shows it, routers in
 /// router_names() order: the reference a forwarding column must equal.
-Walked reference_walk(const EmulatedNetwork& net, std::size_t src, Ipv4Addr dst) {
-  const auto names = net.router_names();
-  const auto failed = net.failed_nodes();
-  std::map<std::uint32_t, std::size_t> by_address;
-  for (const auto& name : names) {
-    const RouterConfig& cfg = net.router(name)->config();
-    std::vector<Ipv4Addr> addresses;
-    if (cfg.loopback) addresses.push_back(cfg.loopback->address);
-    for (const auto& iface : cfg.interfaces) addresses.push_back(iface.address.address);
-    for (const Ipv4Addr a : addresses) {
-      by_address[a.value()] = static_cast<std::size_t>(
-          std::find(names.begin(), names.end(), *net.owner_of(a)) - names.begin());
+class ReferenceWalk {
+ public:
+  explicit ReferenceWalk(const EmulatedNetwork& net) : names_(net.router_names()) {
+    const auto failed = net.failed_nodes();
+    for (const auto& name : names_) {
+      const VirtualRouter& router = *net.router(name);
+      routers_.push_back(&router);
+      down_.push_back(std::binary_search(failed.begin(), failed.end(), name));
+      const RouterConfig& cfg = router.config();
+      std::vector<Ipv4Addr> addresses;
+      if (cfg.loopback) addresses.push_back(cfg.loopback->address);
+      for (const auto& iface : cfg.interfaces) addresses.push_back(iface.address.address);
+      for (const Ipv4Addr a : addresses) {
+        by_address_[a.value()] = static_cast<std::size_t>(
+            std::find(names_.begin(), names_.end(), *net.owner_of(a)) - names_.begin());
+      }
     }
   }
-  const auto router_at = [&](std::size_t r) {
-    const VirtualRouter& router = *net.router(names[r]);
-    return ForwardingRouter{router.config(), router.fib(),
-                            std::binary_search(failed.begin(), failed.end(), names[r])};
-  };
-  Walked walked;
-  walked.outcome = walk(src, dst, 30, by_address, router_at,
-                        [&](std::size_t r, Ipv4Addr reply) { walked.hops.emplace_back(r, reply); });
-  return walked;
+
+  [[nodiscard]] const std::vector<std::string>& names() const { return names_; }
+
+  [[nodiscard]] Walked operator()(std::size_t src, Ipv4Addr dst) const {
+    const auto router_at = [this](std::size_t r) {
+      return ForwardingRouter{routers_[r]->config(), routers_[r]->fib(), down_[r]};
+    };
+    Walked walked;
+    walked.outcome = walk(src, dst, 30, by_address_, router_at, [&](std::size_t r, Ipv4Addr reply) {
+      walked.hops.emplace_back(r, reply);
+    });
+    return walked;
+  }
+
+ private:
+  std::vector<std::string> names_;
+  std::vector<const VirtualRouter*> routers_;
+  std::vector<bool> down_;
+  std::map<std::uint32_t, std::size_t> by_address_;
+};
+
+/// What the column says of the walk from `src`.
+Walked read_column(const std::vector<ForwardingCell>& column, std::size_t src) {
+  Walked read{column_outcome(column, src), {}};
+  column_walk(column, src, [&](std::size_t r, Ipv4Addr reply) { read.hops.emplace_back(r, reply); });
+  return read;
+}
+
+bool same_walk(const Walked& a, const Walked& b) {
+  return a.outcome.end == b.outcome.end && a.outcome.at == b.outcome.at && a.hops == b.hops;
 }
 
 /// The column towards `dst`, after checking it equals walk() from every
@@ -92,11 +120,11 @@ std::vector<ForwardingCell> column_towards(const EmulatedNetwork& net, Ipv4Addr 
   net.forwarding_columns({dst}, 30, [&](std::size_t, const std::vector<ForwardingCell>& column) {
     out = column;
   });
-  const auto names = net.router_names();
+  const ReferenceWalk reference(net);
+  const auto& names = reference.names();
   for (std::size_t src = 0; src < out.size(); ++src) {
-    const Walked expected = reference_walk(net, src, dst);
-    Walked read{column_outcome(out, src), {}};
-    column_walk(out, src, [&](std::size_t r, Ipv4Addr reply) { read.hops.emplace_back(r, reply); });
+    const Walked expected = reference(src, dst);
+    const Walked read = read_column(out, src);
     EXPECT_EQ(read.outcome.end, expected.outcome.end) << names[src] << " -> " << dst.to_string();
     EXPECT_EQ(read.outcome.at, expected.outcome.at) << names[src] << " -> " << dst.to_string();
     EXPECT_EQ(read.hops, expected.hops) << names[src] << " -> " << dst.to_string();
@@ -248,6 +276,58 @@ TEST(ForwardingColumn, EqualsWalkOnEverySmallInternetPair) {
   }
 }
 
+TEST(ForwardingColumn, EqualsWalkOnSampledNrenColumns) {
+  auto net = booted(topology::make_nren_model());  // seed 2013: 1158 routers
+  const auto names = net.router_names();
+  ASSERT_EQ(names.size(), 1158u);
+  std::mt19937_64 rng(2013);
+  const auto pick = [&rng](std::size_t n) { return static_cast<std::size_t>(rng() % n); };
+  // 64 seeded destinations, loopbacks and interface addresses in turn.
+  std::vector<Ipv4Addr> targets;
+  for (std::size_t i = 0; i < 64; ++i) {
+    const RouterConfig& cfg = net.router(names[pick(names.size())])->config();
+    targets.push_back(i % 2 == 0 ? cfg.loopback->address
+                                 : cfg.interfaces[pick(cfg.interfaces.size())].address.address);
+  }
+  const auto mismatches = [&net, &targets] {
+    const ReferenceWalk reference(net);
+    std::size_t cells = 0;
+    std::size_t differ = 0;
+    std::string first;
+    net.forwarding_columns(targets, 30, [&](std::size_t k, const std::vector<ForwardingCell>& column) {
+      for (std::size_t src = 0; src < column.size(); ++src, ++cells) {
+        if (same_walk(read_column(column, src), reference(src, targets[k]))) continue;
+        if (differ++ == 0) first = reference.names()[src] + " -> " + targets[k].to_string();
+      }
+    });
+    EXPECT_EQ(cells, 64u * 1158u);
+    return differ == 0 ? std::string() : std::to_string(differ) + " cells differ, first " + first;
+  };
+  EXPECT_EQ(mismatches(), "") << "intact";
+
+  // One seeded link and one seeded router down: over the FIBs as they
+  // were, then reconverged.
+  std::string a;
+  std::string b;
+  while (b.empty()) {
+    a = names[pick(names.size())];
+    const auto& ifaces = net.router(a)->config().interfaces;
+    const auto subnet = ifaces[pick(ifaces.size())].address.prefix;
+    for (const auto& name : names) {
+      for (const auto& iface : net.router(name)->config().interfaces) {
+        if (name != a && iface.address.prefix == subnet) b = name;
+      }
+    }
+  }
+  ASSERT_TRUE(net.fail_link(a, b));
+  const std::string down = names[pick(names.size())];
+  ASSERT_TRUE(net.fail_node(down));
+  const std::string failed = a + "<->" + b + " and " + down + " failed";
+  EXPECT_EQ(mismatches(), "") << failed;
+  net.start();
+  EXPECT_EQ(mismatches(), "") << failed << ", reconverged";
+}
+
 TEST(ForwardingColumn, DownSourceNeitherSendsNorAnswers) {
   auto net = chain();
   ASSERT_TRUE(net.fail_node("a"));
@@ -360,6 +440,92 @@ TEST(ForwardingColumn, DuplicatePrefixTakesAdminDistanceThenMetric) {
   const auto via_ospf = column_towards(net, ip("10.0.0.3"));
   EXPECT_EQ(via_ospf[0].end, WalkEnd::kReached);
   EXPECT_EQ(via_ospf[0].hops, 2u);
+}
+
+TEST(ForwardingIndex, HandBuiltFibsEqualTheLinearLookupAndWalk) {
+  // Four routers, each owning loopback 10.255.0.<r + 1>. Their FIBs draw
+  // from one pool of prefixes, /0 and /32 among them, each held by a
+  // router up to three times with seeded sources, metrics, next hops
+  // (another router, an address nobody owns, on-link) and positions.
+  const std::vector<const char*> pool = {
+      "0.0.0.0/0",    "10.0.0.0/8",    "10.1.0.0/16",    "10.1.2.0/24",
+      "10.1.2.4/30",  "10.1.2.5/32",   "10.1.2.6/32",    "10.255.0.0/24",
+      "10.255.0.3/32", "192.168.0.0/16", "192.168.1.1/32", "255.255.255.255/32",
+      "0.0.0.0/32"};
+  constexpr RouteSource kSources[] = {RouteSource::kConnected, RouteSource::kOspf,
+                                      RouteSource::kEbgp, RouteSource::kIbgp};
+  constexpr std::size_t kRouters = 4;
+  std::mt19937_64 rng(23);
+  const auto pick = [&rng](std::size_t n) { return static_cast<std::size_t>(rng() % n); };
+  for (const bool with_default : {true, false}) {
+    std::vector<RouterConfig> configs(kRouters);
+    std::vector<std::vector<FibEntry>> fibs(kRouters);
+    std::map<std::uint32_t, std::size_t> by_address;
+    const auto loopback = [](std::size_t r) {
+      return Ipv4Addr(ip("10.255.0.0").value() + static_cast<std::uint32_t>(r + 1));
+    };
+    for (std::size_t r = 0; r < kRouters; ++r) {
+      configs[r].hostname = "r" + std::to_string(r);
+      configs[r].loopback = addressing::Ipv4Interface{loopback(r),
+                                                      addressing::Ipv4Prefix(loopback(r), 32)};
+      by_address[loopback(r).value()] = r;
+    }
+    std::vector<addressing::Ipv4Prefix> prefixes;
+    for (const char* text : pool) {
+      if (with_default || std::string(text) != "0.0.0.0/0") {
+        prefixes.push_back(*addressing::Ipv4Prefix::parse(text));
+      }
+    }
+    for (std::size_t r = 0; r < kRouters; ++r) {
+      for (const auto& prefix : prefixes) {
+        for (std::size_t copies = pick(4); copies > 0; --copies) {
+          FibEntry entry;
+          entry.prefix = prefix;
+          entry.source = kSources[pick(4)];
+          entry.metric = static_cast<double>(pick(3));
+          switch (pick(3)) {
+            case 0: entry.next_hop = loopback((r + 1 + pick(kRouters - 1)) % kRouters); break;
+            case 1: entry.next_hop = ip("192.0.2.99"); break;
+            default: break;  // on-link
+          }
+          fibs[r].insert(fibs[r].begin() + static_cast<std::ptrdiff_t>(pick(fibs[r].size() + 1)),
+                         entry);
+        }
+      }
+    }
+    const auto router_at = [&](std::size_t r) { return ForwardingRouter{configs[r], fibs[r]}; };
+    ColumnBuilder index(kRouters, by_address, router_at);
+
+    std::vector<Ipv4Addr> probes;
+    for (const auto& prefix : prefixes) {
+      for (const Ipv4Addr edge : {prefix.network(), prefix.broadcast()}) {
+        probes.push_back(edge);
+        probes.push_back(edge + 1);
+        probes.emplace_back(edge.value() - 1);
+      }
+    }
+    if (!with_default) {
+      const Ipv4Addr uncovered = ip("203.0.113.7");
+      for (std::size_t r = 0; r < kRouters; ++r) {
+        EXPECT_EQ(lookup(fibs[r], uncovered), nullptr) << r;
+      }
+      probes.push_back(uncovered);
+    }
+    std::vector<ForwardingCell> column;
+    for (const Ipv4Addr dst : probes) {
+      index.build(dst, 30, column);
+      for (std::size_t r = 0; r < kRouters; ++r) {
+        EXPECT_EQ(index.lookup(r, dst), lookup(fibs[r], dst))
+            << "r" << r << " -> " << dst.to_string() << (with_default ? "" : ", no /0");
+        Walked walked;
+        walked.outcome = walk(r, dst, 30, by_address, router_at, [&](std::size_t at, Ipv4Addr reply) {
+          walked.hops.emplace_back(at, reply);
+        });
+        EXPECT_TRUE(same_walk(read_column(column, r), walked))
+            << "r" << r << " -> " << dst.to_string() << (with_default ? "" : ", no /0");
+      }
+    }
+  }
 }
 
 TEST(ForwardingColumn, RequiresStartedNetwork) {

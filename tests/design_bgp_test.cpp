@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/workflow.hpp"
 #include "design/bgp.hpp"
+#include "fuzz/scenario.hpp"
 #include "topology/builtin.hpp"
 #include "topology/generators.hpp"
 
@@ -44,6 +48,42 @@ TEST(BuildIbgpMesh, Equation2ExactEdgeSet) {
   EXPECT_TRUE(edges.contains("r1>r4"));  // not physically adjacent
   EXPECT_TRUE(edges.contains("r4>r1"));
   EXPECT_FALSE(edges.contains("r1>r5"));  // different AS
+}
+
+using EdgeSequence = std::vector<std::pair<std::string, std::string>>;
+
+EdgeSequence edge_sequence(const anm::OverlayGraph& g) {
+  EdgeSequence out;
+  for (const auto& e : g.edges()) out.emplace_back(e.src().name(), e.dst().name());
+  return out;
+}
+
+/// Eq. 2 as the scan over every ordered router pair: the reference the
+/// mesh must reproduce edge for edge, in the same order.
+EdgeSequence pairwise_mesh(AbstractNetworkModel& anm) {
+  EdgeSequence out;
+  const auto rtrs = anm["phy"].routers();
+  for (const auto& s : rtrs) {
+    for (const auto& t : rtrs) {
+      if (s.name() != t.name() && s.asn() == t.asn()) out.emplace_back(s.name(), t.name());
+    }
+  }
+  return out;
+}
+
+TEST(BuildIbgpMesh, NrenEdgesInPairwiseOrder) {
+  auto anm = load(topology::make_nren_model());
+  const EdgeSequence mesh = edge_sequence(design::build_ibgp_full_mesh(anm));
+  EXPECT_EQ(mesh.size(), 31122u);
+  EXPECT_TRUE(mesh == pairwise_mesh(anm));
+}
+
+TEST(BuildIbgpMesh, FuzzDesignEdgesInPairwiseOrder) {
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    auto anm = load(fuzz::generate_scenario(seed, 20).graph);
+    EXPECT_EQ(edge_sequence(design::build_ibgp_full_mesh(anm)), pairwise_mesh(anm))
+        << "seed " << seed;
+  }
 }
 
 TEST(BuildIbgpMesh, QuadraticSessionGrowth) {

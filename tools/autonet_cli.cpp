@@ -878,11 +878,13 @@ int cmd_run(const Args& args) {
   // The run report lands next to the checkpoint (the library removes an
   // interrupted run's post-mortem once a resume records a phase) and at
   // --report FILE when given. Byte-deterministic: a resumed run writes
-  // the same bytes an uninterrupted one would.
+  // the same bytes an uninterrupted one would. False when one cannot be
+  // written.
   auto write_report = [&]() {
     std::vector<std::string> targets;
     if (!ckpt_dir.empty()) targets.push_back(ckpt_dir + "/" + core::kRunReportFile);
     if (args.has("report")) targets.push_back(args.get("report"));
+    bool written = true;
     for (const std::string& path : targets) {
       try {
         report::write_run_report(wf, path);
@@ -890,8 +892,10 @@ int cmd_run(const Args& args) {
       } catch (const std::exception& e) {
         std::fprintf(stderr, "autonet run: cannot write %s: %s\n", path.c_str(),
                      e.what());
+        written = false;
       }
     }
+    return written;
   };
 
   try {
@@ -925,10 +929,7 @@ int cmd_run(const Args& args) {
               result.convergence.oscillating
                   ? (", period " + std::to_string(result.convergence.period)).c_str()
                   : "");
-  if (!result.success) {
-    write_report();
-    return 1;
-  }
+  if (!result.success) return write_report() ? 1 : 2;
 
   // Phase 6 on a running network: validation + reachability. Gives the
   // exported trace all six pipeline phases.
@@ -939,7 +940,7 @@ int cmd_run(const Args& args) {
   } catch (const core::Cancelled& e) {
     return interrupted(e, 130);
   }
-  write_report();
+  if (!write_report()) return 2;
 
   int rc = 0;
   if (args.has("trace")) {
