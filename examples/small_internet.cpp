@@ -54,18 +54,19 @@ int main() {
 
   // --- Deploy to the emulation host -------------------------------------
   deploy::EmulationHost host("localhost");
-  deploy::Deployer deployer(host, [](const deploy::DeployEvent& e) {
-    std::printf("  [%s] %s\n", deploy::to_string(e.phase), e.detail.c_str());
-  });
+  deploy::Deployer deployer({&host});
   auto result = deployer.deploy(configs, nidb);
+  for (const deploy::DeployEvent& e : deployer.events()) {
+    std::printf("  [%s] %s\n", deploy::to_string(e.phase), e.detail.c_str());
+  }
   if (!result.success) {
     std::fprintf(stderr, "deployment failed\n");
     return 1;
   }
 
   // --- Measure: the Fig. 7 traceroute ----------------------------------
-  measure::MeasurementClient client(*host.network(), nidb);
-  auto lo = host.network()->router("as100r2")->config().loopback->address;
+  measure::MeasurementClient client(*deployer.network(), nidb);
+  auto lo = deployer.network()->router("as100r2")->config().loopback->address;
   auto trace = client.traceroute("as300r2", lo.to_string());
   std::printf("traceroute as300r2 -> as100r2:\n  [");
   for (std::size_t i = 0; i < trace.node_path.size(); ++i) {
@@ -81,8 +82,8 @@ int main() {
   std::printf("highlight message: %zu bytes of D3 JSON\n", highlight.size());
 
   // --- Validate design vs running (§5.7) ----------------------------------
-  auto ospf_report = measure::validate_ospf(*host.network(), anm);
-  auto bgp_report = measure::validate_bgp(*host.network(), anm);
+  auto ospf_report = measure::validate_ospf(*deployer.network(), anm);
+  auto bgp_report = measure::validate_bgp(*deployer.network(), anm);
   std::printf("validation: OSPF %s, BGP %s\n", ospf_report.ok ? "OK" : "MISMATCH",
               bgp_report.ok ? "OK" : "MISMATCH");
   return trace.reached && ospf_report.ok && bgp_report.ok ? 0 : 1;

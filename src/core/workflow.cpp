@@ -567,19 +567,19 @@ void Workflow::restore_phase_state(const std::string& phase,
 // Restoring a deploy phase must leave network() usable for measure and
 // probes. The deploy *decisions* (retries, casualties, degradation) come
 // verbatim from the checkpoint; only the deterministic final handoff —
-// extract configs, start the control plane over the booted set — is
-// replayed, which also republishes the same emulation counter deltas an
-// uninterrupted run records.
+// start the control plane over the booted set — is replayed, which also
+// republishes the same emulation counter deltas an uninterrupted run
+// records.
 void Workflow::rehydrate_network() {
-  host_ = std::make_unique<deploy::EmulationHost>("localhost");
+  network_.reset();
   if (!deploy_result_.success) return;
-  host_->receive(deploy::pack(*configs_));
-  host_->extract();
-  std::set<std::string> only;
-  if (deploy_result_.degraded) {
-    only.insert(deploy_result_.booted.begin(), deploy_result_.booted.end());
-  }
-  host_->start_network(*nidb_, host_->filesystem(), only, nullptr);
+  const bool degraded = deploy_result_.degraded;
+  const std::set<std::string> booted =
+      degraded ? std::set<std::string>(deploy_result_.booted.begin(),
+                                       deploy_result_.booted.end())
+               : std::set<std::string>();
+  network_ = deploy::start_network(*nidb_, *configs_, degraded ? &booted : nullptr,
+                                   nullptr);
 }
 
 // --- Phases ----------------------------------------------------------------
@@ -712,19 +712,21 @@ Workflow& Workflow::deploy() {
   if (!configs_) throw std::logic_error("Workflow::deploy before render");
   if (try_restore("deploy")) return *this;
   timed("deploy", [this]() {
-    host_ = std::make_unique<deploy::EmulationHost>("localhost");
-    host_->attach_faults(faults_);
-    deploy::Deployer deployer(*host_);
+    network_.reset();
+    deploy::EmulationHost host("localhost");
+    host.attach_faults(faults_);
+    deploy::Deployer deployer({&host});
     deploy::DeployOptions opts = options_.deploy;
     if (opts.control == nullptr) opts.control = control_;
     deploy_result_ = deployer.deploy(*configs_, *nidb_, opts);
+    network_ = deployer.take_network();
   });
   save_phase("deploy");
   return *this;
 }
 
 Workflow& Workflow::measure() {
-  if (!host_ || host_->network() == nullptr) {
+  if (!network_) {
     throw std::logic_error("Workflow::measure before a successful deploy");
   }
   if (try_restore("measure")) return *this;
@@ -732,7 +734,7 @@ Workflow& Workflow::measure() {
     {
       core::checkpoint(control_, "measure.validate_ospf");
       obs::Span span("measure.validate_ospf");
-      measure_report_ = measure::validate_ospf(*host_->network(), anm_);
+      measure_report_ = measure::validate_ospf(*network_, anm_);
     }
     core::checkpoint(control_, "measure.reachability");
     obs::Span span("measure.reachability");
@@ -770,19 +772,17 @@ const render::ConfigTree& Workflow::configs() const {
 }
 
 emulation::EmulatedNetwork& Workflow::network() {
-  if (!host_ || host_->network() == nullptr) {
-    throw std::logic_error("deploy() has not run successfully");
-  }
-  return *host_->network();
+  if (!network_) throw std::logic_error("deploy() has not run successfully");
+  return *network_;
 }
 
 const deploy::DeployResult& Workflow::deploy_result() const { return deploy_result_; }
 
 measure::MeasurementClient Workflow::measurement() const {
-  if (!host_ || host_->network() == nullptr || !nidb_) {
+  if (!network_ || !nidb_) {
     throw std::logic_error("deploy() has not run successfully");
   }
-  return measure::MeasurementClient(*host_->network(), *nidb_);
+  return measure::MeasurementClient(*network_, *nidb_);
 }
 
 const verify::Report& Workflow::lint_report() const {
@@ -791,10 +791,8 @@ const verify::Report& Workflow::lint_report() const {
 }
 
 measure::ValidationReport Workflow::validate_ospf() const {
-  if (!host_ || host_->network() == nullptr) {
-    throw std::logic_error("deploy() has not run successfully");
-  }
-  return measure::validate_ospf(*host_->network(), anm_);
+  if (!network_) throw std::logic_error("deploy() has not run successfully");
+  return measure::validate_ospf(*network_, anm_);
 }
 
 const measure::ValidationReport& Workflow::measure_report() const {

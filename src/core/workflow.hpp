@@ -145,8 +145,9 @@ class Workflow {
   /// the builtin template sets. Respects options.lint: skipped when
   /// disabled, throws LintError past the threshold with fail_fast.
   Workflow& lint();
-  /// Phase 5: archive/transfer/extract/boot on a simulated host; starts
-  /// the emulated network.
+  /// Phase 5: archive/transfer/extract/boot through deploy::Deployer
+  /// onto one simulated host named "localhost"; the workflow keeps the
+  /// started network.
   Workflow& deploy();
   /// Phase 6: post-deployment measurement — design-vs-running OSPF
   /// validation plus the loopback reachability matrix, timed like every
@@ -321,7 +322,7 @@ class Workflow {
   anm::AbstractNetworkModel anm_;
   std::optional<nidb::Nidb> nidb_;
   std::optional<render::ConfigTree> configs_;
-  std::unique_ptr<deploy::EmulationHost> host_;
+  std::unique_ptr<emulation::EmulatedNetwork> network_;
   deploy::FaultPlan* faults_ = nullptr;
   obs::Registry* obs_ = nullptr;  // nullptr = obs::Registry::global()
   deploy::DeployResult deploy_result_;

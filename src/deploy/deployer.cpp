@@ -1,12 +1,28 @@
 #include "deploy/deployer.hpp"
 
 #include <algorithm>
+#include <optional>
+#include <stdexcept>
 
 #include "deploy/archive.hpp"
 #include "obs/recorder.hpp"
 #include "obs/registry.hpp"
 
 namespace autonet::deploy {
+
+namespace {
+
+/// The index of the host a device's or tunnel's `host` value names, or
+/// hosts.size() when it names none of them.
+std::size_t host_named(const std::vector<EmulationHost*>& hosts, const nidb::Value* name) {
+  const std::string* wanted = name ? name->as_string() : nullptr;
+  for (std::size_t i = 0; wanted != nullptr && i < hosts.size(); ++i) {
+    if (hosts[i]->name() == *wanted) return i;
+  }
+  return hosts.size();
+}
+
+}  // namespace
 
 const char* to_string(DeployPhase phase) {
   switch (phase) {
@@ -51,7 +67,6 @@ int BackoffClock::next_delay_ms(int attempt, int clamp_ms) {
   // Deadline-aware clamp, applied after the RNG draw so the jitter
   // stream stays seed-deterministic whether or not a deadline is armed.
   if (clamp_ms >= 0) delay = std::min(delay, clamp_ms);
-  elapsed_ms_ += delay;
   phase_ms_ += delay;
   // Under a virtual obs clock the wait is jumped over, not slept: the
   // recorded retry timestamps advance by exactly this delay.
@@ -74,14 +89,17 @@ int backoff_clamp_ms(const BackoffClock& clock, int phase_deadline_ms,
   return static_cast<int>(clamp);
 }
 
-void Deployer::emit(DeployPhase phase, std::string detail) {
+Deployer::Deployer(std::vector<EmulationHost*> hosts) : hosts_(std::move(hosts)) {
+  if (hosts_.empty()) throw std::invalid_argument("Deployer: no hosts");
+}
+
+void Deployer::emit(DeployPhase phase, const std::string& host, std::string detail) {
   DeployEvent event{phase, std::move(detail)};
   // Structured telemetry is the primary record; log() renders it.
   obs::Registry& obs = obs::Registry::current();
   obs.counter(std::string("deploy.events.") + to_string(phase)).inc();
   obs::record("deploy", deploy_event_severity(phase), to_string(phase),
-              {{"host", host_->name()}, {"detail", event.detail}});
-  if (logger_) logger_(event);
+              {{"host", host}, {"detail", event.detail}});
   events_.push_back(std::move(event));
 }
 
@@ -92,148 +110,130 @@ std::vector<std::string> Deployer::log() const {
   return lines;
 }
 
+std::unique_ptr<emulation::EmulatedNetwork> start_network(
+    const nidb::Nidb& nidb, const render::ConfigTree& configs,
+    const std::set<std::string>* booted, core::RunControl* control) {
+  auto network = std::make_unique<emulation::EmulatedNetwork>(
+      emulation::EmulatedNetwork::from_nidb(nidb, configs, booted));
+  network->start(128, control);
+  return network;
+}
+
 DeployResult Deployer::deploy(const render::ConfigTree& configs,
                               const nidb::Nidb& nidb, const DeployOptions& opts) {
   DeployResult result;
   BackoffClock clock(opts);
+  slices_.clear();
+  for (const EmulationHost* host : hosts_) slices_.emplace_back().host = host->name();
+  cross_connects_ = 0;
+  network_.reset();
+  const std::string& lead = hosts_.front()->name();
 
-  emit(DeployPhase::kArchive,
-       std::to_string(configs.file_count()) + " files, " +
-           std::to_string(configs.total_bytes()) + " bytes");
-  const std::string blob = pack(configs);
-
-  // --- Transfer + extract, retried with backoff under a deadline --------
-  if (!host_->online()) {
-    emit(DeployPhase::kFailed, host_->name() + " is unreachable");
-    result.errors.push_back({core::ErrorCategory::kHostDown, host_->name(),
-                             "host unreachable", false});
+  // --- Assign machines: a lone host takes every device, several split
+  // them by the devices' `host` attribute --------------------------------
+  std::vector<std::vector<std::string>> machines(hosts_.size());
+  std::size_t assigned = 0;
+  for (const auto* rec : nidb.devices()) {
+    const std::size_t at =
+        hosts_.size() == 1 ? 0 : host_named(hosts_, rec->data.find("host"));
+    if (at == hosts_.size()) continue;
+    machines[at].push_back(rec->name);
+    ++assigned;
+  }
+  if (assigned != nidb.device_count()) {
+    // A configuration error, not a runtime fault: always fatal.
+    emit(DeployPhase::kFailed, lead,
+         "only " + std::to_string(assigned) + "/" +
+             std::to_string(nidb.device_count()) +
+             " machines assigned to the given hosts");
+    result.errors.push_back({core::ErrorCategory::kConfig, "",
+                             std::to_string(nidb.device_count() - assigned) +
+                                 " devices assigned to no given host",
+                             false});
     return result;
   }
-  bool extracted = false;
-  clock.reset_phase();
-  for (int attempt = 1; attempt <= opts.max_transfer_attempts; ++attempt) {
-    observe_cancel(opts, "deploy.transfer.attempt");
-    if (attempt > 1) {
-      const int delay = clock.next_delay_ms(
-          attempt - 1, backoff_clamp_ms(clock, opts.transfer_deadline_ms, opts));
-      if (clock.past_deadline(opts.transfer_deadline_ms) ||
-          run_deadline_expired(opts)) {
-        emit(DeployPhase::kDeadlineExceeded,
-             "transfer deadline exceeded (" + std::to_string(clock.phase_ms()) +
-                 "ms budget " + std::to_string(opts.transfer_deadline_ms) + "ms)");
-        result.errors.push_back({core::ErrorCategory::kDeadline, host_->name(),
-                                 "transfer phase deadline exceeded", false});
-        result.backoff_ms = clock.elapsed_ms();
-        return result;
+
+  // --- Archive + transfer + extract, per host ---------------------------
+  for (std::size_t i = 0; i < hosts_.size(); ++i) {
+    const EmulationHost& host = *hosts_[i];
+    HostSlice& slice = slices_[i];
+    // A host's slice is its own devices' directory plus every file under
+    // no given host's directory (lab.conf, topology.net, ...). A lone
+    // host's slice is the whole tree, packed without a copy.
+    std::optional<render::ConfigTree> part;
+    if (hosts_.size() > 1) {
+      part.emplace();
+      for (const auto& [path, content] : configs) {
+        const auto under = [&path](const EmulationHost* h) {
+          return path.starts_with(h->name() + "/");
+        };
+        if (under(&host) || std::none_of(hosts_.begin(), hosts_.end(), under)) {
+          part->put(path, content);
+        }
       }
-      emit(DeployPhase::kTransfer, "backoff " + std::to_string(delay) + "ms");
     }
-    result.transfer_attempts = attempt;
-    emit(DeployPhase::kTransfer, opts.username + "@" + host_->name() +
-                                     " attempt " + std::to_string(attempt));
-    if (!host_->receive(blob)) {
-      emit(DeployPhase::kTransfer, host_->name() + ": connection refused");
+    const render::ConfigTree& tree = part ? *part : configs;
+    emit(DeployPhase::kArchive, host.name(),
+         std::to_string(tree.file_count()) + " files, " +
+             std::to_string(tree.total_bytes()) + " bytes");
+    const Landing landing = transfer(i, pack(tree), clock, opts, result);
+    if (landing == Landing::kExtracted) continue;
+    slice.online = false;
+    slice.lost = std::move(machines[i]);
+    if (landing == Landing::kRunDeadline) return result;
+  }
+  const auto online_hosts = static_cast<std::size_t>(std::count_if(
+      slices_.begin(), slices_.end(), [](const HostSlice& s) { return s.online; }));
+  if (online_hosts == 0) return result;
+
+  // --- Boot, per online host; an offline host's machines are lost -------
+  for (std::size_t i = 0; i < hosts_.size(); ++i) {
+    HostSlice& slice = slices_[i];
+    if (!slice.online) {
+      result.failed_machines.insert(result.failed_machines.end(), slice.lost.begin(),
+                                    slice.lost.end());
       continue;
     }
-    if (host_->extract()) {
-      extracted = true;
-      emit(DeployPhase::kExtract, "archive verified and extracted");
-      break;
-    }
-    emit(DeployPhase::kExtract, "checksum mismatch, retrying");
-    result.errors.push_back({core::ErrorCategory::kTransfer, host_->name(),
-                             "checksum mismatch on attempt " +
-                                 std::to_string(attempt),
-                             true});
-  }
-  result.backoff_ms = clock.elapsed_ms();
-  if (!extracted) {
-    emit(DeployPhase::kRetriesExhausted,
-         "transfer failed after " + std::to_string(result.transfer_attempts) +
-             " attempts");
-    result.errors.push_back(
-        {core::ErrorCategory::kHostDown, host_->name(),
-         "transfer failed after " + std::to_string(result.transfer_attempts) +
-             " attempts",
-         false});
-    return result;
+    if (!boot(i, machines[i], clock, opts, result)) return result;
   }
 
-  // --- Boot, retried per machine under a deadline -----------------------
-  clock.reset_phase();
-  bool boot_deadline_hit = false;
-  for (const auto* rec : nidb.devices()) {
-    const std::string& machine = rec->name;
-    observe_cancel(opts, "deploy.boot." + machine);
-    bool up = false;
-    for (int attempt = 1; attempt <= opts.max_boot_attempts; ++attempt) {
-      if (attempt > 1) {
-        const int delay = clock.next_delay_ms(
-            attempt - 1, backoff_clamp_ms(clock, opts.boot_deadline_ms, opts));
-        if (clock.past_deadline(opts.boot_deadline_ms) ||
-            run_deadline_expired(opts)) {
-          boot_deadline_hit = true;
-          break;
-        }
-        emit(DeployPhase::kBoot, machine + " retry after " +
-                                     std::to_string(delay) + "ms backoff");
-      }
-      ++result.boot_attempts;
-      up = host_->try_boot(machine);
-      emit(DeployPhase::kBoot,
-           machine + (up ? " up" : " FAILED (attempt " +
-                                       std::to_string(attempt) + ")"));
-      if (up) break;
-    }
-    if (up) {
-      result.booted.push_back(machine);
-    } else {
-      result.failed_machines.push_back(machine);
-      result.errors.push_back({core::ErrorCategory::kBoot, machine,
-                               "failed to boot after " +
-                                   std::to_string(opts.max_boot_attempts) +
-                                   " attempts",
-                               false});
-    }
-    if (boot_deadline_hit) {
-      emit(DeployPhase::kDeadlineExceeded,
-           "boot deadline exceeded (" + std::to_string(clock.phase_ms()) +
-               "ms budget " + std::to_string(opts.boot_deadline_ms) + "ms)");
-      result.errors.push_back({core::ErrorCategory::kDeadline, host_->name(),
-                               "boot phase deadline exceeded", false});
-      result.backoff_ms = clock.elapsed_ms();
-      return result;
-    }
-  }
-  result.backoff_ms = clock.elapsed_ms();
-
-  // --- Start the control plane (full, or the surviving subnetwork) ------
-  if (!result.failed_machines.empty() ||
-      result.booted.size() != nidb.device_count()) {
+  // --- The contract, checked once ---------------------------------------
+  if (result.booted.size() != nidb.device_count()) {
     if (!opts.allow_partial || result.booted.size() < opts.min_booted) {
-      emit(DeployPhase::kFailed,
+      emit(DeployPhase::kFailed, lead,
            std::to_string(result.failed_machines.size()) +
                " machines failed to boot");
       return result;
     }
-    std::set<std::string> survivors(result.booted.begin(), result.booted.end());
-    observe_cancel(opts, "deploy.start_network");
-    result.convergence =
-        host_->start_network(nidb, host_->filesystem(), survivors, opts.control);
+    if (online_hosts < opts.min_host_quorum) {
+      emit(DeployPhase::kFailed, lead,
+           "quorum not met: " + std::to_string(online_hosts) + " hosts, " +
+               std::to_string(result.booted.size()) + " machines up");
+      result.errors.push_back({core::ErrorCategory::kHostDown, "",
+                               "host quorum not met", false});
+      return result;
+    }
     result.degraded = true;
-    result.success = true;
-    emit(DeployPhase::kDegraded,
+  }
+
+  // --- Start the network (full, or the surviving subnetwork) ------------
+  stitch(nidb);
+  observe_cancel(opts, "deploy.start_network");
+  const std::set<std::string> survivors =
+      result.degraded ? std::set<std::string>(result.booted.begin(), result.booted.end())
+                      : std::set<std::string>();
+  network_ = start_network(nidb, configs, result.degraded ? &survivors : nullptr,
+                           opts.control);
+  result.convergence = network_->last_report();
+  result.success = true;
+  if (result.degraded) {
+    emit(DeployPhase::kDegraded, lead,
          std::to_string(result.booted.size()) + "/" +
              std::to_string(nidb.device_count()) + " machines up, " +
              std::to_string(result.failed_machines.size()) + " lost");
     return result;
   }
-
-  observe_cancel(opts, "deploy.start_network");
-  result.convergence =
-      host_->start_network(nidb, host_->filesystem(), {}, opts.control);
-  result.success = true;
-  emit(DeployPhase::kStarted,
+  emit(DeployPhase::kStarted, lead,
        std::to_string(result.booted.size()) + " machines, BGP " +
            (result.convergence.converged
                 ? "converged in " + std::to_string(result.convergence.rounds) +
@@ -243,15 +243,142 @@ DeployResult Deployer::deploy(const render::ConfigTree& configs,
     // The structured timeout (who was still unsettled at the budget)
     // beats the bare "not converged" when it is available.
     if (result.convergence.timeout) {
-      result.errors.push_back(result.convergence.timeout->to_error(host_->name()));
+      result.errors.push_back(result.convergence.timeout->to_error(lead));
     } else {
       result.errors.push_back(
-          {core::ErrorCategory::kConvergence, host_->name(),
+          {core::ErrorCategory::kConvergence, lead,
            result.convergence.oscillating ? "BGP oscillating" : "BGP not converged",
            !result.convergence.oscillating});
     }
   }
   return result;
+}
+
+// One host's transfer and extract, retried with backoff under the
+// transfer deadline. A refused connection or a checksum mismatch is
+// retried until the budget is spent.
+Deployer::Landing Deployer::transfer(std::size_t i, const std::string& blob,
+                                     BackoffClock& clock, const DeployOptions& opts,
+                                     DeployResult& result) {
+  EmulationHost& host = *hosts_[i];
+  HostSlice& slice = slices_[i];
+  const std::string& name = host.name();
+  clock.reset_phase();
+  for (int attempt = 1; attempt <= opts.max_transfer_attempts; ++attempt) {
+    observe_cancel(opts, "deploy.transfer.attempt");
+    if (attempt > 1) {
+      const int delay = clock.next_delay_ms(
+          attempt - 1, backoff_clamp_ms(clock, opts.transfer_deadline_ms, opts));
+      result.backoff_ms += delay;
+      const bool run_expired = run_deadline_expired(opts);
+      if (clock.past_deadline(opts.transfer_deadline_ms) || run_expired) {
+        emit(DeployPhase::kDeadlineExceeded, name,
+             "transfer deadline exceeded (" + std::to_string(clock.phase_ms()) +
+                 "ms budget " + std::to_string(opts.transfer_deadline_ms) + "ms)");
+        result.errors.push_back({core::ErrorCategory::kDeadline, name,
+                                 "transfer phase deadline exceeded", false});
+        return run_expired ? Landing::kRunDeadline : Landing::kFailed;
+      }
+      emit(DeployPhase::kTransfer, name, "backoff " + std::to_string(delay) + "ms");
+    }
+    slice.transfer_attempts = attempt;
+    ++result.transfer_attempts;
+    emit(DeployPhase::kTransfer, name,
+         opts.username + "@" + name + " attempt " + std::to_string(attempt));
+    if (!host.receive(blob)) {
+      emit(DeployPhase::kTransfer, name, name + ": connection refused");
+      continue;
+    }
+    if (host.extract()) {
+      emit(DeployPhase::kExtract, name, "archive verified and extracted");
+      return Landing::kExtracted;
+    }
+    emit(DeployPhase::kExtract, name, "checksum mismatch, retrying");
+    result.errors.push_back({core::ErrorCategory::kTransfer, name,
+                             "checksum mismatch on attempt " + std::to_string(attempt),
+                             true});
+  }
+  const std::string failed =
+      "transfer failed after " + std::to_string(slice.transfer_attempts) + " attempts";
+  emit(DeployPhase::kRetriesExhausted, name, failed);
+  result.errors.push_back({core::ErrorCategory::kHostDown, name, failed, false});
+  return Landing::kFailed;
+}
+
+// One host's machines, each retried with backoff under the boot
+// deadline. False when the boot deadline or the run deadline ran out,
+// which ends the deployment.
+bool Deployer::boot(std::size_t i, const std::vector<std::string>& machines,
+                    BackoffClock& clock, const DeployOptions& opts,
+                    DeployResult& result) {
+  EmulationHost& host = *hosts_[i];
+  HostSlice& slice = slices_[i];
+  clock.reset_phase();
+  for (const std::string& machine : machines) {
+    observe_cancel(opts, "deploy.boot." + machine);
+    bool up = false;
+    bool out_of_time = false;
+    int attempts = 0;
+    for (int attempt = 1; attempt <= opts.max_boot_attempts; ++attempt) {
+      if (attempt > 1) {
+        const int delay = clock.next_delay_ms(
+            attempt - 1, backoff_clamp_ms(clock, opts.boot_deadline_ms, opts));
+        result.backoff_ms += delay;
+        if (clock.past_deadline(opts.boot_deadline_ms) || run_deadline_expired(opts)) {
+          out_of_time = true;
+          break;
+        }
+        emit(DeployPhase::kBoot, host.name(),
+             machine + " retry after " + std::to_string(delay) + "ms backoff");
+      }
+      attempts = attempt;
+      ++result.boot_attempts;
+      up = host.try_boot(machine);
+      emit(DeployPhase::kBoot, host.name(),
+           machine + (up ? " up" : " FAILED (attempt " + std::to_string(attempt) + ")"));
+      if (up) break;
+    }
+    if (up) {
+      slice.booted.push_back(machine);
+      result.booted.push_back(machine);
+    } else {
+      slice.failed.push_back(machine);
+      result.failed_machines.push_back(machine);
+      result.errors.push_back({core::ErrorCategory::kBoot, machine,
+                               "failed to boot after " + std::to_string(attempts) +
+                                   " attempts",
+                               false});
+    }
+    if (out_of_time) {
+      emit(DeployPhase::kDeadlineExceeded, host.name(),
+           "boot deadline exceeded (" + std::to_string(clock.phase_ms()) +
+               "ms budget " + std::to_string(opts.boot_deadline_ms) + "ms)");
+      result.errors.push_back({core::ErrorCategory::kDeadline, host.name(),
+                               "boot phase deadline exceeded", false});
+      return false;
+    }
+  }
+  return true;
+}
+
+// Cross-host links are part of the compiled lab (the GRE tunnel list in
+// the network data); those between two different given hosts are
+// stitched, so a lone host stitches none.
+void Deployer::stitch(const nidb::Nidb& nidb) {
+  const nidb::Value* cross = nidb.data().find("cross_connects");
+  const nidb::Array* tunnels = cross ? cross->as_array() : nullptr;
+  if (tunnels == nullptr) return;
+  for (const nidb::Value& t : *tunnels) {
+    const std::size_t src = host_named(hosts_, t.find("src_host"));
+    const std::size_t dst = host_named(hosts_, t.find("dst_host"));
+    if (src == hosts_.size() || dst == hosts_.size() || src == dst) continue;
+    ++cross_connects_;
+    const nidb::Value* tunnel = t.find("tunnel");
+    const std::string& from = hosts_[src]->name();
+    emit(DeployPhase::kBoot, from,
+         "stitch " + (tunnel ? tunnel->to_display() : "gre") + " " + from + " <-> " +
+             hosts_[dst]->name());
+  }
 }
 
 }  // namespace autonet::deploy

@@ -3,26 +3,42 @@
 // them, and runs the Netkit lstart command. The progress is monitored
 // with updates provided to the user through logs."
 //
+// One deployer serves one emulation host or many (§3.3/§5.4: "we deploy
+// the many VMs together with their networking to a suitable set of
+// hosts, currently StarBed"; cross-host links are realised as "GRE
+// tunnels between distributed Open vSwitches"). A lone host takes every
+// device and the whole configuration tree. With several hosts, each
+// device goes to the host its `host` attribute names, and each host
+// receives only its slice of the tree (its devices plus the shared lab
+// artefacts). One loop archives and transfers per host, boots per
+// online host, checks the deployment contract once, stitches the
+// cross-host links and starts the combined network once.
+//
 // Beyond the paper's happy path, the deployer is written for the flaky
 // substrate §5.7 describes (StarBed nodes, checksum-failing transfers):
 // every phase has a retry budget with exponential backoff + deterministic
-// jitter and a virtual-time deadline, boot failures are retried per
-// machine, and with `allow_partial` a subset of dead machines degrades
-// the deployment to a running subnetwork instead of failing it outright.
-// All failures are reported as typed core::Error records.
+// jitter and a virtual-time deadline. A host whose transfer never lands
+// goes offline with its machines lost, and the loop moves on to the next
+// host; boot failures are retried per machine; a boot deadline or an
+// expired run deadline ends the whole deployment; and with
+// `allow_partial` dead machines (or hosts) degrade the deployment to a
+// running subnetwork instead of failing it outright. All failures are
+// reported as typed core::Error records.
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "core/cancel.hpp"
 #include "core/error.hpp"
 #include "deploy/host.hpp"
-#include "obs/event.hpp"
+#include "emulation/network.hpp"
 #include "nidb/nidb.hpp"
+#include "obs/event.hpp"
 #include "render/config_tree.hpp"
 
 namespace autonet::deploy {
@@ -75,13 +91,12 @@ struct DeployOptions {
   int boot_deadline_ms = 60000;
 
   // --- Graceful degradation --------------------------------------------
-  /// When machines (or, for multi-host deployments, whole hosts) stay
-  /// dead after retries, boot the surviving subnetwork instead of
-  /// failing the deployment.
+  /// When machines (or whole hosts) stay dead after retries, boot the
+  /// surviving subnetwork instead of failing the deployment.
   bool allow_partial = false;
   /// Partial deployments need at least this many machines up.
   std::size_t min_booted = 1;
-  /// Multi-host: at least this many hosts must survive transfer+boot.
+  /// Partial deployments need at least this many hosts online.
   std::size_t min_host_quorum = 1;
 
   // --- Supervision ------------------------------------------------------
@@ -93,7 +108,7 @@ struct DeployOptions {
   core::RunControl* control = nullptr;
 };
 
-/// Outcome of a deployment.
+/// Outcome of a deployment, totalled over hosts.
 ///
 /// Semantics are explicit: `success` is true iff a network is running
 /// AND the deployment contract was met — all machines booted in strict
@@ -107,6 +122,7 @@ struct DeployResult {
   /// Partial deployment: the network runs without some machines.
   bool degraded = false;
   std::vector<std::string> booted;
+  /// Machines that failed to boot, and those lost with their host.
   std::vector<std::string> failed_machines;
   int transfer_attempts = 0;
   /// Total boot attempts across all machines (retries included).
@@ -118,36 +134,85 @@ struct DeployResult {
   core::ErrorList errors;
 };
 
+/// One host's share of the last deployment.
+struct HostSlice {
+  std::string host;
+  /// False once the host's transfer never landed.
+  bool online = true;
+  std::vector<std::string> booted;
+  std::vector<std::string> failed;
+  /// Machines assigned to this host that never got the chance to boot
+  /// because the host itself went offline.
+  std::vector<std::string> lost;
+  int transfer_attempts = 0;
+};
+
+class BackoffClock;
+
 class Deployer {
  public:
-  using Logger = std::function<void(const DeployEvent&)>;
+  /// Hosts are named to match the devices' `host` attributes, except a
+  /// lone host, which takes every device. The first host reports the
+  /// lab-wide events and errors. Throws std::invalid_argument without
+  /// hosts.
+  explicit Deployer(std::vector<EmulationHost*> hosts);
 
-  explicit Deployer(EmulationHost& host, Logger logger = {})
-      : host_(&host), logger_(std::move(logger)) {}
-
-  /// Runs the full pipeline. On success the host's network() is running.
+  /// Runs the full pipeline. On success network() is running.
   DeployResult deploy(const render::ConfigTree& configs, const nidb::Nidb& nidb,
                       const DeployOptions& opts = {});
 
   /// The structured event stream (also recorded as "deploy" flight-
-  /// recorder events and deploy.events.<phase> counters in the current
-  /// telemetry registry, and passed to the logger as events happen).
+  /// recorder events naming their host, and deploy.events.<phase>
+  /// counters, in the current telemetry registry).
   [[nodiscard]] const std::vector<DeployEvent>& events() const { return events_; }
 
   /// Backward-compatible rendered view of events().
   [[nodiscard]] std::vector<std::string> log() const;
 
- private:
-  void emit(DeployPhase phase, std::string detail);
+  /// The last deployment per host, in host order.
+  [[nodiscard]] const std::vector<HostSlice>& slices() const { return slices_; }
+  /// Cross-host links the last deployment stitched.
+  [[nodiscard]] std::size_t cross_connects() const { return cross_connects_; }
 
-  EmulationHost* host_;
-  Logger logger_;
+  /// The running network; nullptr unless the last deployment succeeded.
+  [[nodiscard]] emulation::EmulatedNetwork* network() { return network_.get(); }
+  /// Hands the running network to the caller (network() is then null).
+  [[nodiscard]] std::unique_ptr<emulation::EmulatedNetwork> take_network() {
+    return std::move(network_);
+  }
+
+ private:
+  /// How a host's transfer ended.
+  enum class Landing { kExtracted, kFailed, kRunDeadline };
+
+  void emit(DeployPhase phase, const std::string& host, std::string detail);
+  /// Host i's transfer and extract.
+  Landing transfer(std::size_t i, const std::string& blob, BackoffClock& clock,
+                   const DeployOptions& opts, DeployResult& result);
+  /// Host i's boots; false when a deadline ended the deployment.
+  bool boot(std::size_t i, const std::vector<std::string>& machines,
+            BackoffClock& clock, const DeployOptions& opts, DeployResult& result);
+  void stitch(const nidb::Nidb& nidb);
+
+  std::vector<EmulationHost*> hosts_;
   std::vector<DeployEvent> events_;
+  std::vector<HostSlice> slices_;
+  std::size_t cross_connects_ = 0;
+  std::unique_ptr<emulation::EmulatedNetwork> network_;
 };
 
-/// Exponential backoff with deterministic jitter, shared by the single-
-/// and multi-host deployers. Time is virtual: delays are computed and
-/// logged, not slept, so runs are fast and reproducible.
+/// Starts the emulated control plane of a deployed lab from its NIDB and
+/// rendered tree: the devices in `booted`, or every device when null,
+/// with a budget of 128 BGP rounds. An optional RunControl interrupts
+/// convergence per BGP round. The network's last_report() holds the
+/// convergence report.
+[[nodiscard]] std::unique_ptr<emulation::EmulatedNetwork> start_network(
+    const nidb::Nidb& nidb, const render::ConfigTree& configs,
+    const std::set<std::string>* booted, core::RunControl* control);
+
+/// Exponential backoff with deterministic jitter, one clock per
+/// deployment across all its hosts. Time is virtual: delays are computed
+/// and logged, not slept, so runs are fast and reproducible.
 class BackoffClock {
  public:
   explicit BackoffClock(const DeployOptions& opts)
@@ -160,7 +225,6 @@ class BackoffClock {
   /// The jitter RNG is consumed before clamping, so clamped and
   /// unclamped runs with the same seed draw the same stream.
   int next_delay_ms(int attempt, int clamp_ms = -1);
-  [[nodiscard]] int elapsed_ms() const { return elapsed_ms_; }
   void reset_phase() { phase_ms_ = 0; }
   [[nodiscard]] int phase_ms() const { return phase_ms_; }
   /// True when the phase budget (0 = unlimited) is exhausted.
@@ -172,7 +236,6 @@ class BackoffClock {
   int base_ms_;
   int max_ms_;
   std::mt19937_64 rng_;
-  int elapsed_ms_ = 0;
   int phase_ms_ = 0;
 };
 
@@ -186,7 +249,7 @@ class BackoffClock {
 
 /// Observes a pending cancellation request (throws core::Cancelled via
 /// the control's checkpoint). Deadline expiry is NOT raised here — the
-/// deployers report it structurally (kDeadlineExceeded event + kDeadline
+/// deployer reports it structurally (kDeadlineExceeded event + kDeadline
 /// error + partial result) rather than by unwinding.
 inline void observe_cancel(const DeployOptions& opts, std::string_view where) {
   if (opts.control != nullptr && opts.control->token.cancelled()) {

@@ -36,25 +36,4 @@ bool EmulationHost::try_boot(const std::string& machine) {
   return true;
 }
 
-std::vector<std::string> EmulationHost::assigned_machines(
-    const nidb::Nidb& nidb) const {
-  std::vector<std::string> out;
-  for (const auto* rec : nidb.devices()) {
-    const nidb::Value* host = rec->data.find("host");
-    const std::string* host_name = host ? host->as_string() : nullptr;
-    if (host_name != nullptr && *host_name == name_) out.push_back(rec->name);
-  }
-  return out;
-}
-
-const emulation::ConvergenceReport& EmulationHost::start_network(
-    const nidb::Nidb& nidb, const render::ConfigTree& configs,
-    const std::set<std::string>& machines, core::RunControl* control) {
-  network_ = std::make_unique<emulation::EmulatedNetwork>(
-      emulation::EmulatedNetwork::from_nidb(
-          nidb, configs, machines.empty() ? nullptr : &machines));
-  convergence_ = network_->start(128, control);
-  return convergence_;
-}
-
 }  // namespace autonet::deploy

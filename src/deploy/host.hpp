@@ -1,21 +1,17 @@
 // A simulated emulation host (StarBed node / lab server): receives
-// archives over a simulated transfer, extracts them into its filesystem,
-// boots machines one attempt at a time and starts the emulated control
-// plane over the ones that came up. Failure injection covers the paths a
-// real deployment can break on — truncated transfers, machines that
-// fail to boot, and hosts that are entirely dead — either through the
-// legacy one-shot hooks or through an attached deterministic FaultPlan,
-// so the deployer's retry/degradation logic is testable.
+// archives over a simulated transfer, extracts them into its filesystem
+// and boots machines one attempt at a time; the deployer starts the
+// emulated control plane over the ones that came up. Failure injection
+// covers the paths a real deployment can break on — truncated transfers,
+// machines that fail to boot, and hosts that are entirely dead — either
+// through the legacy one-shot hooks or through an attached deterministic
+// FaultPlan, so the deployer's retry/degradation logic is testable.
 #pragma once
 
-#include <memory>
 #include <set>
 #include <string>
-#include <vector>
 
 #include "deploy/faults.hpp"
-#include "emulation/network.hpp"
-#include "nidb/nidb.hpp"
 #include "render/config_tree.hpp"
 
 namespace autonet::deploy {
@@ -55,36 +51,10 @@ class EmulationHost {
   /// dead. The deployer drives per-machine retries through this.
   bool try_boot(const std::string& machine);
 
-  /// Machine names assigned to this host (device records whose `host`
-  /// field equals name()).
-  [[nodiscard]] std::vector<std::string> assigned_machines(
-      const nidb::Nidb& nidb) const;
-
-  /// Starts the emulated control plane over `machines` (all devices when
-  /// empty) from the given configs — the deployer calls this once boot
-  /// retries settle, possibly with only a surviving subset (graceful
-  /// degradation). An optional RunControl interrupts convergence per BGP
-  /// round. Returns the convergence report.
-  const emulation::ConvergenceReport& start_network(
-      const nidb::Nidb& nidb, const render::ConfigTree& configs,
-      const std::set<std::string>& machines = {},
-      core::RunControl* control = nullptr);
-
-  /// The running emulated network; nullptr before start_network().
-  [[nodiscard]] emulation::EmulatedNetwork* network() { return network_.get(); }
-  [[nodiscard]] const emulation::EmulatedNetwork* network() const {
-    return network_.get();
-  }
-  [[nodiscard]] const emulation::ConvergenceReport& convergence() const {
-    return convergence_;
-  }
-
  private:
   std::string name_;
   std::string inbox_;
   render::ConfigTree fs_;
-  std::unique_ptr<emulation::EmulatedNetwork> network_;
-  emulation::ConvergenceReport convergence_;
   bool corrupt_next_ = false;
   std::set<std::string> boot_failures_;
   FaultPlan* faults_ = nullptr;

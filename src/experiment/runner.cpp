@@ -12,7 +12,6 @@
 #include "core/hash.hpp"
 #include "measure/client.hpp"
 #include "obs/span.hpp"
-#include "obs/stats.hpp"
 #include "report/run_report.hpp"
 
 namespace autonet::experiment {
@@ -201,8 +200,6 @@ CampaignResult CampaignRunner::run() {
   CampaignResult campaign;
   campaign.name = spec_.name;
   campaign.results.resize(matrix.size());
-  std::vector<std::vector<obs::Registry::HistogramSnapshot>> run_histograms(
-      matrix.size());
 
   int jobs = options_.jobs != 0 ? options_.jobs : spec_.jobs;
   if (jobs <= 0) {
@@ -255,7 +252,6 @@ CampaignResult CampaignRunner::run() {
           execute_run(run, spec_, &run_registry, ckpt_dir, options_.control,
                       report_path, i == 0 ? std::string() : baseline_dir);
       journal.append(result);
-      run_histograms[i] = run_registry.histogram_values();
       campaign.results[i] = std::move(result);
       executed.fetch_add(1);
     } catch (const core::Interrupted& e) {
@@ -303,24 +299,6 @@ CampaignResult CampaignRunner::run() {
     pool.reserve(static_cast<std::size_t>(jobs));
     for (int t = 0; t < jobs; ++t) pool.emplace_back(worker);
     for (std::thread& thread : pool) thread.join();
-  }
-
-  {
-    // Merge per-phase span histograms across runs in matrix order; the
-    // merge is order-independent (see obs::merge_histograms), so the
-    // result is identical however the pool interleaved.
-    obs::Span span(campaign_obs, "campaign.aggregate");
-    std::map<std::string, std::vector<obs::Registry::HistogramSnapshot>> by_name;
-    for (const auto& snapshots : run_histograms) {
-      for (const auto& snapshot : snapshots) {
-        if (snapshot.name.starts_with("span.")) {
-          by_name[snapshot.name].push_back(snapshot);
-        }
-      }
-    }
-    for (auto& [name, parts] : by_name) {
-      campaign.merged_spans.emplace(name, obs::merge_histograms(name, parts));
-    }
   }
 
   campaign.executed = executed.load();

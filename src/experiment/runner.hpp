@@ -8,15 +8,13 @@
 // interleavings).
 //
 // The campaign itself gets a span tree in a campaign-level registry
-// (expand / execute / aggregate children under "campaign.<name>") and
-// merged per-phase span histograms (obs::merge_histograms over the
-// per-run registries, in matrix order). Each completed run is recorded
-// once, as its journal line (experiment/journal.hpp), whose first line
-// names the campaign so an edited spec never resumes another's results.
+// (expand / execute children under "campaign.<name>"). Each completed
+// run is recorded once, as its journal line (experiment/journal.hpp),
+// whose first line names the campaign so an edited spec never resumes
+// another's results.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -73,9 +71,6 @@ struct CampaignResult {
   /// deadline; `results` then holds what completed (partial results are
   /// preserved, and journalled runs stay resumable).
   bool interrupted = false;
-  /// Merged per-phase span histograms across all runs, keyed
-  /// "span.<phase>.us" (see obs::merge_histograms).
-  std::map<std::string, obs::Registry::HistogramSnapshot> merged_spans;
 
   [[nodiscard]] bool all_ok() const { return failed == 0; }
 };

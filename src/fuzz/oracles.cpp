@@ -624,7 +624,10 @@ OracleResult run_measure_equivalence(const Scenario& s) {
 /// lookup()'s entry for seeded random addresses and for each prefix's
 /// network and broadcast addresses and their neighbours — on the FIBs
 /// themselves and on copies carrying seeded duplicate prefixes (other
-/// sources and metrics) and a default route.
+/// sources and metrics) and a default route. On those copies every
+/// router holds at least two prefixes containing each destination, so
+/// the columns towards every router's trace target are also compared
+/// with walk() from every source: a shorter prefix must never win.
 OracleResult run_fib_lookup(const Scenario& s) {
   auto registry = virtual_registry();
   obs::RegistryScope scope(*registry);
@@ -676,7 +679,7 @@ OracleResult run_fib_lookup(const Scenario& s) {
     });
   };
   const emulation::ColumnBuilder intact = index_of(prediction.fibs);
-  const emulation::ColumnBuilder twinned = index_of(copies);
+  emulation::ColumnBuilder twinned = index_of(copies);
   const auto mismatch = [&probes](const emulation::ColumnBuilder& index, std::size_t r,
                                   const std::vector<emulation::FibEntry>& fib) -> std::string {
     const auto shown = [&fib](const emulation::FibEntry* entry) {
@@ -701,6 +704,22 @@ OracleResult run_fib_lookup(const Scenario& s) {
     }
     if (!detail.empty()) {
       return OracleResult::fail(truncate_detail(routers[r].hostname + ": " + detail));
+    }
+  }
+  std::vector<std::string> names;
+  for (const auto& router : routers) names.push_back(router.hostname);
+  const auto router_at = [&](std::size_t r) {
+    return emulation::ForwardingRouter{routers[r], copies[r]};
+  };
+  std::vector<emulation::ForwardingCell> column;
+  for (const auto& router : routers) {
+    const auto target = emulation::trace_target(router);
+    if (!target) continue;
+    twinned.build(*target, 30, column);
+    const std::string detail =
+        column_vs_walk(column, *target, model.by_address(), router_at, names);
+    if (!detail.empty()) {
+      return OracleResult::fail(truncate_detail("with duplicates: " + detail));
     }
   }
   return OracleResult::pass();

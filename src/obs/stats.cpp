@@ -1,71 +1,8 @@
 #include "obs/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <stdexcept>
-
-#include "obs/metrics.hpp"
 
 namespace autonet::obs {
-
-double histogram_percentile(const Registry::HistogramSnapshot& snap, double q) {
-  if (snap.count == 0) return 0.0;
-  q = std::clamp(q, 0.0, 100.0);
-  // Target cumulative rank. Using count (not count-1) matches the
-  // cumulative-bucket semantics of the Prometheus histogram_quantile.
-  const double target = q / 100.0 * static_cast<double>(snap.count);
-
-  std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < snap.buckets.size(); ++i) {
-    const std::uint64_t in_bucket = snap.buckets[i];
-    if (in_bucket == 0) continue;
-    const std::uint64_t next = cumulative + in_bucket;
-    if (static_cast<double>(next) >= target) {
-      if (i >= Histogram::kBuckets) {
-        // Overflow bucket: clamp to the largest finite bound.
-        return static_cast<double>(Histogram::bucket_bound(Histogram::kBuckets - 1));
-      }
-      const double upper = static_cast<double>(Histogram::bucket_bound(i));
-      const double lower =
-          i == 0 ? 0.0 : static_cast<double>(Histogram::bucket_bound(i - 1));
-      // Linear interpolation within (lower, upper]: the fraction of the
-      // bucket's population below the target rank. Never snaps to
-      // `upper` unless the target rank is the bucket's last observation.
-      const double frac =
-          (target - static_cast<double>(cumulative)) / static_cast<double>(in_bucket);
-      return lower + (upper - lower) * std::clamp(frac, 0.0, 1.0);
-    }
-    cumulative = next;
-  }
-  // All mass scanned without reaching the target (q == 0 with leading
-  // empty buckets): the smallest populated bucket's upper bound.
-  for (std::size_t i = 0; i < snap.buckets.size(); ++i) {
-    if (snap.buckets[i] > 0) {
-      return static_cast<double>(
-          Histogram::bucket_bound(std::min(i, Histogram::kBuckets - 1)));
-    }
-  }
-  return 0.0;
-}
-
-Registry::HistogramSnapshot merge_histograms(
-    std::string name, const std::vector<Registry::HistogramSnapshot>& parts) {
-  Registry::HistogramSnapshot merged;
-  merged.name = std::move(name);
-  merged.buckets.assign(Histogram::kBuckets + 1, 0);
-  for (const auto& part : parts) {
-    if (part.buckets.size() != merged.buckets.size()) {
-      throw std::invalid_argument(
-          "merge_histograms: snapshot bucket layout mismatch");
-    }
-    merged.count += part.count;
-    merged.sum += part.sum;
-    for (std::size_t i = 0; i < merged.buckets.size(); ++i) {
-      merged.buckets[i] += part.buckets[i];
-    }
-  }
-  return merged;
-}
 
 double sample_percentile(std::vector<double> samples, double q) {
   if (samples.empty()) return 0.0;

@@ -1,37 +1,10 @@
-// Statistics over histogram snapshots: percentile extraction and
-// multi-registry merging, used by the experiment aggregator to summarise
-// span-duration distributions across campaign runs.
-//
-// Percentiles interpolate linearly *within* the containing bucket
-// instead of snapping to its upper bound: a histogram whose mass sits
-// exactly on a power-of-two boundary (every observation = 1024us, say)
-// reports a p50 inside the bucket's (lower, upper] range, and two
-// histograms that differ only below bucket resolution report percentiles
-// that differ smoothly rather than jumping a whole power of two.
+// Statistics over raw samples: the experiment aggregator summarises
+// each per-run scalar metric across a campaign's repetitions with it.
 #pragma once
 
 #include <vector>
 
-#include "obs/registry.hpp"
-
 namespace autonet::obs {
-
-/// The q-th percentile (q in [0, 100]) of a histogram snapshot,
-/// Prometheus-style: find the bucket containing the target cumulative
-/// rank, then interpolate linearly between the bucket's lower and upper
-/// bounds. Returns 0 for an empty histogram. Observations in the
-/// overflow (+Inf) bucket clamp to the largest finite bound — there is
-/// nothing to interpolate towards.
-[[nodiscard]] double histogram_percentile(const Registry::HistogramSnapshot& snap,
-                                          double q);
-
-/// Merges snapshots by summing per-bucket counts, counts and sums.
-/// Deterministic by construction: addition of unsigned integers is
-/// order-independent, and the fixed bucket layout means no rebinning —
-/// merging the same set of snapshots in any order yields byte-identical
-/// results. The merged snapshot keeps `name`.
-[[nodiscard]] Registry::HistogramSnapshot merge_histograms(
-    std::string name, const std::vector<Registry::HistogramSnapshot>& parts);
 
 /// Exact percentile over raw samples (linear interpolation between order
 /// statistics, numpy's default): the aggregator uses this for per-run

@@ -261,73 +261,7 @@ TEST(Aggregate, CsvAndJsonlAreDeterministic) {
   EXPECT_NE(csv.find("dns=off,rounds,3"), std::string::npos);
 }
 
-// --- Histogram percentiles (satellite: interpolate, don't snap) -----------
-
-obs::Registry::HistogramSnapshot snapshot_of(obs::Registry& registry,
-                                             const std::string& name) {
-  for (const auto& snap : registry.histogram_values()) {
-    if (snap.name == name) return snap;
-  }
-  ADD_FAILURE() << "no histogram " << name;
-  return {};
-}
-
-TEST(HistogramPercentile, InterpolatesWithinBucketAtBoundaries) {
-  obs::Registry registry(std::make_unique<obs::VirtualClock>());
-  obs::Histogram& h = registry.histogram("h");
-  // Every observation exactly on the 1024 bucket boundary: all mass in
-  // bucket (512, 1024].
-  for (int i = 0; i < 100; ++i) h.observe(1024);
-  const auto snap = snapshot_of(registry, "h");
-  const double p50 = obs::histogram_percentile(snap, 50);
-  const double p95 = obs::histogram_percentile(snap, 95);
-  // Interpolated within the bucket, not snapped to its upper bound.
-  EXPECT_GT(p50, 512.0);
-  EXPECT_LT(p50, 1024.0);
-  EXPECT_DOUBLE_EQ(p50, 512 + 0.5 * 512);
-  EXPECT_DOUBLE_EQ(p95, 512 + 0.95 * 512);
-  EXPECT_LE(p50, p95);  // monotonic in q
-  EXPECT_DOUBLE_EQ(obs::histogram_percentile(snap, 100), 1024.0);
-}
-
-TEST(HistogramPercentile, EmptyAndOverflow) {
-  obs::Registry registry(std::make_unique<obs::VirtualClock>());
-  obs::Histogram& empty = registry.histogram("empty");
-  (void)empty;
-  EXPECT_DOUBLE_EQ(obs::histogram_percentile(snapshot_of(registry, "empty"), 50),
-                   0.0);
-
-  obs::Histogram& over = registry.histogram("over");
-  // Beyond the largest finite bound: percentiles clamp there instead of
-  // inventing mass in (+Inf).
-  over.observe((1ull << (obs::Histogram::kBuckets - 1)) + 1);
-  const double largest =
-      static_cast<double>(obs::Histogram::bucket_bound(obs::Histogram::kBuckets - 1));
-  EXPECT_DOUBLE_EQ(obs::histogram_percentile(snapshot_of(registry, "over"), 99),
-                   largest);
-}
-
-TEST(HistogramPercentile, MergeIsOrderIndependent) {
-  obs::Registry a(std::make_unique<obs::VirtualClock>());
-  obs::Registry b(std::make_unique<obs::VirtualClock>());
-  obs::Registry c(std::make_unique<obs::VirtualClock>());
-  for (int i = 1; i <= 10; ++i) a.histogram("h").observe(i);
-  for (int i = 100; i <= 200; i += 10) b.histogram("h").observe(i);
-  c.histogram("h").observe(5000);
-
-  const std::vector<obs::Registry::HistogramSnapshot> forward = {
-      snapshot_of(a, "h"), snapshot_of(b, "h"), snapshot_of(c, "h")};
-  const std::vector<obs::Registry::HistogramSnapshot> shuffled = {
-      snapshot_of(c, "h"), snapshot_of(a, "h"), snapshot_of(b, "h")};
-  const auto m1 = obs::merge_histograms("h", forward);
-  const auto m2 = obs::merge_histograms("h", shuffled);
-  EXPECT_EQ(m1.count, m2.count);
-  EXPECT_EQ(m1.sum, m2.sum);
-  EXPECT_EQ(m1.buckets, m2.buckets);
-  EXPECT_EQ(m1.count, 22u);
-  EXPECT_DOUBLE_EQ(obs::histogram_percentile(m1, 50),
-                   obs::histogram_percentile(m2, 50));
-}
+// --- Sample percentiles --------------------------------------------------
 
 TEST(SamplePercentile, ExactOrderStatistics) {
   EXPECT_DOUBLE_EQ(obs::sample_percentile({}, 50), 0.0);
@@ -422,9 +356,6 @@ TEST(CampaignRunner, RunsMatrixInParallelAndAggregates) {
   EXPECT_TRUE(std::count(span_names.begin(), span_names.end(), "campaign.expand"));
   EXPECT_TRUE(std::count(span_names.begin(), span_names.end(),
                          "campaign.execute"));
-  // Merged per-phase histograms cover all 8 runs.
-  ASSERT_TRUE(result.merged_spans.contains("span.deploy.us"));
-  EXPECT_EQ(result.merged_spans.at("span.deploy.us").count, 8u);
 }
 
 TEST(CampaignRunner, TwoInvocationsProduceIdenticalAggregates) {

@@ -6,7 +6,6 @@
 #include "core/workflow.hpp"
 #include "deploy/deployer.hpp"
 #include "deploy/faults.hpp"
-#include "deploy/multihost.hpp"
 #include "topology/builtin.hpp"
 
 namespace {
@@ -37,7 +36,7 @@ TEST_F(FaultFixture, TransientTransferFaultsRetriedWithBackoff) {
   plan.fail_transfers("emuhost", 2);
   EmulationHost host("emuhost");
   host.attach_faults(&plan);
-  Deployer deployer(host);
+  Deployer deployer({&host});
   DeployOptions opts;
   opts.max_transfer_attempts = 4;
   auto result = deployer.deploy(wf_->configs(), wf_->nidb(), opts);
@@ -70,7 +69,7 @@ TEST_F(FaultFixture, SameSeedSameFaultsByteIdenticalLogs) {
     plan.fail_boot("emuhost", "r2", 1);
     EmulationHost host("emuhost");
     host.attach_faults(&plan);
-    Deployer deployer(host);
+    Deployer deployer({&host});
     DeployOptions opts;
     opts.max_transfer_attempts = 10;
     auto result = deployer.deploy(wf_->configs(), wf_->nidb(), opts);
@@ -100,7 +99,7 @@ TEST_F(FaultFixture, TransientBootFaultRetriedPerMachine) {
   plan.fail_boot("emuhost", "r3", 2);  // two transient failures, then fine
   EmulationHost host("emuhost");
   host.attach_faults(&plan);
-  Deployer deployer(host);
+  Deployer deployer({&host});
   auto result = deployer.deploy(wf_->configs(), wf_->nidb());
   EXPECT_TRUE(result.success);
   EXPECT_FALSE(result.degraded);
@@ -117,7 +116,7 @@ TEST_F(FaultFixture, AcceptanceScenarioTwoTransientFaultsAndRetries) {
   plan.fail_transfers("emuhost", 2);
   EmulationHost host("emuhost");
   host.attach_faults(&plan);
-  Deployer deployer(host);
+  Deployer deployer({&host});
   auto result = deployer.deploy(wf_->configs(), wf_->nidb());
   EXPECT_TRUE(result.success);
   EXPECT_EQ(result.transfer_attempts, 3);
@@ -130,7 +129,7 @@ TEST_F(FaultFixture, DeadHostFailsWithTypedError) {
   EmulationHost host("emuhost");
   host.attach_faults(&plan);
   EXPECT_FALSE(host.online());
-  Deployer deployer(host);
+  Deployer deployer({&host});
   auto result = deployer.deploy(wf_->configs(), wf_->nidb());
   EXPECT_FALSE(result.success);
   ASSERT_EQ(result.errors.size(), 1u);
@@ -142,7 +141,7 @@ TEST_F(FaultFixture, DeadHostFailsWithTypedError) {
 TEST_F(FaultFixture, PartialDeployBootsSurvivingMachines) {
   EmulationHost host("emuhost");
   host.fail_boot_of("r5");  // permanent: retries cannot save it
-  Deployer deployer(host);
+  Deployer deployer({&host});
   DeployOptions opts;
   opts.allow_partial = true;
   auto result = deployer.deploy(wf_->configs(), wf_->nidb(), opts);
@@ -151,9 +150,9 @@ TEST_F(FaultFixture, PartialDeployBootsSurvivingMachines) {
   EXPECT_EQ(result.failed_machines, std::vector<std::string>{"r5"});
   EXPECT_EQ(result.booted.size(), 4u);
   // The surviving subnetwork runs without the casualty.
-  ASSERT_NE(host.network(), nullptr);
-  EXPECT_EQ(host.network()->router_count(), 4u);
-  EXPECT_EQ(host.network()->router("r5"), nullptr);
+  ASSERT_NE(deployer.network(), nullptr);
+  EXPECT_EQ(deployer.network()->router_count(), 4u);
+  EXPECT_EQ(deployer.network()->router("r5"), nullptr);
   // And the loss is typed.
   ASSERT_GE(result.errors.size(), 1u);
   EXPECT_EQ(result.errors[0].category, core::ErrorCategory::kBoot);
@@ -165,7 +164,7 @@ TEST_F(FaultFixture, TransferDeadlineAborts) {
   plan.fail_transfers("emuhost", 50);
   EmulationHost host("emuhost");
   host.attach_faults(&plan);
-  Deployer deployer(host);
+  Deployer deployer({&host});
   DeployOptions opts;
   opts.max_transfer_attempts = 50;
   opts.transfer_deadline_ms = 300;  // a couple of backoffs at most
@@ -208,19 +207,19 @@ TEST(MultiHostFaults, DeadHostDegradesToSurvivingSlices) {
   EmulationHost b("hostB");
   a.attach_faults(&plan);
   b.attach_faults(&plan);
-  MultiHostDeployer deployer({&a, &b});
+  Deployer deployer({&a, &b});
   DeployOptions opts;
   opts.allow_partial = true;
   opts.max_transfer_attempts = 2;
   auto result = deployer.deploy(wf.configs(), wf.nidb(), opts);
   EXPECT_TRUE(result.success);
   EXPECT_TRUE(result.degraded);
-  EXPECT_EQ(result.dead_hosts, std::vector<std::string>{"hostB"});
-  ASSERT_EQ(result.slices.size(), 2u);
-  EXPECT_TRUE(result.slices[0].online);
-  EXPECT_FALSE(result.slices[1].online);
-  EXPECT_EQ(result.slices[1].lost, std::vector<std::string>{"r5"});
-  EXPECT_EQ(result.slices[0].booted.size(), 4u);
+  ASSERT_EQ(deployer.slices().size(), 2u);
+  EXPECT_EQ(deployer.slices()[1].host, "hostB");  // the one dead host
+  EXPECT_TRUE(deployer.slices()[0].online);
+  EXPECT_FALSE(deployer.slices()[1].online);
+  EXPECT_EQ(deployer.slices()[1].lost, std::vector<std::string>{"r5"});
+  EXPECT_EQ(deployer.slices()[0].booted.size(), 4u);
   // Typed host-down error present and permanent.
   bool host_down = false;
   for (const auto& e : result.errors) {
@@ -245,7 +244,7 @@ TEST(MultiHostFaults, StrictModeStillFailsButAggregatesAttribution) {
   EmulationHost b("hostB");
   a.attach_faults(&plan);
   b.attach_faults(&plan);
-  MultiHostDeployer deployer({&a, &b});
+  Deployer deployer({&a, &b});
   DeployOptions opts;
   opts.max_transfer_attempts = 2;
   auto result = deployer.deploy(wf.configs(), wf.nidb(), opts);
@@ -253,13 +252,13 @@ TEST(MultiHostFaults, StrictModeStillFailsButAggregatesAttribution) {
   EXPECT_EQ(deployer.network(), nullptr);
   // Aggregation survives the failure: both slices present, with per-host
   // transfer attempts and the lost machines attributed.
-  ASSERT_EQ(result.slices.size(), 2u);
-  EXPECT_EQ(result.slices[0].transfer_attempts, 1);
-  EXPECT_EQ(result.slices[1].transfer_attempts, 2);
-  EXPECT_EQ(result.total_transfer_attempts(), 3);
-  EXPECT_EQ(result.all_failed_machines(), std::vector<std::string>{"r5"});
+  ASSERT_EQ(deployer.slices().size(), 2u);
+  EXPECT_EQ(deployer.slices()[0].transfer_attempts, 1);
+  EXPECT_EQ(deployer.slices()[1].transfer_attempts, 2);
+  EXPECT_EQ(result.transfer_attempts, 3);
+  EXPECT_EQ(result.failed_machines, std::vector<std::string>{"r5"});
   // Host A still booted its slice (no early abort on host B's failure).
-  EXPECT_EQ(result.slices[0].booted.size(), 4u);
+  EXPECT_EQ(deployer.slices()[0].booted.size(), 4u);
   EXPECT_FALSE(result.errors.empty());
 }
 
@@ -270,7 +269,7 @@ TEST(MultiHostFaults, QuorumBlocksDegradedDeploy) {
   EmulationHost a("localhost");
   EmulationHost b("hostB");
   b.attach_faults(&plan);
-  MultiHostDeployer deployer({&a, &b});
+  Deployer deployer({&a, &b});
   DeployOptions opts;
   opts.allow_partial = true;
   opts.min_host_quorum = 2;  // both hosts must survive
@@ -294,11 +293,11 @@ TEST(MultiHostFaults, MultiHostSeedDeterminism) {
     EmulationHost b("hostB");
     a.attach_faults(&plan);
     b.attach_faults(&plan);
-    MultiHostDeployer deployer({&a, &b});
+    Deployer deployer({&a, &b});
     DeployOptions opts;
     opts.max_transfer_attempts = 8;
     auto result = deployer.deploy(wf.configs(), wf.nidb(), opts);
-    return std::make_pair(result.total_transfer_attempts(), deployer.log());
+    return std::make_pair(result.transfer_attempts, deployer.log());
   };
   auto [attempts1, log1] = run(2024);
   auto [attempts2, log2] = run(2024);

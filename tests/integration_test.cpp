@@ -52,19 +52,19 @@ TEST(Walkthrough, ManualPipelineMatchesSection61) {
   EXPECT_GT(configs.file_count(), 100u);
 
   deploy::EmulationHost host("localhost");
-  deploy::Deployer deployer(host);
+  deploy::Deployer deployer({&host});
   auto result = deployer.deploy(configs, nidb);
   ASSERT_TRUE(result.success);
 
-  measure::MeasurementClient client(*host.network(), nidb);
-  auto lo = host.network()->router("as100r2")->config().loopback->address;
+  measure::MeasurementClient client(*deployer.network(), nidb);
+  auto lo = deployer.network()->router("as100r2")->config().loopback->address;
   auto trace = client.traceroute("as300r2", lo.to_string());
   EXPECT_TRUE(trace.reached);
   EXPECT_EQ(trace.as_path.front(), 300);
   EXPECT_EQ(trace.as_path.back(), 100);
 
-  EXPECT_TRUE(measure::validate_ospf(*host.network(), anm).ok);
-  EXPECT_TRUE(measure::validate_bgp(*host.network(), anm).ok);
+  EXPECT_TRUE(measure::validate_ospf(*deployer.network(), anm).ok);
+  EXPECT_TRUE(measure::validate_bgp(*deployer.network(), anm).ok);
 }
 
 TEST(NrenScale, DesignCompileRenderAtPaperScale) {

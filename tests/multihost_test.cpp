@@ -1,10 +1,12 @@
 // Distributed deployment across emulation hosts (§3.3 StarBed scenario):
 // per-host config slices, per-host boot, GRE stitching of cross-host
-// links, and one combined control plane.
+// links, one combined control plane, and a boot deadline that ends the
+// whole deployment.
 #include <gtest/gtest.h>
 
 #include "core/workflow.hpp"
-#include "deploy/multihost.hpp"
+#include "deploy/deployer.hpp"
+#include "deploy/faults.hpp"
 #include "topology/builtin.hpp"
 
 namespace {
@@ -25,12 +27,12 @@ TEST(MultiHost, SlicesAndBootsPerHost) {
   auto wf = split_workflow();
   EmulationHost a("localhost");
   EmulationHost b("hostB");
-  MultiHostDeployer deployer({&a, &b});
+  Deployer deployer({&a, &b});
   auto result = deployer.deploy(wf.configs(), wf.nidb());
   ASSERT_TRUE(result.success);
-  ASSERT_EQ(result.slices.size(), 2u);
-  EXPECT_EQ(result.slices[0].booted.size(), 4u);  // r1..r4
-  EXPECT_EQ(result.slices[1].booted.size(), 1u);  // r5
+  ASSERT_EQ(deployer.slices().size(), 2u);
+  EXPECT_EQ(deployer.slices()[0].booted.size(), 4u);  // r1..r4
+  EXPECT_EQ(deployer.slices()[1].booted.size(), 1u);  // r5
   // Each host's filesystem holds its own devices plus shared artefacts.
   EXPECT_TRUE(a.filesystem().contains("lab.conf"));
   EXPECT_TRUE(b.filesystem().contains("lab.conf"));
@@ -43,11 +45,11 @@ TEST(MultiHost, CrossHostLinksStitched) {
   auto wf = split_workflow();
   EmulationHost a("localhost");
   EmulationHost b("hostB");
-  MultiHostDeployer deployer({&a, &b});
+  Deployer deployer({&a, &b});
   auto result = deployer.deploy(wf.configs(), wf.nidb());
   ASSERT_TRUE(result.success);
   // r5 has two physical links into host A: two GRE stitches.
-  EXPECT_EQ(result.cross_connects, 2u);
+  EXPECT_EQ(deployer.cross_connects(), 2u);
   bool stitch_logged = false;
   for (const auto& line : deployer.log()) {
     if (line.find("stitch gre") != std::string::npos) stitch_logged = true;
@@ -59,7 +61,7 @@ TEST(MultiHost, CombinedNetworkSpansHosts) {
   auto wf = split_workflow();
   EmulationHost a("localhost");
   EmulationHost b("hostB");
-  MultiHostDeployer deployer({&a, &b});
+  Deployer deployer({&a, &b});
   auto result = deployer.deploy(wf.configs(), wf.nidb());
   ASSERT_TRUE(result.success);
   EXPECT_TRUE(result.convergence.converged);
@@ -75,12 +77,12 @@ TEST(MultiHost, BootFailureOnOneHostBlocksLab) {
   EmulationHost a("localhost");
   EmulationHost b("hostB");
   b.fail_boot_of("r5");
-  MultiHostDeployer deployer({&a, &b});
+  Deployer deployer({&a, &b});
   auto result = deployer.deploy(wf.configs(), wf.nidb());
   EXPECT_FALSE(result.success);
   EXPECT_EQ(deployer.network(), nullptr);
-  ASSERT_EQ(result.slices.size(), 2u);
-  EXPECT_EQ(result.slices[1].failed, std::vector<std::string>{"r5"});
+  ASSERT_EQ(deployer.slices().size(), 2u);
+  EXPECT_EQ(deployer.slices()[1].failed, std::vector<std::string>{"r5"});
 }
 
 TEST(MultiHost, TransferRetryPerHost) {
@@ -88,23 +90,66 @@ TEST(MultiHost, TransferRetryPerHost) {
   EmulationHost a("localhost");
   EmulationHost b("hostB");
   b.corrupt_next_transfer();
-  MultiHostDeployer deployer({&a, &b});
+  Deployer deployer({&a, &b});
   auto result = deployer.deploy(wf.configs(), wf.nidb());
   ASSERT_TRUE(result.success);
-  EXPECT_EQ(result.slices[0].transfer_attempts, 1);
-  EXPECT_EQ(result.slices[1].transfer_attempts, 2);
+  EXPECT_EQ(deployer.slices()[0].transfer_attempts, 1);
+  EXPECT_EQ(deployer.slices()[1].transfer_attempts, 2);
 }
 
 TEST(MultiHost, UnassignedDevicesFailTheDeployment) {
   auto wf = split_workflow();
-  EmulationHost a("localhost");  // hostB missing
-  MultiHostDeployer deployer({&a});
+  // Two hosts, neither of them hostB (a lone host would take every device).
+  EmulationHost a("localhost");
+  EmulationHost c("hostC");
+  Deployer deployer({&a, &c});
   auto result = deployer.deploy(wf.configs(), wf.nidb());
   EXPECT_FALSE(result.success);
 }
 
+TEST(MultiHost, BootDeadlineEndsTheDeployment) {
+  // figure5 with r4 and r5 on hostB, both failing every boot: the boot
+  // deadline runs out during r4's retries and ends the deployment, even
+  // with allow_partial; r5 never gets an attempt.
+  auto input = topology::figure5();
+  input.set_node_attr(input.find_node("r4"), "host", "hostB");
+  input.set_node_attr(input.find_node("r5"), "host", "hostB");
+  core::Workflow wf;
+  wf.load(input).design().compile().render();
+  FaultPlan plan;
+  plan.fail_boot("hostB", "r4", 100);
+  plan.fail_boot("hostB", "r5", 100);
+  EmulationHost a("localhost");
+  EmulationHost b("hostB");
+  b.attach_faults(&plan);
+  Deployer deployer({&a, &b});
+  DeployOptions opts;
+  opts.max_boot_attempts = 50;
+  opts.boot_deadline_ms = 300;
+  opts.allow_partial = true;
+  auto result = deployer.deploy(wf.configs(), wf.nidb(), opts);
+  EXPECT_FALSE(result.success);
+  EXPECT_FALSE(result.degraded);
+  EXPECT_EQ(deployer.network(), nullptr);
+  EXPECT_EQ(result.booted, (std::vector<std::string>{"r1", "r2", "r3"}));
+  EXPECT_EQ(result.failed_machines, std::vector<std::string>{"r4"});
+  EXPECT_EQ(result.boot_attempts, 6);  // r1..r3 once, r4 three times
+  EXPECT_EQ(result.backoff_ms, 300);
+  EXPECT_EQ(result.errors,
+            (core::ErrorList{
+                {core::ErrorCategory::kBoot, "r4", "failed to boot after 3 attempts", false},
+                {core::ErrorCategory::kDeadline, "hostB", "boot phase deadline exceeded",
+                 false}}));
+  ASSERT_FALSE(deployer.events().empty());
+  EXPECT_EQ(deployer.events().back().to_line(),
+            "deadline-exceeded: boot deadline exceeded (300ms budget 300ms)");
+  EXPECT_EQ(plan.injected(),
+            (std::vector<std::string>{"boot-fault hostB/r4", "boot-fault hostB/r4",
+                                      "boot-fault hostB/r4"}));
+}
+
 TEST(MultiHost, RequiresHosts) {
-  EXPECT_THROW(MultiHostDeployer({}), std::invalid_argument);
+  EXPECT_THROW(Deployer({}), std::invalid_argument);
 }
 
 }  // namespace

@@ -34,7 +34,7 @@ TEST(NidbRoundTrip, RestoredNidbDrivesRenderAndDeploy) {
   auto restored = nidb::Nidb::from_json(wf.nidb().to_json());
   auto configs = render::render_configs(restored);
   deploy::EmulationHost host("localhost");
-  deploy::Deployer deployer(host);
+  deploy::Deployer deployer({&host});
   auto result = deployer.deploy(configs, restored);
   EXPECT_TRUE(result.success);
   EXPECT_TRUE(result.convergence.converged);

@@ -336,7 +336,7 @@ TEST(ObsDeploy, StructuredEventsBackTheLogView) {
   core::Workflow wf;
   wf.load(topology::figure5()).design().compile().render();
   deploy::EmulationHost host("emuhost1");
-  deploy::Deployer deployer(host);
+  deploy::Deployer deployer({&host});
   auto result = deployer.deploy(wf.configs(), wf.nidb());
   ASSERT_TRUE(result.success);
   ASSERT_FALSE(deployer.events().empty());
