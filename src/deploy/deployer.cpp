@@ -178,23 +178,20 @@ DeployResult Deployer::deploy(const render::ConfigTree& configs,
              std::to_string(tree.total_bytes()) + " bytes");
     const Landing landing = transfer(i, pack(tree), clock, opts, result);
     if (landing == Landing::kExtracted) continue;
+    // An offline host's machines are lost.
     slice.online = false;
     slice.lost = std::move(machines[i]);
+    result.failed_machines.insert(result.failed_machines.end(), slice.lost.begin(),
+                                  slice.lost.end());
     if (landing == Landing::kRunDeadline) return result;
   }
   const auto online_hosts = static_cast<std::size_t>(std::count_if(
       slices_.begin(), slices_.end(), [](const HostSlice& s) { return s.online; }));
   if (online_hosts == 0) return result;
 
-  // --- Boot, per online host; an offline host's machines are lost -------
+  // --- Boot, per online host ---------------------------------------------
   for (std::size_t i = 0; i < hosts_.size(); ++i) {
-    HostSlice& slice = slices_[i];
-    if (!slice.online) {
-      result.failed_machines.insert(result.failed_machines.end(), slice.lost.begin(),
-                                    slice.lost.end());
-      continue;
-    }
-    if (!boot(i, machines[i], clock, opts, result)) return result;
+    if (slices_[i].online && !boot(i, machines[i], clock, opts, result)) return result;
   }
 
   // --- The contract, checked once ---------------------------------------
@@ -216,13 +213,23 @@ DeployResult Deployer::deploy(const render::ConfigTree& configs,
     result.degraded = true;
   }
 
-  // --- Start the network (full, or the surviving subnetwork) ------------
+  // --- Start the network (full, or the surviving subnetwork) from what
+  // the online hosts extracted: a lone host's tree, or their union ---------
   stitch(nidb);
   observe_cancel(opts, "deploy.start_network");
   const std::set<std::string> survivors =
       result.degraded ? std::set<std::string>(result.booted.begin(), result.booted.end())
                       : std::set<std::string>();
-  network_ = start_network(nidb, configs, result.degraded ? &survivors : nullptr,
+  const render::ConfigTree* landed = &hosts_.front()->filesystem();
+  render::ConfigTree merged;
+  if (hosts_.size() > 1) {
+    for (std::size_t i = 0; i < hosts_.size(); ++i) {
+      if (!slices_[i].online) continue;
+      for (const auto& [path, content] : hosts_[i]->filesystem()) merged.put(path, content);
+    }
+    landed = &merged;
+  }
+  network_ = start_network(nidb, *landed, result.degraded ? &survivors : nullptr,
                            opts.control);
   result.convergence = network_->last_report();
   result.success = true;
@@ -362,8 +369,8 @@ bool Deployer::boot(std::size_t i, const std::vector<std::string>& machines,
 }
 
 // Cross-host links are part of the compiled lab (the GRE tunnel list in
-// the network data); those between two different given hosts are
-// stitched, so a lone host stitches none.
+// the network data); those between two different given hosts that are
+// both online are stitched, so a lone host stitches none.
 void Deployer::stitch(const nidb::Nidb& nidb) {
   const nidb::Value* cross = nidb.data().find("cross_connects");
   const nidb::Array* tunnels = cross ? cross->as_array() : nullptr;
@@ -372,6 +379,7 @@ void Deployer::stitch(const nidb::Nidb& nidb) {
     const std::size_t src = host_named(hosts_, t.find("src_host"));
     const std::size_t dst = host_named(hosts_, t.find("dst_host"));
     if (src == hosts_.size() || dst == hosts_.size() || src == dst) continue;
+    if (!slices_[src].online || !slices_[dst].online) continue;
     ++cross_connects_;
     const nidb::Value* tunnel = t.find("tunnel");
     const std::string& from = hosts_[src]->name();

@@ -157,7 +157,10 @@ class Deployer {
   /// hosts.
   explicit Deployer(std::vector<EmulationHost*> hosts);
 
-  /// Runs the full pipeline. On success network() is running.
+  /// Runs the full pipeline: packs `configs` per host, then starts the
+  /// network from what the online hosts extracted (a lone host's
+  /// filesystem(), or the union of several). On success network() is
+  /// running.
   DeployResult deploy(const render::ConfigTree& configs, const nidb::Nidb& nidb,
                       const DeployOptions& opts = {});
 
@@ -171,7 +174,8 @@ class Deployer {
 
   /// The last deployment per host, in host order.
   [[nodiscard]] const std::vector<HostSlice>& slices() const { return slices_; }
-  /// Cross-host links the last deployment stitched.
+  /// Cross-host links the last deployment stitched: those between two
+  /// online hosts.
   [[nodiscard]] std::size_t cross_connects() const { return cross_connects_; }
 
   /// The running network; nullptr unless the last deployment succeeded.
@@ -202,10 +206,10 @@ class Deployer {
 };
 
 /// Starts the emulated control plane of a deployed lab from its NIDB and
-/// rendered tree: the devices in `booted`, or every device when null,
-/// with a budget of 128 BGP rounds. An optional RunControl interrupts
-/// convergence per BGP round. The network's last_report() holds the
-/// convergence report.
+/// the tree its hosts hold: the devices in `booted`, or every device when
+/// null, with a budget of 128 BGP rounds. An optional RunControl
+/// interrupts convergence per BGP round. The network's last_report()
+/// holds the convergence report.
 [[nodiscard]] std::unique_ptr<emulation::EmulatedNetwork> start_network(
     const nidb::Nidb& nidb, const render::ConfigTree& configs,
     const std::set<std::string>* booted, core::RunControl* control);

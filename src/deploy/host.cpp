@@ -21,6 +21,8 @@ bool EmulationHost::extract() {
   if (!online()) return false;
   try {
     fs_ = unpack(inbox_);
+    // The extracted tree is the one copy kept.
+    std::string().swap(inbox_);
     return true;
   } catch (const ArchiveError&) {
     return false;

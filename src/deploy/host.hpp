@@ -1,11 +1,12 @@
 // A simulated emulation host (StarBed node / lab server): receives
 // archives over a simulated transfer, extracts them into its filesystem
 // and boots machines one attempt at a time; the deployer starts the
-// emulated control plane over the ones that came up. Failure injection
-// covers the paths a real deployment can break on — truncated transfers,
-// machines that fail to boot, and hosts that are entirely dead — either
-// through the legacy one-shot hooks or through an attached deterministic
-// FaultPlan, so the deployer's retry/degradation logic is testable.
+// emulated control plane from the extracted tree, over the machines that
+// came up. Failure injection covers the paths a real deployment can
+// break on — truncated transfers, machines that fail to boot, and hosts
+// that are entirely dead — either through the legacy one-shot hooks or
+// through an attached deterministic FaultPlan, so the deployer's
+// retry/degradation logic is testable.
 #pragma once
 
 #include <set>
@@ -41,8 +42,9 @@ class EmulationHost {
   /// Simulated scp: stores the blob (possibly corrupted by injection).
   /// Returns false when the host is dead (connection refused).
   bool receive(std::string blob);
-  /// Unpacks the stored blob into the host filesystem; false on checksum
-  /// failure (the deployer then retries the transfer) or dead host.
+  /// Unpacks the stored blob into the host filesystem and drops the blob;
+  /// false on checksum failure (the deployer then retries the transfer)
+  /// or dead host.
   bool extract();
   [[nodiscard]] const render::ConfigTree& filesystem() const { return fs_; }
 

@@ -17,13 +17,19 @@
 //
 // The state is flat: prefixes are interned per run (ids in prefix-text
 // order, so id order is the order every output was defined in), and each
-// router holds its Loc-RIB and Adj-RIB-In by prefix id (BgpTables). A
-// write that changes an Adj-RIB-In entry marks that (router, prefix);
-// every router decides in round 1, and afterwards only marked prefixes
-// are re-selected. Routers still run in index order and updates still
-// apply at once, so every round, update and partial state is the one the
-// full rerun gave. The state hash is kept current as selections change.
+// router holds its Loc-RIB and Adj-RIB-In by prefix id (BgpTables). Path
+// attributes are interned per run too: each distinct set is stored once
+// (BgpAttrTable), and entries and slots hold its id, so equal ids mean
+// equal routes. A write that changes an Adj-RIB-In entry marks that
+// (router, prefix); every router decides in round 1, and afterwards only
+// marked prefixes are re-selected. Routers still run in index order and
+// updates still apply at once, so every round, update and partial state
+// is the one the full rerun gave. The state hash is kept current as
+// selections change. An advertisement is built only for a session that
+// sends it, and a withdrawal touches the peer only where its Adj-RIB-Out
+// bit says the peer holds the route.
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <memory>
@@ -46,11 +52,76 @@ std::string BgpRoute::fingerprint() const {
   return out;
 }
 
+namespace {
+
+/// A 64-bit hash over every attribute, folded a word at a time.
+std::uint64_t attrs_hash(const BgpAttrs& a) {
+  std::uint64_t h = a.as_path.size();
+  auto fold = [&h](std::uint64_t v) {
+    h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+  };
+  for (auto as : a.as_path) fold(static_cast<std::uint64_t>(as));
+  fold(a.next_hop.value());
+  fold(static_cast<std::uint64_t>(a.local_pref));
+  fold(static_cast<std::uint64_t>(a.med));
+  fold(static_cast<std::uint64_t>(a.weight));
+  fold((a.ebgp_learned ? 2u : 0u) | (a.local_originated ? 1u : 0u));
+  fold(a.originator_id.value());
+  fold(a.cluster_list.size());
+  for (auto id : a.cluster_list) fold(id.value());
+  // fmix64: spread every input bit over the low bits the table probes.
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  return h;
+}
+
+constexpr std::uint32_t kEmpty = 0xffffffff;
+
+}  // namespace
+
+std::uint32_t BgpAttrTable::intern(const BgpAttrs& attrs) {
+  if (2 * (records_.size() + 1) > slots_.size()) {
+    slots_.assign(std::max<std::size_t>(64, 2 * slots_.size()), kEmpty);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::uint32_t id = 0; id < records_.size(); ++id) {
+      std::size_t at = hashes_[id] & mask;
+      while (slots_[at] != kEmpty) at = (at + 1) & mask;
+      slots_[at] = id;
+    }
+  }
+  const std::uint64_t h = attrs_hash(attrs);
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t at = h & mask;; at = (at + 1) & mask) {
+    const std::uint32_t id = slots_[at];
+    if (id == kEmpty) {
+      const auto added = static_cast<std::uint32_t>(records_.size());
+      slots_[at] = added;
+      records_.push_back(attrs);
+      hashes_.push_back(h);
+      return added;
+    }
+    if (hashes_[id] == h && records_[id] == attrs) return id;
+  }
+}
+
 std::optional<std::size_t> BgpTables::find(std::string_view prefix) const {
-  if (!prefixes) return std::nullopt;
-  auto it = std::ranges::lower_bound(*prefixes, prefix);
-  if (it == prefixes->end() || *it != prefix) return std::nullopt;
-  return static_cast<std::size_t>(it - prefixes->begin());
+  if (!run_) return std::nullopt;
+  const std::vector<std::string>& texts = run_->prefix_text;
+  auto it = std::ranges::lower_bound(texts, prefix);
+  if (it == texts.end() || *it != prefix) return std::nullopt;
+  return static_cast<std::size_t>(it - texts.begin());
+}
+
+BgpRoute BgpTables::route(std::size_t k, BgpRouteRef ref) const {
+  return BgpRoute{run_->attrs[ref.attrs], run_->prefix[k], Ipv4Addr(ref.from)};
+}
+
+std::vector<BgpRoute> BgpTables::rib_in(std::size_t k) const {
+  std::vector<BgpRoute> out;
+  out.reserve(rib_in_[k].size());
+  for (const BgpRibInEntry& e : rib_in_[k]) out.push_back(route(k, e.route));
+  return out;
 }
 
 namespace {
@@ -61,7 +132,7 @@ namespace {
 /// fingerprints agree, as the revisit rounds of MED churn and Bad Gadget
 /// require.
 std::uint64_t slot_term(std::size_t router, std::size_t prefix,
-                        const BgpRoute& route) {
+                        const BgpAttrs& route, std::uint32_t from) {
   std::uint64_t h = kFnvOffsetBasis;
   auto fold = [&h](std::uint64_t v) {
     for (int i = 0; i < 8; ++i) {
@@ -74,7 +145,7 @@ std::uint64_t slot_term(std::size_t router, std::size_t prefix,
   fold(route.as_path.size());
   for (auto as : route.as_path) fold(static_cast<std::uint64_t>(as));
   fold(route.next_hop.value());
-  fold(route.from_peer.value());
+  fold(from);
   fold(static_cast<std::uint64_t>(route.local_pref));
   return h;
 }
@@ -168,22 +239,28 @@ ConvergenceReport EmulatedNetwork::run_bgp(std::size_t max_rounds,
   }
 
   // --- Intern prefixes, ids in text order -----------------------------------
-  std::vector<std::string> texts;
+  std::vector<std::pair<std::string, Ipv4Prefix>> named;
   for (std::size_t r = 0; r < n; ++r) {
     if (router_failed(r)) continue;
     for (const auto& prefix : routers_[r].config().bgp_networks) {
-      texts.push_back(prefix.to_string());
+      named.emplace_back(prefix.to_string(), prefix);
     }
   }
-  std::ranges::sort(texts);
-  texts.erase(std::unique(texts.begin(), texts.end()), texts.end());
-  const std::size_t np = texts.size();
-  auto prefixes = std::make_shared<const std::vector<std::string>>(std::move(texts));
+  std::ranges::sort(named);
+  const auto same_text = [](const auto& a, const auto& b) { return a.first == b.first; };
+  named.erase(std::unique(named.begin(), named.end(), same_text), named.end());
+  const std::size_t np = named.size();
+  auto run = std::make_shared<BgpRun>();
+  for (auto& [text, prefix] : named) {
+    run->prefix_text.push_back(std::move(text));
+    run->prefix.push_back(prefix);
+  }
+  BgpAttrTable& attrs = run->attrs;
   for (auto& router : routers_) {
     BgpTables& tables = router.mutable_bgp();
-    tables.prefixes = prefixes;
-    tables.best.assign(np, std::nullopt);
-    tables.rib_in.assign(np, {});
+    tables.run_ = run;
+    tables.best_.assign(np, {});
+    tables.rib_in_.assign(np, {});
   }
 
   // --- Adj-RIB-In writes and dirty marks ------------------------------------
@@ -200,11 +277,12 @@ ConvergenceReport EmulatedNetwork::run_bgp(std::size_t max_rounds,
   // Resolves an entry's next hop at its receiver: connected, IGP-known,
   // or self; in explicit-links mode a directly linked node resolves even
   // across IGP domain boundaries (connected route in C-BGP).
-  auto resolve = [this](std::size_t r, BgpRibInEntry& e) {
-    const Ipv4Addr nh = e.route.next_hop;
+  auto resolve = [this, &attrs](std::size_t r, BgpRibInEntry& e) {
+    const BgpAttrs& route = attrs[e.route.attrs];
+    const Ipv4Addr nh = route.next_hop;
     const RouterConfig& cfg = routers_[r].config();
     e.igp_metric = igp_metric_to(r, nh);
-    e.resolvable = e.route.local_originated || owns_address(cfg, nh) ||
+    e.resolvable = route.local_originated || owns_address(cfg, nh) ||
                    std::ranges::any_of(cfg.interfaces, [nh](const auto& iface) {
                      return iface.address.prefix.contains(nh);
                    }) ||
@@ -215,15 +293,17 @@ ConvergenceReport EmulatedNetwork::run_bgp(std::size_t max_rounds,
                      direct_neighbors_[r].contains(owner->second);
     }
   };
-  auto write = [&](std::size_t r, std::size_t k, std::uint32_t from,
-                   const BgpRoute& route) {
-    auto& list = routers_[r].mutable_bgp().rib_in[k];
-    auto it = std::ranges::lower_bound(list, from, {}, &BgpRibInEntry::from);
-    if (it != list.end() && it->from == from) {
-      if (it->route == route) return;
-      const bool moved = it->route.next_hop != route.next_hop ||
-                         it->route.local_originated != route.local_originated;
-      it->route = route;
+  const auto from_of = [](const BgpRibInEntry& e) { return e.route.from; };
+  auto write = [&](std::size_t r, std::size_t k, BgpRouteRef route) {
+    auto& list = routers_[r].mutable_bgp().rib_in_[k];
+    auto it = std::ranges::lower_bound(list, route.from, {}, from_of);
+    if (it != list.end() && it->route.from == route.from) {
+      if (it->route.attrs == route.attrs) return;
+      const BgpAttrs& was = attrs[it->route.attrs];
+      const BgpAttrs& now = attrs[route.attrs];
+      const bool moved = was.next_hop != now.next_hop ||
+                         was.local_originated != now.local_originated;
+      it->route.attrs = route.attrs;
       if (moved) resolve(r, *it);
     } else {
       if (list.empty()) {
@@ -233,38 +313,61 @@ ConvergenceReport EmulatedNetwork::run_bgp(std::size_t max_rounds,
         list.reserve(2);
         it = list.end();
       }
-      it = list.insert(it, BgpRibInEntry{.from = from, .route = route});
+      it = list.insert(it, BgpRibInEntry{.route = route});
       resolve(r, *it);
     }
     mark(r, k);
   };
-  auto erase = [&](std::size_t r, std::size_t k, std::uint32_t from) {
-    auto& list = routers_[r].mutable_bgp().rib_in[k];
-    auto it = std::ranges::lower_bound(list, from, {}, &BgpRibInEntry::from);
-    if (it == list.end() || it->from != from) return;
-    list.erase(it);
-    mark(r, k);
+
+  // --- Adj-RIB-Out ------------------------------------------------------------
+  // held[k * outs + o]: the receiver of rib-out o holds a route for prefix
+  // k under o's key, so a withdrawal there removes something. Sessions
+  // that share a receiver and a source address write the same Adj-RIB-In
+  // key, so they share a rib-out.
+  std::map<std::pair<std::size_t, std::uint32_t>, std::uint32_t> rib_out_ids;
+  std::vector<std::uint32_t> rib_out(sessions_.size());
+  for (std::size_t i = 0; i < sessions_.size(); ++i) {
+    const auto next = static_cast<std::uint32_t>(rib_out_ids.size());
+    rib_out[i] = rib_out_ids
+                     .try_emplace({sessions_[i].peer, sessions_[i].local_addr.value()}, next)
+                     .first->second;
+  }
+  const std::size_t outs = rib_out_ids.size();
+  std::vector<bool> held(np * outs, false);
+  auto send = [&](std::size_t si, std::size_t k, const BgpAttrs& route) {
+    const BgpSession& s = sessions_[si];
+    write(s.peer, k, {attrs.intern(route), s.local_addr.value()});
+    held[k * outs + rib_out[si]] = true;
+  };
+  auto withdraw = [&](std::size_t si, std::size_t k) {
+    const std::size_t bit = k * outs + rib_out[si];
+    if (!held[bit]) return;
+    held[bit] = false;
+    const BgpSession& s = sessions_[si];
+    auto& list = routers_[s.peer].mutable_bgp().rib_in_[k];
+    list.erase(std::ranges::lower_bound(list, s.local_addr.value(), {}, from_of));
+    mark(s.peer, k);
   };
 
   // --- Seed locally originated routes ---------------------------------------
   for (std::size_t r = 0; r < n; ++r) {
     if (router_failed(r)) continue;
+    BgpAttrs local;
+    local.next_hop = ids[r];
+    local.weight = 32768;
+    local.local_originated = true;
+    local.originator_id = ids[r];
+    const std::uint32_t id = attrs.intern(local);
     for (const auto& prefix : routers_[r].config().bgp_networks) {
-      BgpRoute route;
-      route.prefix = prefix;
-      route.next_hop = ids[r];
-      route.weight = 32768;
-      route.local_originated = true;
-      route.originator_id = ids[r];
-      write(r, *routers_[r].mutable_bgp().find(prefix.to_string()), 0, route);
+      write(r, *routers_[r].bgp().find(prefix.to_string()), {id, 0});
     }
   }
 
   // --- Decision process -------------------------------------------------
-  auto better = [this](std::size_t r, const BgpRibInEntry& x,
-                       const BgpRibInEntry& y) {
-    const BgpRoute& a = x.route;
-    const BgpRoute& b = y.route;
+  auto better = [this, &attrs](std::size_t r, const BgpRibInEntry& x,
+                               const BgpRibInEntry& y) {
+    const BgpAttrs& a = attrs[x.route.attrs];
+    const BgpAttrs& b = attrs[y.route.attrs];
     if (a.weight != b.weight) return a.weight > b.weight;
     if (a.local_pref != b.local_pref) return a.local_pref > b.local_pref;
     if (a.as_path.size() != b.as_path.size()) {
@@ -282,48 +385,50 @@ ConvergenceReport EmulatedNetwork::run_bgp(std::size_t max_rounds,
       return x.igp_metric < y.igp_metric;
     }
     if (a.originator_id != b.originator_id) return a.originator_id < b.originator_id;
-    return a.from_peer < b.from_peer;
+    return x.route.from < y.route.from;
   };
 
   // Whether router r learned a route over a session to an RR client.
-  auto learned_from_client = [&](std::size_t r, Ipv4Addr from_peer) {
+  auto learned_from_client = [&](std::size_t r, std::uint32_t from) {
     for (std::size_t si : sessions_of[r]) {
-      if (sessions_[si].peer_addr == from_peer) return sessions_[si].peer_is_client;
+      if (sessions_[si].peer_addr.value() == from) return sessions_[si].peer_is_client;
     }
     return false;
   };
 
   // Advertises router r's selection for prefix k over each of its sessions
-  // (or withdraws it where policy or loop prevention forbids).
+  // (or withdraws it where policy or loop prevention forbids). Whether a
+  // session sends is decided first; only what is sent is built.
   ConvergenceReport report;
-  BgpRoute out;  // the advertisement; its buffers are reused
-  auto advertise = [&](std::size_t r, std::size_t k, const BgpRoute& route) {
+  BgpAttrs out;  // the advertisement; its buffers are reused
+  auto advertise = [&](std::size_t r, std::size_t k, BgpRouteRef selected) {
+    const BgpAttrs& route = attrs[selected.attrs];
     std::optional<bool> from_client;
     for (std::size_t si : sessions_of[r]) {
       const BgpSession& s = sessions_[si];
-      // At the peer, routes from us are keyed by our session address.
-      const std::uint32_t key = s.local_addr.value();
-
-      // Split horizon: never send a route back over the session it
-      // arrived on.
-      if (!route.local_originated && route.from_peer == s.peer_addr) {
-        erase(s.peer, k, key);
+      bool sends = false;
+      if (!route.local_originated && selected.from == s.peer_addr.value()) {
+        // Split horizon: never send a route back over the session it
+        // arrived on.
+      } else if (s.only_local_out && !route.local_originated) {
+        // "^$" export policy: stub routers advertise only their own
+        // prefixes (paper's Small-Internet lab marks AS200 this way).
+      } else if (s.ebgp || route.local_originated || route.ebgp_learned) {
+        sends = true;
+      } else {
+        // iBGP-learned: reflect per RFC 4456.
+        if (!from_client) from_client = learned_from_client(r, selected.from);
+        sends = *from_client || s.peer_is_client;
+      }
+      if (!sends) {
+        withdraw(si, k);
         continue;
       }
-      // "^$" export policy: stub routers advertise only their own
-      // prefixes (paper's Small-Internet lab marks AS200 this way).
-      if (s.only_local_out && !route.local_originated) {
-        erase(s.peer, k, key);
-        continue;
-      }
 
-      bool advertised = false;
       out = route;
-      out.from_peer = s.local_addr;
       out.weight = 0;
       out.local_originated = false;  // the receiver learned it
       if (s.ebgp) {
-        advertised = true;
         out.as_path.insert(out.as_path.begin(), routers_[r].asn());
         out.next_hop = s.local_addr;
         out.local_pref = session_pref[si];
@@ -332,29 +437,17 @@ ConvergenceReport EmulatedNetwork::run_bgp(std::size_t max_rounds,
         out.originator_id = Ipv4Addr{};
         out.cluster_list.clear();
         out.ebgp_learned = true;  // as seen by the receiver
-      } else {
+      } else if (route.local_originated || route.ebgp_learned) {
         out.ebgp_learned = false;
-        if (route.local_originated || route.ebgp_learned) {
-          advertised = true;
-          if (s.next_hop_self || route.local_originated) {
-            out.next_hop = session_nh_self[si];
-          }
-          // The speaker's id serves as the tie-break identity for
-          // non-reflected iBGP advertisements.
-          out.originator_id = ids[r];
-        } else {
-          // iBGP-learned: reflect per RFC 4456.
-          if (!from_client) from_client = learned_from_client(r, route.from_peer);
-          advertised = *from_client || s.peer_is_client;
-          if (advertised) {
-            out.cluster_list.push_back(ids[r]);
-            // ORIGINATOR_ID is preserved; next hop unchanged.
-          }
+        if (s.next_hop_self || route.local_originated) {
+          out.next_hop = session_nh_self[si];
         }
-      }
-      if (!advertised) {
-        erase(s.peer, k, key);
-        continue;
+        // The speaker's id serves as the tie-break identity for
+        // non-reflected iBGP advertisements.
+        out.originator_id = ids[r];
+      } else {
+        // Reflected: ORIGINATOR_ID is preserved, next hop unchanged.
+        out.cluster_list.push_back(ids[r]);
       }
 
       // Receiver-side loop prevention.
@@ -366,9 +459,9 @@ ConvergenceReport EmulatedNetwork::run_bgp(std::size_t max_rounds,
                            out.cluster_list.end();
       ++report.updates;
       if (drop) {
-        erase(s.peer, k, key);
+        withdraw(si, k);
       } else {
-        write(s.peer, k, key, out);
+        send(si, k, out);
       }
     }
   };
@@ -378,6 +471,9 @@ ConvergenceReport EmulatedNetwork::run_bgp(std::size_t max_rounds,
   // selections change; a revisited hash is a revisited state.
   std::map<std::uint64_t, std::size_t> seen_states;  // state hash -> round
   std::uint64_t state = 0;
+  auto term = [&attrs](std::size_t r, std::size_t k, BgpRouteRef route) {
+    return slot_term(r, k, attrs[route.attrs], route.from);
+  };
   // Routers whose selection changed in the most recent round: the
   // partial state reported when the round budget runs out.
   std::set<std::size_t> unsettled;
@@ -403,28 +499,27 @@ ConvergenceReport EmulatedNetwork::run_bgp(std::size_t max_rounds,
           continue;
         }
         const BgpRibInEntry* chosen = nullptr;
-        for (const auto& e : tables.rib_in[k]) {
+        for (const auto& e : tables.rib_in_[k]) {
           if (!e.resolvable) continue;
           if (chosen == nullptr || better(r, e, *chosen)) chosen = &e;
         }
-        std::optional<BgpRoute>& slot = tables.best[k];
+        BgpRouteRef& slot = tables.best_[k];
         if (chosen == nullptr) {
-          if (!slot) continue;
+          if (slot.empty()) continue;
           // Withdraw the prefix no longer selected.
           for (std::size_t si : sessions_of[r]) {
-            const BgpSession& s = sessions_[si];
-            erase(s.peer, k, s.local_addr.value());
+            withdraw(si, k);
             ++report.updates;
             ++stats_.bgp_withdrawals;
           }
-          state -= slot_term(r, k, *slot);
-          slot.reset();
+          state -= term(r, k, slot);
+          slot = {};
         } else {
           // Advertise (possibly re-advertise) a changed selection.
-          if (slot && *slot == chosen->route) continue;
+          if (slot == chosen->route) continue;
           advertise(r, k, chosen->route);
-          if (slot) state -= slot_term(r, k, *slot);
-          state += slot_term(r, k, chosen->route);
+          if (!slot.empty()) state -= term(r, k, slot);
+          state += term(r, k, chosen->route);
           slot = chosen->route;
         }
         changed = true;
@@ -474,6 +569,14 @@ ConvergenceReport EmulatedNetwork::run_bgp(std::size_t max_rounds,
 }
 
 void EmulatedNetwork::install_bgp_routes() {
+  // How a next hop resolves at one router, as installed routes see it.
+  struct NextHop {
+    Ipv4Addr address;
+    bool resolved = false;
+    std::string out_interface;
+    std::optional<Ipv4Addr> immediate;
+  };
+  std::vector<NextHop> hops;  // per router: each distinct next hop once
   for (std::size_t r = 0; r < routers_.size(); ++r) {
     VirtualRouter& router = routers_[r];
     auto& fib = router.mutable_fib();
@@ -481,45 +584,56 @@ void EmulatedNetwork::install_bgp_routes() {
     std::erase_if(fib, [](const FibEntry& e) {
       return e.source == RouteSource::kEbgp || e.source == RouteSource::kIbgp;
     });
-    for (const auto& [prefix_str, route] : router.bgp_best()) {
-      if (route.local_originated) continue;
-      // Resolve the BGP next hop: directly connected, or recursively via
-      // an IGP/connected route.
-      std::string out_interface;
-      std::optional<Ipv4Addr> immediate;
-      bool resolved = false;
+    // Resolve a BGP next hop: directly connected, or recursively via an
+    // IGP/connected route.
+    auto resolve = [&](Ipv4Addr nh) -> const NextHop& {
+      for (const NextHop& hop : hops) {
+        if (hop.address == nh) return hop;
+      }
+      NextHop& hop = hops.emplace_back();
+      hop.address = nh;
       for (const auto& iface : router.config().interfaces) {
-        if (iface.address.prefix.contains(route.next_hop)) {
-          out_interface = iface.id;
-          immediate = route.next_hop;
-          resolved = true;
-          break;
+        if (iface.address.prefix.contains(nh)) {
+          hop.out_interface = iface.id;
+          hop.immediate = nh;
+          hop.resolved = true;
+          return hop;
         }
       }
-      if (!resolved) {
-        const FibEntry* via = router.lookup(route.next_hop);
-        if (via != nullptr && via->source != RouteSource::kEbgp &&
-            via->source != RouteSource::kIbgp) {
-          out_interface = via->out_interface;
-          immediate = via->next_hop ? via->next_hop : route.next_hop;
-          resolved = true;
+      const FibEntry* via = router.lookup(nh);
+      if (via != nullptr && via->source != RouteSource::kEbgp &&
+          via->source != RouteSource::kIbgp) {
+        hop.out_interface = via->out_interface;
+        hop.immediate = via->next_hop ? via->next_hop : nh;
+        hop.resolved = true;
+        return hop;
+      }
+      if (!direct_neighbors_.empty()) {
+        auto owner = by_address_.find(nh.value());
+        if (owner != by_address_.end() && direct_neighbors_[r].contains(owner->second)) {
+          hop.immediate = nh;
+          hop.resolved = true;
         }
       }
-      if (!resolved && !direct_neighbors_.empty()) {
-        auto owner = by_address_.find(route.next_hop.value());
-        if (owner != by_address_.end() &&
-            direct_neighbors_[r].contains(owner->second)) {
-          immediate = route.next_hop;
-          resolved = true;
-        }
-      }
-      if (!resolved) continue;
+      return hop;
+    };
+    const BgpTables& tables = router.bgp();
+    for (std::size_t k = 0; k < tables.size(); ++k) {
+      if (!tables.selected(k)) continue;
+      const BgpAttrs& route = tables.run_->attrs[tables.best_[k].attrs];
+      if (route.local_originated) continue;
+      const NextHop& hop = resolve(route.next_hop);
+      if (!hop.resolved) continue;
+      const Ipv4Prefix& prefix = tables.run_->prefix[k];
       fib.push_back(FibEntry{
-          route.prefix,
-          route.ebgp_learned ? RouteSource::kEbgp : RouteSource::kIbgp,
-          out_interface, immediate,
+          prefix, route.ebgp_learned ? RouteSource::kEbgp : RouteSource::kIbgp,
+          hop.out_interface, hop.immediate,
           static_cast<double>(route.as_path.size())});
+      // A BGP route may now be the longest match for a next hop resolved
+      // before it: those resolve again against the grown FIB.
+      std::erase_if(hops, [&prefix](const NextHop& h) { return prefix.contains(h.address); });
     }
+    hops.clear();
   }
 }
 

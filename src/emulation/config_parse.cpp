@@ -1,6 +1,7 @@
 #include "emulation/config_parse.hpp"
 
 #include <charconv>
+#include <iterator>
 
 namespace autonet::emulation {
 
@@ -8,49 +9,66 @@ using addressing::Ipv4Addr;
 using addressing::Ipv4Interface;
 using addressing::Ipv4Prefix;
 
-std::vector<std::string> tokenize(std::string_view line) {
-  // The bytes isspace() accepts in the "C" locale.
+namespace {
+
+/// Splits `line` into `tokens`, views into it, at runs of the bytes
+/// isspace() accepts in the "C" locale. `tokens` keeps its capacity, so a
+/// parser that reuses it allocates nothing per line.
+void split(std::string_view line, std::vector<std::string_view>& tokens) {
   const auto space = [](char c) { return c == ' ' || (c >= '\t' && c <= '\r'); };
-  std::vector<std::string> tokens;
+  tokens.clear();
   std::size_t at = 0;
   while (true) {
     while (at < line.size() && space(line[at])) ++at;
-    if (at == line.size()) return tokens;
+    if (at == line.size()) return;
     const std::size_t start = at;
     while (at < line.size() && !space(line[at])) ++at;
-    tokens.emplace_back(line.substr(start, at - start));
+    tokens.push_back(line.substr(start, at - start));
   }
 }
 
-namespace {
-
-std::vector<std::string> lines_of(std::string_view text) {
-  std::vector<std::string> lines;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    auto nl = text.find('\n', start);
-    if (nl == std::string_view::npos) {
-      if (start < text.size()) lines.emplace_back(text.substr(start));
-      break;
+/// The lines of a text as views into it: split at '\n', with a last line
+/// that has no '\n' kept when it is not empty.
+class Lines {
+ public:
+  explicit Lines(std::string_view text) : text_(text) {}
+  class iterator {
+   public:
+    explicit iterator(std::string_view rest) : rest_(rest) { ++*this; }
+    std::string_view operator*() const { return line_; }
+    iterator& operator++() {
+      done_ = rest_.empty();
+      const std::size_t nl = rest_.find('\n');
+      line_ = rest_.substr(0, nl);
+      rest_ = nl == std::string_view::npos ? std::string_view() : rest_.substr(nl + 1);
+      return *this;
     }
-    lines.emplace_back(text.substr(start, nl - start));
-    start = nl + 1;
-  }
-  return lines;
-}
+    bool operator==(std::default_sentinel_t) const { return done_; }
 
-std::int64_t to_int(const std::string& s, const char* what) {
+   private:
+    std::string_view rest_;
+    std::string_view line_;
+    bool done_ = false;
+  };
+  [[nodiscard]] iterator begin() const { return iterator(text_); }
+  [[nodiscard]] std::default_sentinel_t end() const { return {}; }
+
+ private:
+  std::string_view text_;
+};
+
+std::int64_t to_int(std::string_view s, const char* what) {
   std::int64_t v = 0;
   auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
   if (ec != std::errc{} || p != s.data() + s.size()) {
-    throw ConfigError(std::string("bad ") + what + " '" + s + "'");
+    throw ConfigError(std::string("bad ") + what + " '" + std::string(s) + "'");
   }
   return v;
 }
 
-Ipv4Addr to_addr(const std::string& s, const char* what) {
+Ipv4Addr to_addr(std::string_view s, const char* what) {
   auto a = Ipv4Addr::parse(s);
-  if (!a) throw ConfigError(std::string("bad ") + what + " '" + s + "'");
+  if (!a) throw ConfigError(std::string("bad ") + what + " '" + std::string(s) + "'");
   return *a;
 }
 
@@ -91,7 +109,7 @@ BgpNeighborConfig& neighbor_entry(RouterConfig& cfg, Ipv4Addr addr) {
 
 // Shared "router bgp" body parser: Quagga and IOS use the same neighbor
 // statement grammar.
-void parse_bgp_line(RouterConfig& cfg, const std::vector<std::string>& tokens) {
+void parse_bgp_line(RouterConfig& cfg, const std::vector<std::string_view>& tokens) {
   if (tokens.size() >= 2 && tokens[0] == "network") {
     // Quagga: "network 10.0.0.0/24"; IOS: "network 10.0.0.0 mask m".
     if (tokens.size() >= 4 && tokens[2] == "mask") {
@@ -111,7 +129,7 @@ void parse_bgp_line(RouterConfig& cfg, const std::vector<std::string>& tokens) {
   if (tokens.size() >= 3 && tokens[0] == "neighbor") {
     Ipv4Addr peer = to_addr(tokens[1], "neighbor");
     BgpNeighborConfig& n = neighbor_entry(cfg, peer);
-    const std::string& verb = tokens[2];
+    const std::string_view verb = tokens[2];
     if (verb == "remote-as" && tokens.size() >= 4) {
       n.remote_as = to_int(tokens[3], "remote-as");
     } else if (verb == "update-source") {
@@ -139,6 +157,12 @@ void parse_bgp_line(RouterConfig& cfg, const std::vector<std::string>& tokens) {
 
 }  // namespace
 
+std::vector<std::string> tokenize(std::string_view line) {
+  std::vector<std::string_view> tokens;
+  split(line, tokens);
+  return {tokens.begin(), tokens.end()};
+}
+
 const InterfaceConfig* RouterConfig::interface(std::string_view id) const {
   for (const auto& iface : interfaces) {
     if (iface.id == id) return &iface;
@@ -153,6 +177,7 @@ RouterConfig parse_quagga_device(const render::ConfigTree& tree,
   cfg.hostname = hostname;
   cfg.syntax = "quagga";
   cfg.igp_tiebreak = false;  // Quagga bgpd default (§7.2)
+  std::vector<std::string_view> tokens;
 
   // Interface addresses come from the .startup ifconfig lines, exactly as
   // Netkit brings them up.
@@ -160,8 +185,8 @@ RouterConfig parse_quagga_device(const render::ConfigTree& tree,
   if (startup == nullptr) {
     throw ConfigError("missing .startup for " + device_dir);
   }
-  for (const auto& line : lines_of(*startup)) {
-    auto tokens = tokenize(line);
+  for (const std::string_view line : Lines(*startup)) {
+    split(line, tokens);
     // /sbin/ifconfig eth1 192.168.1.1 netmask 255.255.255.252 up
     if (tokens.size() >= 5 && tokens[0].ends_with("ifconfig") &&
         tokens[3] == "netmask") {
@@ -170,16 +195,16 @@ RouterConfig parse_quagga_device(const render::ConfigTree& tree,
       if (tokens[1].starts_with("lo")) {
         cfg.loopback = Ipv4Interface{addr, Ipv4Prefix(addr, len)};
       } else {
-        cfg.interfaces.push_back(
-            InterfaceConfig{tokens[1], Ipv4Interface{addr, Ipv4Prefix(addr, len)}, 1});
+        cfg.interfaces.push_back(InterfaceConfig{
+            std::string(tokens[1]), Ipv4Interface{addr, Ipv4Prefix(addr, len)}, 1});
       }
     }
   }
 
   if (const std::string* ospfd = tree.get(device_dir + "/etc/quagga/ospfd.conf")) {
     std::string current_interface;
-    for (const auto& line : lines_of(*ospfd)) {
-      auto tokens = tokenize(line);
+    for (const std::string_view line : Lines(*ospfd)) {
+      split(line, tokens);
       if (tokens.empty() || tokens[0] == "!") continue;
       if (tokens[0] == "interface" && tokens.size() >= 2) {
         current_interface = tokens[1];
@@ -194,7 +219,7 @@ RouterConfig parse_quagga_device(const render::ConfigTree& tree,
       } else if (cfg.ospf_enabled && tokens.size() >= 4 && tokens[0] == "network" &&
                  tokens[2] == "area") {
         auto p = Ipv4Prefix::parse(tokens[1]);
-        if (!p) throw ConfigError("bad ospf network " + tokens[1]);
+        if (!p) throw ConfigError("bad ospf network " + std::string(tokens[1]));
         cfg.ospf_networks.push_back({*p, to_int(tokens[3], "area")});
       }
     }
@@ -202,8 +227,8 @@ RouterConfig parse_quagga_device(const render::ConfigTree& tree,
 
   if (const std::string* bgpd = tree.get(device_dir + "/etc/quagga/bgpd.conf")) {
     std::string current_routemap;
-    for (const auto& line : lines_of(*bgpd)) {
-      auto tokens = tokenize(line);
+    for (const std::string_view line : Lines(*bgpd)) {
+      split(line, tokens);
       if (tokens.empty() || tokens[0] == "!") continue;
       if (tokens.size() >= 3 && tokens[0] == "router" && tokens[1] == "bgp") {
         cfg.bgp_enabled = true;
@@ -242,9 +267,10 @@ RouterConfig parse_ios_config(std::string_view text) {
   Section section = Section::kNone;
   std::string current_interface;
   std::string current_routemap;
+  std::vector<std::string_view> tokens;
 
-  for (const auto& line : lines_of(text)) {
-    auto tokens = tokenize(line);
+  for (const std::string_view line : Lines(text)) {
+    split(line, tokens);
     if (tokens.empty() || tokens[0] == "!") {
       if (!tokens.empty() || line.empty()) section = Section::kNone;
       if (!line.empty() && line[0] == '!') section = Section::kNone;
@@ -341,6 +367,7 @@ RouterConfig parse_junos_config(std::string_view text) {
   std::string group_type;
   std::vector<std::string> ospf_interfaces;
   bool ebgp_export_only_local = false;
+  std::vector<std::string_view> tokens;
 
   auto in_path = [&path](std::initializer_list<std::string_view> want) {
     if (path.size() < want.size()) return false;
@@ -352,14 +379,13 @@ RouterConfig parse_junos_config(std::string_view text) {
     return true;
   };
 
-  for (const auto& raw : lines_of(text)) {
-    auto tokens = tokenize(raw);
+  for (const std::string_view raw : Lines(text)) {
+    split(raw, tokens);
     if (tokens.empty()) continue;
-    std::string last = tokens.back();
-    if (last == "{") {
+    if (tokens.back() == "{") {
       tokens.pop_back();
-      std::string name;
-      for (const auto& t : tokens) name = t;  // last identifier before '{'
+      // The last identifier before '{'.
+      const std::string_view name = tokens.empty() ? std::string_view() : tokens.back();
       if (in_path({"interfaces"}) && path.size() == 1) current_interface = name;
       if (in_path({"protocols", "bgp"}) && !tokens.empty() && tokens[0] == "group") {
         group_type.clear();
@@ -377,7 +403,7 @@ RouterConfig parse_junos_config(std::string_view text) {
       // OSPF interface blocks: protocols { ospf { area X { interface Y.0
       if (path.size() == 3 && path[0] == "protocols" && path[1] == "ospf" &&
           !tokens.empty() && tokens[0] == "interface") {
-        std::string iface = name;
+        std::string iface(name);
         if (auto dot = iface.rfind(".0"); dot != std::string::npos &&
             dot == iface.size() - 2) {
           iface.resize(dot);
@@ -385,7 +411,7 @@ RouterConfig parse_junos_config(std::string_view text) {
         ospf_interfaces.push_back(iface);
       }
       // Path element: the block's name token ("em0", "ospf", "0.0.0.0").
-      path.push_back(name);
+      path.emplace_back(name);
       continue;
     }
     if (tokens[0] == "}") {
@@ -394,7 +420,7 @@ RouterConfig parse_junos_config(std::string_view text) {
     }
     // statement line ending in ';'
     if (!tokens.empty() && tokens.back().ends_with(";")) {
-      tokens.back().pop_back();
+      tokens.back().remove_suffix(1);
       if (tokens.back().empty()) tokens.pop_back();
     }
     if (tokens.empty()) continue;
@@ -403,7 +429,7 @@ RouterConfig parse_junos_config(std::string_view text) {
       cfg.hostname = tokens[1];
     } else if (in_path({"interfaces"}) && tokens[0] == "address" && tokens.size() >= 2) {
       auto p = Ipv4Prefix::parse(tokens[1]);
-      if (!p) throw ConfigError("bad junos address " + tokens[1]);
+      if (!p) throw ConfigError("bad junos address " + std::string(tokens[1]));
       auto addr = Ipv4Addr::parse(tokens[1].substr(0, tokens[1].find('/')));
       Ipv4Interface iface{*addr, *p};
       if (current_interface.starts_with("lo")) {
@@ -420,7 +446,7 @@ RouterConfig parse_junos_config(std::string_view text) {
         // `static { route X discard; }` + the implicit export policy the
         // template pairs with it: originate X into BGP.
         auto p = Ipv4Prefix::parse(tokens[1]);
-        if (!p) throw ConfigError("bad junos static route " + tokens[1]);
+        if (!p) throw ConfigError("bad junos static route " + std::string(tokens[1]));
         cfg.bgp_networks.push_back(*p);
       }
     } else if (in_path({"protocols", "ospf"})) {
@@ -509,8 +535,9 @@ CbgpNetwork parse_cbgp_script(std::string_view text) {
   // reference.
   constexpr std::size_t kNoRouter = static_cast<std::size_t>(-1);
   std::size_t current = kNoRouter;
-  for (const auto& line : lines_of(text)) {
-    auto tokens = tokenize(line);
+  std::vector<std::string_view> tokens;
+  for (const std::string_view line : Lines(text)) {
+    split(line, tokens);
     if (tokens.empty() || tokens[0].starts_with("#")) continue;
     if (tokens[0] == "net" && tokens.size() >= 4 && tokens[1] == "add" &&
         tokens[2] == "node") {
@@ -541,7 +568,7 @@ CbgpNetwork parse_cbgp_script(std::string_view text) {
     } else if (current != kNoRouter && tokens[0] == "add" && tokens.size() >= 3 &&
                tokens[1] == "network") {
       auto p = Ipv4Prefix::parse(tokens[2]);
-      if (!p) throw ConfigError("bad cbgp network " + tokens[2]);
+      if (!p) throw ConfigError("bad cbgp network " + std::string(tokens[2]));
       net.routers[current].bgp_networks.push_back(*p);
     } else if (current != kNoRouter && tokens[0] == "add" && tokens.size() >= 4 &&
                tokens[1] == "peer") {

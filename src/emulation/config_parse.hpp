@@ -85,7 +85,8 @@ struct RouterConfig {
 
 /// Splits a config line into its words at runs of whitespace (space, \t,
 /// \n, \v, \f, \r), as `std::istream >> std::string` does in the "C"
-/// locale. Every platform parser reads its lines through it.
+/// locale: the token rule every platform parser applies, to views of the
+/// config text.
 [[nodiscard]] std::vector<std::string> tokenize(std::string_view line);
 
 /// Parses a Quagga device directory (paths relative to the device folder:

@@ -61,27 +61,6 @@ EmulatedNetwork EmulatedNetwork::from_nidb(const nidb::Nidb& nidb,
   return from_router_configs(std::move(parsed));
 }
 
-EmulatedNetwork EmulatedNetwork::from_netkit_tree(const render::ConfigTree& configs,
-                                                  const std::string& host) {
-  // Device directories are the parents of ".startup" files under
-  // <host>/netkit/.
-  const std::string prefix = host + "/netkit/";
-  std::vector<RouterConfig> parsed;
-  for (const auto& path : configs.paths_under(prefix)) {
-    if (!path.ends_with("/.startup")) continue;
-    std::string dir = path.substr(0, path.size() - std::string("/.startup").size());
-    std::string device = dir.substr(prefix.size());
-    // Routers have a quagga directory; plain servers do not.
-    if (configs.get(dir + "/etc/quagga/daemons") != nullptr) {
-      parsed.push_back(parse_quagga_device(configs, dir, device));
-    }
-  }
-  if (parsed.empty()) {
-    throw ConfigError("no Netkit devices found under " + prefix);
-  }
-  return from_router_configs(std::move(parsed));
-}
-
 EmulatedNetwork EmulatedNetwork::from_cbgp_script(std::string_view script) {
   CbgpNetwork net = parse_cbgp_script(script);
   EmulatedNetwork out = from_router_configs(std::move(net.routers));

@@ -91,12 +91,6 @@ class EmulatedNetwork {
                                    const render::ConfigTree& configs,
                                    const std::set<std::string>* only = nullptr);
 
-  /// Boots purely from a rendered Netkit directory tree (lab.conf +
-  /// device folders under `<host>/netkit/`), with no knowledge of the
-  /// design-side model — the strictest fidelity check.
-  static EmulatedNetwork from_netkit_tree(const render::ConfigTree& configs,
-                                          const std::string& host = "localhost");
-
   /// Boots from a network-wide C-BGP script.
   static EmulatedNetwork from_cbgp_script(std::string_view script);
 

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <queue>
 #include <set>
@@ -122,6 +123,9 @@ class GraphSpf {
     }
     return {dist_[r][local_[d]], first_hop_[r][local_[d]]};
   }
+
+  /// The component `r` belongs to; kNoComponent outside the graph.
+  [[nodiscard]] std::uint32_t component(std::size_t r) const { return component_[r]; }
 
   /// The members of `r`'s component in router order, itself included;
   /// empty when `r` is outside the graph.
@@ -340,6 +344,21 @@ void EmulatedNetwork::compute_ospf() {
     }
   }
 
+  // Which advertisements can offer a router anything: intra-area, those
+  // of one of its areas whose owner shares its component there; and, for
+  // a router in the backbone, every one outside area 0 (for a router
+  // outside it, every one) as an inter-area candidate.
+  std::map<std::pair<std::int64_t, std::uint32_t>, std::vector<std::size_t>> intra_of;
+  std::vector<std::size_t> inter;
+  for (std::size_t i = 0; i < prefixes.size(); ++i) {
+    const Advertised& adv = prefixes[i];
+    if (adv.spf != nullptr && adv.spf->component(adv.owner) != kNoComponent) {
+      intra_of[{adv.area, adv.spf->component(adv.owner)}].push_back(i);
+    }
+    if (adv.area != 0) inter.push_back(i);
+  }
+  std::vector<std::size_t> scan;
+
   // Distance helper: reach a destination router within one area.
   auto intra_dist = [](const GraphSpf* spf, std::size_t r,
                        std::size_t d) -> std::pair<double, const Adjacency*> {
@@ -395,7 +414,24 @@ void EmulatedNetwork::compute_ospf() {
       }
     };
 
-    for (const auto& adv : prefixes) {
+    // The candidates in advertisement order: among equal-cost routes the
+    // one offered first keeps its first hop.
+    if (my_areas.contains(0)) {
+      scan = inter;
+      for (std::int64_t area : my_areas) {
+        const GraphSpf* spf = spf_for(area);
+        if (spf == nullptr) continue;
+        auto it = intra_of.find({area, spf->component(r)});
+        if (it != intra_of.end()) scan.insert(scan.end(), it->second.begin(), it->second.end());
+      }
+      std::ranges::sort(scan);
+      scan.erase(std::unique(scan.begin(), scan.end()), scan.end());
+    } else {
+      scan.resize(prefixes.size());
+      std::iota(scan.begin(), scan.end(), std::size_t{0});
+    }
+    for (std::size_t i : scan) {
+      const Advertised& adv = prefixes[i];
       if (adv.owner == r) continue;
       // Intra-area: r shares the prefix's area.
       if (my_areas.contains(adv.area)) {

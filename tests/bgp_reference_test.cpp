@@ -28,6 +28,7 @@
 #include "partial_ibgp_mesh.hpp"
 #include "reflected_next_hop.hpp"
 #include "topology/builtin.hpp"
+#include "topology/generators.hpp"
 
 namespace autonet::emulation {
 
@@ -504,9 +505,9 @@ std::uint64_t expect_same(EmulatedNetwork& fast, EmulatedNetwork& slow, std::siz
     using Entries = std::vector<std::pair<std::pair<std::string, std::uint32_t>, BgpRoute>>;
     Entries rib_in;
     const emulation::BgpTables& tables = a.bgp();
-    for (std::size_t k = 0; k < tables.rib_in.size(); ++k) {
-      for (const auto& entry : tables.rib_in[k]) {
-        rib_in.push_back({{(*tables.prefixes)[k], entry.from}, entry.route});
+    for (std::size_t k = 0; k < tables.size(); ++k) {
+      for (const BgpRoute& route : tables.rib_in(k)) {
+        rib_in.push_back({{tables.prefix(k), route.from_peer.value()}, route});
       }
     }
     EXPECT_EQ(rib_in, Entries(ref.rib_in[r].begin(), ref.rib_in[r].end())) << name;
@@ -619,6 +620,18 @@ TEST(BgpReference, MedChurn) {
     Boots b = boot(wf);
     expect_same(b.fast, b.slow, 128, platform);
   }
+}
+
+TEST(BgpReference, Nren) {
+  // The 1158-router model (seed 2013) at full scale: the only check of
+  // every Adj-RIB-In entry on a network this size.
+  core::Workflow wf(options("netkit", "mesh"));
+  wf.load(topology::make_nren_model()).design().compile().render();
+  Boots b = boot(wf);
+  EXPECT_EQ(expect_same(b.fast, b.slow, 128, "nren"), 0u);
+  EXPECT_EQ(b.fast.router_count(), 1158u);
+  EXPECT_EQ(b.fast.last_report().updates, 251424u);
+  EXPECT_EQ(b.fast.last_report().rounds, 6u);
 }
 
 TEST(BgpReference, SmallInternetFailuresAndRestores) {

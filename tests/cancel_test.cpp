@@ -270,7 +270,7 @@ TEST_F(PhaseCancellation, RenderObservesAtItsBoundary) {
   } catch (const core::Cancelled& e) {
     EXPECT_EQ(e.where(), "phase.render");
   }
-  EXPECT_NO_THROW(wf_.nidb());  // compile result intact
+  EXPECT_NO_THROW((void)wf_.nidb());  // compile result intact
 }
 
 TEST_F(PhaseCancellation, LintObservesAtItsBoundary) {
@@ -282,7 +282,7 @@ TEST_F(PhaseCancellation, LintObservesAtItsBoundary) {
   } catch (const core::Cancelled& e) {
     EXPECT_EQ(e.where(), "phase.lint");
   }
-  EXPECT_NO_THROW(wf_.configs());  // render result intact
+  EXPECT_NO_THROW((void)wf_.configs());  // render result intact
 }
 
 TEST_F(PhaseCancellation, DeployObservesAtItsBoundary) {

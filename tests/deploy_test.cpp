@@ -258,7 +258,7 @@ extract @emuhost: checksum mismatch, retrying
 retries-exhausted @emuhost: transfer failed after 3 attempts
 success=0 degraded=0 transfer_attempts=3 boot_attempts=0 backoff_ms=234
 booted:
-failed:
+failed: r1 r2 r3 r4 r5
 convergence: converged=0 oscillating=0 rounds=0 period=0 updates=0 timeout=none
 error [transfer] emuhost: checksum mismatch on attempt 1 (retryable)
 error [transfer] emuhost: checksum mismatch on attempt 2 (retryable)
@@ -286,7 +286,7 @@ extract @emuhost: checksum mismatch, retrying
 deadline-exceeded @emuhost: transfer deadline exceeded (300ms budget 300ms)
 success=0 degraded=0 transfer_attempts=3 boot_attempts=0 backoff_ms=300
 booted:
-failed:
+failed: r1 r2 r3 r4 r5
 convergence: converged=0 oscillating=0 rounds=0 period=0 updates=0 timeout=none
 error [transfer] emuhost: checksum mismatch on attempt 1 (retryable)
 error [transfer] emuhost: checksum mismatch on attempt 2 (retryable)
@@ -312,7 +312,7 @@ transfer @emuhost: emuhost: connection refused
 retries-exhausted @emuhost: transfer failed after 3 attempts
 success=0 degraded=0 transfer_attempts=3 boot_attempts=0 backoff_ms=234
 booted:
-failed:
+failed: r1 r2 r3 r4 r5
 convergence: converged=0 oscillating=0 rounds=0 period=0 updates=0 timeout=none
 error [host-down] emuhost: transfer failed after 3 attempts (permanent)
 network: none

@@ -57,10 +57,10 @@ TEST(Bgp, AsPathLoopPreventionBlocksOwnAs) {
   for (const auto& name : net.router_names()) {
     const auto* r = net.router(name);
     const auto& bgp = r->bgp();
-    for (std::size_t k = 0; k < bgp.rib_in.size(); ++k) {
-      for (const auto& entry : bgp.rib_in[k]) {
-        for (auto as : entry.route.as_path) {
-          EXPECT_NE(as, r->asn()) << name << " " << (*bgp.prefixes)[k];
+    for (std::size_t k = 0; k < bgp.size(); ++k) {
+      for (const auto& route : bgp.rib_in(k)) {
+        for (auto as : route.as_path) {
+          EXPECT_NE(as, r->asn()) << name << " " << bgp.prefix(k);
         }
       }
     }

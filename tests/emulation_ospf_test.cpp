@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/workflow.hpp"
+#include "deploy/deployer.hpp"
 #include "emulation/network.hpp"
 #include "topology/builtin.hpp"
 #include "topology/generators.hpp"
@@ -107,11 +108,16 @@ TEST(Ospf, MultiAsScaleAllIntraReachable) {
 }
 
 TEST(Ospf, FromNetkitTreeBootsIdentically) {
-  // The strictest fidelity path: boot purely from rendered files.
+  // The strictest fidelity path: a deployment boots the network from the
+  // Netkit tree its host extracted, and it runs as a boot from the
+  // renderer's tree does.
   core::Workflow wf;
   wf.load(topology::small_internet()).design().compile().render();
-  auto from_files = EmulatedNetwork::from_netkit_tree(wf.configs());
-  from_files.start();
+  deploy::EmulationHost host("emuhost");
+  deploy::Deployer deployer({&host});
+  ASSERT_TRUE(deployer.deploy(wf.configs(), wf.nidb()).success);
+  EXPECT_EQ(host.filesystem(), wf.configs());
+  const EmulatedNetwork& from_files = *deployer.network();
   auto from_nidb = EmulatedNetwork::from_nidb(wf.nidb(), wf.configs());
   from_nidb.start();
   EXPECT_EQ(from_files.router_count(), from_nidb.router_count());

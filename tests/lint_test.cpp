@@ -743,7 +743,7 @@ TEST(WorkflowGate, DisabledGateSkipsLint) {
   opts.lint.enabled = false;
   core::Workflow wf(opts);
   wf.run(conflicting_pair());
-  EXPECT_THROW(wf.lint_report(), std::logic_error);
+  EXPECT_THROW((void)wf.lint_report(), std::logic_error);
   EXPECT_FALSE(wf.timings().ms.contains("lint"));
 }
 

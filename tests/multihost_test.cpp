@@ -57,6 +57,67 @@ TEST(MultiHost, CrossHostLinksStitched) {
   EXPECT_TRUE(stitch_logged);
 }
 
+TEST(MultiHost, DeadHostStitchesNothing) {
+  // r5 on a dead hostB: the two tunnels into host A have no far end, so
+  // none is stitched, and the lab degrades to host A's four machines.
+  auto wf = split_workflow();
+  FaultPlan plan;
+  plan.kill_host("hostB");
+  EmulationHost a("localhost");
+  EmulationHost b("hostB");
+  a.attach_faults(&plan);
+  b.attach_faults(&plan);
+  Deployer deployer({&a, &b});
+  DeployOptions opts;
+  opts.allow_partial = true;
+  opts.max_transfer_attempts = 2;
+  auto result = deployer.deploy(wf.configs(), wf.nidb(), opts);
+  ASSERT_TRUE(result.success);
+  EXPECT_TRUE(result.degraded);
+  EXPECT_EQ(deployer.cross_connects(), 0u);
+  for (const auto& line : deployer.log()) {
+    EXPECT_EQ(line.find("stitch"), std::string::npos) << line;
+  }
+  EXPECT_EQ(result.failed_machines, std::vector<std::string>{"r5"});
+  EXPECT_EQ(deployer.slices()[1].lost, std::vector<std::string>{"r5"});
+}
+
+TEST(MultiHost, NetworkRunsWhatTheHostsHold) {
+  // The network starts from the union of the online hosts' extracted
+  // trees. Each host holds only its own slice; together they hold the
+  // rendered tree, and the running network is the one booted from them.
+  auto wf = split_workflow();
+  EmulationHost a("localhost");
+  EmulationHost b("hostB");
+  Deployer deployer({&a, &b});
+  ASSERT_TRUE(deployer.deploy(wf.configs(), wf.nidb()).success);
+  EXPECT_NE(a.filesystem(), wf.configs());
+  EXPECT_NE(b.filesystem(), wf.configs());
+  render::ConfigTree held;
+  for (const EmulationHost* host : {&a, &b}) {
+    for (const auto& [path, content] : host->filesystem()) held.put(path, content);
+  }
+  EXPECT_EQ(held, wf.configs());
+  auto expected = emulation::EmulatedNetwork::from_nidb(wf.nidb(), held);
+  expected.start();
+  const emulation::EmulatedNetwork& running = *deployer.network();
+  ASSERT_EQ(running.router_names(), expected.router_names());
+  for (const auto& name : running.router_names()) {
+    const auto& got = *running.router(name);
+    const auto& want = *expected.router(name);
+    EXPECT_EQ(got.config().interfaces.size(), want.config().interfaces.size()) << name;
+    EXPECT_EQ(got.config().bgp_neighbors.size(), want.config().bgp_neighbors.size())
+        << name;
+    EXPECT_EQ(got.ospf_neighbors(), want.ospf_neighbors()) << name;
+    EXPECT_EQ(got.fib().size(), want.fib().size()) << name;
+    std::vector<std::pair<std::string, emulation::BgpRoute>> got_best;
+    std::vector<std::pair<std::string, emulation::BgpRoute>> want_best;
+    for (const auto& [prefix, route] : got.bgp_best()) got_best.emplace_back(prefix, route);
+    for (const auto& [prefix, route] : want.bgp_best()) want_best.emplace_back(prefix, route);
+    EXPECT_EQ(got_best, want_best) << name;
+  }
+}
+
 TEST(MultiHost, CombinedNetworkSpansHosts) {
   auto wf = split_workflow();
   EmulationHost a("localhost");

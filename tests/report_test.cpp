@@ -63,7 +63,9 @@ TEST(Recorder, DrainReturnsSequenceOrderAndClears) {
   ASSERT_EQ(events.size(), 5u);
   for (std::size_t i = 0; i < events.size(); ++i) {
     EXPECT_EQ(events[i].name, "e" + std::to_string(i));
-    if (i > 0) EXPECT_GT(events[i].seq, events[i - 1].seq);
+    if (i > 0) {
+      EXPECT_GT(events[i].seq, events[i - 1].seq);
+    }
   }
   EXPECT_TRUE(recorder.drain().empty());
   EXPECT_EQ(recorder.recorded(), 5u);
@@ -138,7 +140,9 @@ TEST(Recorder, CrossThreadDrainMergesIntoSequenceOrder) {
   ASSERT_EQ(events.size(), static_cast<std::size_t>(kThreads * kPerThread));
   std::vector<int> next(kThreads, 0);
   for (std::size_t i = 0; i < events.size(); ++i) {
-    if (i > 0) EXPECT_GT(events[i].seq, events[i - 1].seq);
+    if (i > 0) {
+      EXPECT_GT(events[i].seq, events[i - 1].seq);
+    }
     // Each thread's events appear in its own program order.
     const int t = events[i].category[1] - '0';
     EXPECT_EQ(events[i].name, std::to_string(next[t]++));
