@@ -3,10 +3,15 @@
 #include <algorithm>
 #include <functional>
 #include <limits>
+#include <numeric>
+#include <optional>
 #include <queue>
+#include <span>
+#include <string>
 #include <utility>
 
 #include "core/hash.hpp"
+#include "emulation/router.hpp"
 #include "nidb/value.hpp"
 
 namespace autonet::verify::analysis {
@@ -14,6 +19,8 @@ namespace autonet::verify::analysis {
 using addressing::Ipv4Addr;
 using addressing::Ipv4Interface;
 using addressing::Ipv4Prefix;
+using emulation::BgpAttrs;
+using emulation::BgpAttrTable;
 using emulation::BgpNeighborConfig;
 using emulation::BgpSession;
 using emulation::FibEntry;
@@ -259,17 +266,24 @@ std::vector<Link> Model::links() const {
 // stage mirrors the corresponding src/emulation/ algorithm; divergence
 // here is a bug that `autonet analyze --cross-check` exists to catch.
 //
-// The state is flat. SPF results are rows indexed by router, OSPF and BGP
-// prefixes are interned once per call, and BGP keeps one Adj-RIB-In vector
-// and one Loc-RIB slot per (router, prefix). A write that changes an
-// Adj-RIB-In entry marks its slot, and a router decides only its marked
-// slots: a selection can change only where its Adj-RIB-In did, and every
-// slot starts empty. Every BGP router runs in round 1, afterwards only
-// those with a marked slot. Routers decide in index order and updates
-// apply at once, so every round and every selection is the one that
-// deciding every slot of every router in every round gives. The
+// The state is flat. SPF results are rows indexed by router, and OSPF and
+// BGP prefixes are interned once per call. So are BGP path attributes:
+// each distinct set is stored once (emulation::BgpAttrTable, the one
+// container shared with the emulation), and an Adj-RIB-In entry or a
+// Loc-RIB slot holds its id, so equal ids mean equal routes. A write that
+// changes an Adj-RIB-In entry marks its slot, and a router decides only
+// its marked slots: a selection can change only where its Adj-RIB-In did,
+// and every slot starts empty. Every BGP router runs in round 1,
+// afterwards only those with a marked slot. Routers decide in index order
+// and updates apply at once, so every round and every selection is the
+// one that deciding every slot of every router in every round gives. The
 // oscillation check keeps a running hash of the selections, updated per
-// changed slot.
+// changed slot. An advertisement is built only where a session sends it
+// and its receiver keeps it, and a withdrawal touches the receiver only
+// where its Adj-RIB-Out bit says it holds the route. A router's OSPF scan
+// covers only the advertisements that can offer it a route, and install
+// resolves each distinct next hop once per router and writes each FIB
+// once, at its final size.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -277,7 +291,7 @@ namespace {
 struct Adjacency {
   std::size_t to;
   double cost;
-  std::string out_interface;
+  const std::string* out_interface;  // the interface's id in the model
   Ipv4Addr next_hop;  // peer's interface address on the shared subnet
 };
 
@@ -291,7 +305,7 @@ class AreaSpf {
       : adj_(routers), component_(routers, kNone), local_(routers, 0), dist_(routers),
         first_hop_(routers) {}
 
-  void connect(std::size_t from, Adjacency a) { adj_[from].push_back(std::move(a)); }
+  void connect(std::size_t from, Adjacency a) { adj_[from].push_back(a); }
 
   /// Labels the components, then runs SPF from every router with an
   /// adjacency here; returns how many ran.
@@ -324,6 +338,9 @@ class AreaSpf {
     }
     return runs;
   }
+
+  /// The component `r` belongs to; kNone without an adjacency here.
+  [[nodiscard]] std::uint32_t component(std::size_t r) const { return component_[r]; }
 
   /// Distance and first adjacency from `r` to `d` within the area:
   /// {0, nullptr} to itself, {inf, nullptr} when out of reach.
@@ -380,12 +397,27 @@ std::pair<double, const Adjacency*> intra_dist(const AreaSpf* area, std::size_t 
 /// (router, distance) in router order: what BGP resolves next hops with.
 using IgpRows = std::vector<std::vector<std::pair<std::size_t, double>>>;
 
+/// An OSPF route one router installs: the prefix id and the route's first
+/// hop and metric.
+struct OspfRoute {
+  std::uint32_t id;
+  Ipv4Addr next_hop;
+  const std::string* out_interface;
+  double metric;
+};
+
+/// What OSPF leaves to BGP and to install.
+struct Igp {
+  std::vector<Ipv4Prefix> prefixes;            // by OSPF prefix id, in prefix order
+  std::vector<std::vector<OspfRoute>> routes;  // by router, in prefix order
+  IgpRows rows;
+};
+
 /// OSPF: adjacency per area (both ends cover the subnet in the same area),
-/// per-(router, area) SPF, inter-area routing through ABRs. Puts every
-/// router's connected and OSPF routes in its FIB and returns the IGP
-/// distances; the SPF results go with the call.
-IgpRows predict_ospf(const std::vector<RouterConfig>& routers,
-                     const std::vector<Segment>& segments, Prediction& out) {
+/// per-(router, area) SPF, inter-area routing through ABRs. Returns every
+/// router's OSPF routes and IGP distances; the SPF runs go with the call.
+Igp predict_ospf(const std::vector<RouterConfig>& routers, const std::vector<Segment>& segments,
+                 Prediction& out) {
   const std::size_t n = routers.size();
   std::map<std::int64_t, AreaSpf> areas;
   std::vector<std::vector<std::int64_t>> areas_of(n);  // sorted, unique
@@ -402,7 +434,7 @@ IgpRows predict_ospf(const std::vector<RouterConfig>& routers,
         if (area_a != area_b) continue;  // mismatched areas: no adjacency
         const auto& iface_b = routers[b.router].interfaces[b.iface];
         areas.try_emplace(area_a, n).first->second.connect(
-            a.router, {b.router, static_cast<double>(iface_a.ospf_cost), iface_a.id,
+            a.router, {b.router, static_cast<double>(iface_a.ospf_cost), &iface_a.id,
                        iface_b.address.address});
       }
     }
@@ -464,7 +496,8 @@ IgpRows predict_ospf(const std::vector<RouterConfig>& routers,
   }
 
   // Prefix ids in prefix order: the FIB's OSPF order.
-  std::vector<Ipv4Prefix> prefixes;
+  Igp igp;
+  std::vector<Ipv4Prefix>& prefixes = igp.prefixes;
   prefixes.reserve(advertised.size());
   for (const Advertised& adv : advertised) prefixes.push_back(adv.prefix);
   std::ranges::sort(prefixes);
@@ -475,28 +508,45 @@ IgpRows predict_ospf(const std::vector<RouterConfig>& routers,
                ? static_cast<std::uint32_t>(it - prefixes.begin())
                : kNone;
   };
-  for (Advertised& adv : advertised) {
+  // Which advertisements can offer a router anything: intra-area, those of
+  // one of its areas whose owner shares its component there; and, for a
+  // router in the backbone, every one outside area 0 (for a router outside
+  // it, every one) as an inter-area candidate.
+  std::map<std::pair<std::int64_t, std::uint32_t>, std::vector<std::uint32_t>> intra_of;
+  std::vector<std::uint32_t> inter;
+  for (std::uint32_t i = 0; i < advertised.size(); ++i) {
+    Advertised& adv = advertised[i];
     adv.id = id_of(adv.prefix);
     adv.spf = area_spf(adv.area);
     if (const auto it = abrs.find(adv.area); it != abrs.end()) adv.abrs = it->second;
+    if (adv.spf != nullptr && adv.spf->component(adv.owner) != kNone) {
+      intra_of[{adv.area, adv.spf->component(adv.owner)}].push_back(i);
+    }
+    if (adv.area != 0) inter.push_back(i);
   }
-  // Per destination router, the ids of its loopback and interface prefixes
-  // for its IGP distance. A prefix nobody advertises, such as a failed
-  // subnet's, has no id.
-  std::vector<std::uint32_t> loopback_id(n, kNone);
-  std::vector<std::vector<std::uint32_t>> interface_ids(n);
-  for (std::size_t d = 0; d < n; ++d) {
+  // Per prefix id, the routers whose loopback, or one of whose interfaces,
+  // it addresses: an IGP distance to a router is read from them. A prefix
+  // nobody advertises, such as a failed subnet's, has no id.
+  std::vector<std::vector<std::uint32_t>> loopback_of(prefixes.size());
+  std::vector<std::vector<std::uint32_t>> interface_of(prefixes.size());
+  for (std::uint32_t d = 0; d < n; ++d) {
     const RouterConfig& dc = routers[d];
-    if (dc.loopback) loopback_id[d] = id_of(dc.loopback->prefix);
+    if (dc.loopback) {
+      if (const std::uint32_t id = id_of(dc.loopback->prefix); id != kNone) {
+        loopback_of[id].push_back(d);
+      }
+    }
     for (const auto& iface : dc.interfaces) {
       if (const std::uint32_t id = id_of(iface.address.prefix); id != kNone) {
-        interface_ids[d].push_back(id);
+        interface_of[id].push_back(d);
       }
     }
   }
 
-  // Best OSPF candidate per prefix id (intra-area beats inter-area), reset
-  // after each router through the ids holding one.
+  // Per-router scratch, reset after each router: the best OSPF candidate
+  // per prefix id (intra-area beats inter-area) and the ids holding one,
+  // the distances via a router's loopback or interfaces and the routers
+  // holding one, and the advertisements scanned.
   struct Candidate {
     bool intra = false;
     double metric = kInf;
@@ -513,24 +563,37 @@ IgpRows predict_ospf(const std::vector<RouterConfig>& routers,
       cur = {intra, metric, hop};
     }
   };
+  std::vector<double> via_loopback(n, kInf);
+  std::vector<double> via_interface(n, kInf);
+  std::vector<std::uint32_t> addressed;
+  std::vector<std::uint32_t> scan;
 
-  IgpRows igp(n);
+  igp.routes.resize(n);
+  igp.rows.resize(n);
   for (std::size_t r = 0; r < n; ++r) {
-    auto& fib = out.fibs[r];
     const RouterConfig& cfg = routers[r];
-    for (const auto& iface : cfg.interfaces) {
-      fib.push_back(FibEntry{iface.address.prefix, RouteSource::kConnected, iface.id,
-                             std::nullopt, 0});
-    }
-    if (cfg.loopback) {
-      fib.push_back(FibEntry{cfg.loopback->prefix, RouteSource::kConnected, "",
-                             std::nullopt, 0});
-    }
     if (!cfg.ospf_enabled) continue;
     const std::vector<std::int64_t>& mine = areas_of[r];
     const bool in_backbone = std::ranges::binary_search(mine, std::int64_t{0});
 
-    for (const Advertised& adv : advertised) {
+    // The candidates in advertisement order: among equal-cost routes the
+    // one offered first keeps its first hop.
+    if (in_backbone) {
+      scan = inter;
+      for (const std::int64_t area : mine) {
+        const AreaSpf* spf = area_spf(area);
+        if (spf == nullptr) continue;
+        const auto it = intra_of.find({area, spf->component(r)});
+        if (it != intra_of.end()) scan.insert(scan.end(), it->second.begin(), it->second.end());
+      }
+      std::ranges::sort(scan);
+      scan.erase(std::unique(scan.begin(), scan.end()), scan.end());
+    } else {
+      scan.resize(advertised.size());
+      std::iota(scan.begin(), scan.end(), std::uint32_t{0});
+    }
+    for (const std::uint32_t i : scan) {
+      const Advertised& adv = advertised[i];
       if (adv.owner == r) continue;
       if (std::ranges::binary_search(mine, adv.area)) {
         const auto [dist, hop] = intra_dist(adv.spf, r, adv.owner);
@@ -565,63 +628,73 @@ IgpRows predict_ospf(const std::vector<RouterConfig>& routers,
     }
 
     std::ranges::sort(offered);
+    std::vector<OspfRoute>& routes = igp.routes[r];
+    routes.reserve(offered.size());
     for (const std::uint32_t id : offered) {
       const Ipv4Prefix& prefix = prefixes[id];
+      const Candidate& cand = best[id];
       const bool connected =
           (cfg.loopback && cfg.loopback->prefix == prefix) ||
           std::ranges::any_of(cfg.interfaces, [&prefix](const InterfaceConfig& iface) {
             return iface.address.prefix == prefix;
           });
-      if (connected) continue;
-      const Candidate& cand = best[id];
-      fib.push_back(FibEntry{prefix, RouteSource::kOspf, cand.hop->out_interface,
-                             cand.hop->next_hop, cand.metric});
-    }
-    // IGP distance to a router: its loopback's route, else the nearest of
-    // its interface prefixes.
-    for (std::size_t d = 0; d < n; ++d) {
-      if (d == r) continue;
-      double metric = kInf;
-      if (loopback_id[d] != kNone && best[loopback_id[d]].hop != nullptr) {
-        metric = best[loopback_id[d]].metric;
-      } else {
-        for (const std::uint32_t id : interface_ids[d]) {
-          if (best[id].hop != nullptr) metric = std::min(metric, best[id].metric);
-        }
+      if (!connected) {
+        routes.push_back({id, cand.hop->next_hop, cand.hop->out_interface, cand.metric});
       }
-      if (metric != kInf) igp[r].emplace_back(d, metric);
+      // IGP distance to a router: its loopback's route, else the nearest
+      // of its interface prefixes.
+      for (const std::uint32_t d : loopback_of[id]) {
+        if (via_loopback[d] == kInf && via_interface[d] == kInf) addressed.push_back(d);
+        via_loopback[d] = cand.metric;
+      }
+      for (const std::uint32_t d : interface_of[id]) {
+        if (via_loopback[d] == kInf && via_interface[d] == kInf) addressed.push_back(d);
+        via_interface[d] = std::min(via_interface[d], cand.metric);
+      }
+      best[id] = {};
     }
-    for (const std::uint32_t id : offered) best[id] = {};
     offered.clear();
+    std::ranges::sort(addressed);
+    auto& row = igp.rows[r];
+    row.reserve(addressed.size());
+    for (const std::uint32_t d : addressed) {
+      if (d != r) {
+        row.emplace_back(d, via_loopback[d] != kInf ? via_loopback[d] : via_interface[d]);
+      }
+      via_loopback[d] = kInf;
+      via_interface[d] = kInf;
+    }
+    addressed.clear();
   }
   return igp;
 }
 
-/// A BGP route as a router holds it (attributes after ingress policy). The
-/// prefix is that of the slot holding it.
-struct Route {
-  std::vector<std::int64_t> as_path;
-  Ipv4Addr next_hop;
-  std::int64_t local_pref = 100;
-  std::int64_t med = 0;
-  std::int64_t weight = 0;  // 32768 for a locally originated route
-  bool ebgp_learned = false;  // session type at the holder
-  bool local_originated = false;
-  Ipv4Addr originator_id;
-  std::vector<Ipv4Addr> cluster_list;
-  Ipv4Addr from_peer;  // session address it arrived over
+/// A BGP route as a table holds it: the id of its interned path attributes
+/// and the session address it arrived over (0 for a route originated
+/// here). The prefix is that of the slot holding it.
+struct Held {
+  std::uint32_t attrs = kNone;
+  std::uint32_t from = 0;
 
-  friend bool operator==(const Route&, const Route&) = default;
+  [[nodiscard]] bool empty() const { return attrs == kNone; }
+  friend bool operator==(const Held&, const Held&) = default;
 };
 
-/// An Adj-RIB-In entry: the route, the advertiser's session address it
-/// arrived over (0 for a route originated here), and what the receiver
-/// resolved for its next hop when the entry was written.
+/// An Adj-RIB-In entry: the route, and what the receiver resolved for its
+/// next hop when the entry was written.
 struct RibEntry {
-  std::uint32_t from = 0;
-  bool resolvable = true;
-  double igp_metric = 0;  // the receiver's IGP metric to the next hop
-  Route route;
+  Held route;
+  double igp_metric = 0;   // the receiver's IGP metric to the next hop
+  bool resolvable = true;  // the next hop resolves at the receiver
+};
+static_assert(sizeof(RibEntry) <= 32);
+
+/// What BGP leaves to install: its prefixes, the path attributes and
+/// every router's Loc-RIB.
+struct LocRib {
+  std::vector<Ipv4Prefix> prefixes;  // by prefix id, in text order: the FIB's BGP order
+  BgpAttrTable attrs;
+  std::vector<Held> best;  // by router * prefixes.size() + prefix id; empty: none
 };
 
 /// One (router, prefix) slot's term of the running state hash: FNV-1a over
@@ -629,7 +702,8 @@ struct RibEntry {
 /// local-pref, the fields that tell one selection state from another. Two
 /// states hash alike when their selections agree on them, as the revisit
 /// rounds of Bad Gadget and MED churn require.
-std::uint64_t state_term(std::size_t router, std::size_t prefix, const Route& route) {
+std::uint64_t state_term(std::size_t router, std::size_t prefix, const BgpAttrs& route,
+                         std::uint32_t from) {
   std::uint64_t h = kFnvOffsetBasis;
   const auto fold = [&h](std::uint64_t v) {
     for (int i = 0; i < 8; ++i) {
@@ -642,15 +716,15 @@ std::uint64_t state_term(std::size_t router, std::size_t prefix, const Route& ro
   fold(route.as_path.size());
   for (const std::int64_t as : route.as_path) fold(static_cast<std::uint64_t>(as));
   fold(route.next_hop.value());
-  fold(route.from_peer.value());
+  fold(from);
   fold(static_cast<std::uint64_t>(route.local_pref));
   return h;
 }
 
-/// BGP: sessions, propagation rounds, decision process, install. Appends
-/// every router's BGP routes to its FIB.
-void predict_bgp(const Model& model, const std::set<Ipv4Prefix>& failed_subnets,
-                 const IgpRows& igp, std::size_t max_rounds, Prediction& out) {
+/// BGP: sessions, propagation rounds, decision process. Returns every
+/// router's selections.
+LocRib predict_bgp(const Model& model, const std::set<Ipv4Prefix>& failed_subnets,
+                   const IgpRows& igp, std::size_t max_rounds, Prediction& out) {
   const std::vector<RouterConfig>& routers = model.routers();
   const std::map<std::uint32_t, std::size_t>& by_address = model.by_address();
   const std::size_t n = routers.size();
@@ -727,20 +801,25 @@ void predict_bgp(const Model& model, const std::set<Ipv4Prefix>& failed_subnets,
   }
 
   // --- Prefixes, interned in text order: the FIB's BGP order.
-  std::vector<std::pair<std::string, Ipv4Prefix>> prefixes;
+  std::vector<std::pair<std::string, Ipv4Prefix>> named;
   for (const RouterConfig& cfg : routers) {
     for (const Ipv4Prefix& prefix : cfg.bgp_networks) {
-      prefixes.emplace_back(prefix.to_string(), prefix);
+      named.emplace_back(prefix.to_string(), prefix);
     }
   }
-  std::ranges::sort(prefixes);
-  prefixes.erase(std::unique(prefixes.begin(), prefixes.end()), prefixes.end());
-  const std::size_t np = prefixes.size();
+  std::ranges::sort(named);
+  named.erase(std::unique(named.begin(), named.end()), named.end());
+  const std::size_t np = named.size();
+  LocRib rib;
+  rib.prefixes.reserve(np);
+  for (const auto& entry : named) rib.prefixes.push_back(entry.second);
+  BgpAttrTable& attrs = rib.attrs;
 
   // --- Slots: Adj-RIB-In entries sorted by session address, the Loc-RIB
   // selection, and the dirty mark of each (router, prefix).
   std::vector<std::vector<RibEntry>> rib_in(n * np);
-  std::vector<std::optional<Route>> best(n * np);
+  std::vector<Held>& best = rib.best;
+  best.assign(n * np, {});
   std::vector<std::uint8_t> dirty(n * np, 0);
   std::vector<std::size_t> dirty_count(n, 0);
   const auto mark = [&](std::size_t r, std::size_t slot) {
@@ -752,56 +831,90 @@ void predict_bgp(const Model& model, const std::set<Ipv4Prefix>& failed_subnets,
   // Resolves an entry's next hop at its receiver: self, connected or
   // IGP-known.
   const auto resolve = [&](std::size_t r, RibEntry& e) {
-    const Ipv4Addr nh = e.route.next_hop;
+    const BgpAttrs& route = attrs[e.route.attrs];
+    const Ipv4Addr nh = route.next_hop;
     e.igp_metric = igp_metric_to(r, nh);
-    e.resolvable = e.route.local_originated || owns_address(routers[r], nh) ||
+    e.resolvable = route.local_originated || owns_address(routers[r], nh) ||
                    std::ranges::any_of(routers[r].interfaces,
                                        [nh](const InterfaceConfig& iface) {
                                          return iface.address.prefix.contains(nh);
                                        }) ||
                    e.igp_metric != kInf;
   };
-  const auto write = [&](std::size_t r, std::size_t k, std::uint32_t from, const Route& route) {
+  const auto from_of = [](const RibEntry& e) { return e.route.from; };
+  const auto write = [&](std::size_t r, std::size_t k, Held route) {
     const std::size_t slot = r * np + k;
     std::vector<RibEntry>& list = rib_in[slot];
-    auto it = std::ranges::lower_bound(list, from, {}, &RibEntry::from);
-    if (it != list.end() && it->from == from) {
-      if (it->route == route) return;
-      const bool moved = it->route.next_hop != route.next_hop ||
-                         it->route.local_originated != route.local_originated;
-      it->route = route;
+    auto it = std::ranges::lower_bound(list, route.from, {}, from_of);
+    if (it != list.end() && it->route.from == route.from) {
+      if (it->route.attrs == route.attrs) return;
+      const BgpAttrs& was = attrs[it->route.attrs];
+      const BgpAttrs& now = attrs[route.attrs];
+      const bool moved =
+          was.next_hop != now.next_hop || was.local_originated != now.local_originated;
+      it->route.attrs = route.attrs;
       if (moved) resolve(r, *it);
     } else {
-      it = list.insert(it, RibEntry{.from = from, .route = route});
+      if (list.empty()) {
+        // A slot usually hears its prefix over two sessions or more: room
+        // for two from the start spares a regrowth per slot.
+        list.reserve(2);
+        it = list.end();
+      }
+      it = list.insert(it, RibEntry{.route = route});
       resolve(r, *it);
     }
     mark(r, slot);
   };
-  const auto erase = [&](std::size_t r, std::size_t k, std::uint32_t from) {
-    const std::size_t slot = r * np + k;
+
+  // --- Adj-RIB-Out: held[k * outs + o] when the receiver of rib-out o
+  // holds a route for prefix k under o's key, so that only there does a
+  // withdrawal remove something. Sessions with one receiver and one source
+  // address write the same Adj-RIB-In key, so they share a rib-out.
+  std::map<std::pair<std::size_t, std::uint32_t>, std::uint32_t> rib_out_of;
+  std::vector<std::uint32_t> rib_out(sessions.size());
+  for (std::size_t i = 0; i < sessions.size(); ++i) {
+    const auto next = static_cast<std::uint32_t>(rib_out_of.size());
+    rib_out[i] =
+        rib_out_of.try_emplace({sessions[i].peer, sessions[i].local_addr.value()}, next)
+            .first->second;
+  }
+  const std::size_t outs = rib_out_of.size();
+  std::vector<bool> held(np * outs, false);
+  const auto send = [&](std::size_t si, std::size_t k, const BgpAttrs& route) {
+    const BgpSession& s = sessions[si];
+    write(s.peer, k, {attrs.intern(route), s.local_addr.value()});
+    held[k * outs + rib_out[si]] = true;
+  };
+  const auto withdraw = [&](std::size_t si, std::size_t k) {
+    const std::size_t bit = k * outs + rib_out[si];
+    if (!held[bit]) return;
+    held[bit] = false;
+    const BgpSession& s = sessions[si];
+    const std::size_t slot = s.peer * np + k;
     std::vector<RibEntry>& list = rib_in[slot];
-    const auto it = std::ranges::lower_bound(list, from, {}, &RibEntry::from);
-    if (it == list.end() || it->from != from) return;
-    list.erase(it);
-    mark(r, slot);
+    list.erase(std::ranges::lower_bound(list, s.local_addr.value(), {}, from_of));
+    mark(s.peer, slot);
   };
 
   for (std::size_t r = 0; r < n; ++r) {
+    if (routers[r].bgp_networks.empty()) continue;
+    BgpAttrs local;
+    local.next_hop = ids[r];
+    local.weight = 32768;
+    local.local_originated = true;
+    local.originator_id = ids[r];
+    const std::uint32_t id = attrs.intern(local);
     for (const Ipv4Prefix& prefix : routers[r].bgp_networks) {
-      Route route;
-      route.next_hop = ids[r];
-      route.weight = 32768;
-      route.local_originated = true;
-      route.originator_id = ids[r];
-      const auto k = std::ranges::lower_bound(prefixes, prefix.to_string(), {},
+      const auto k = std::ranges::lower_bound(named, prefix.to_string(), {},
                                               &std::pair<std::string, Ipv4Prefix>::first);
-      write(r, static_cast<std::size_t>(k - prefixes.begin()), 0, route);
+      write(r, static_cast<std::size_t>(k - named.begin()), {id, 0});
     }
   }
 
-  const auto better = [&routers](std::size_t r, const RibEntry& x, const RibEntry& y) {
-    const Route& a = x.route;
-    const Route& b = y.route;
+  const auto better = [&](std::size_t r, const RibEntry& x, const RibEntry& y) {
+    const BgpAttrs& a = attrs[x.route.attrs];
+    const BgpAttrs& b = attrs[y.route.attrs];
     if (a.weight != b.weight) return a.weight > b.weight;
     if (a.local_pref != b.local_pref) return a.local_pref > b.local_pref;
     if (a.as_path.size() != b.as_path.size()) return a.as_path.size() < b.as_path.size();
@@ -814,32 +927,59 @@ void predict_bgp(const Model& model, const std::set<Ipv4Prefix>& failed_subnets,
       return x.igp_metric < y.igp_metric;
     }
     if (a.originator_id != b.originator_id) return a.originator_id < b.originator_id;
-    return a.from_peer < b.from_peer;
+    return x.route.from < y.route.from;
   };
 
   // Advertises router r's selection for prefix k over each of its
   // sessions, or withdraws it where policy or loop prevention forbids.
-  Route adv;  // the advertisement; its buffers are reused
-  const auto advertise = [&](std::size_t r, std::size_t k, const Route& route) {
+  // Whether a session sends, and whether its receiver keeps what it is
+  // sent, is decided first; only what is kept is built.
+  BgpAttrs adv;  // the advertisement; its buffers are reused
+  const auto advertise = [&](std::size_t r, std::size_t k, Held selected) {
+    const BgpAttrs& route = attrs[selected.attrs];
+    const bool learned = !route.local_originated;
     std::optional<bool> from_client;
     for (const std::size_t si : sessions_of[r]) {
       const BgpSession& s = sessions[si];
-      const std::uint32_t key = s.local_addr.value();
-      if (!route.local_originated && route.from_peer == s.peer_addr) {
-        erase(s.peer, k, key);
+      const Ipv4Addr peer_id = ids[s.peer];
+      const auto listed = [&route, peer_id] {
+        return std::ranges::find(route.cluster_list, peer_id) != route.cluster_list.end();
+      };
+      bool kept = false;
+      if (learned && selected.from == s.peer_addr.value()) {
+        // Split horizon: never back over the session it arrived on.
+      } else if (s.only_local_out && learned) {
+        // Only-local export: the router's own prefixes alone.
+      } else if (s.ebgp) {
+        // The receiver drops a path holding its own AS. The AS prepended
+        // here is the sender's, which an eBGP session's receiver never has.
+        kept = std::ranges::find(route.as_path, routers[s.peer].asn) == route.as_path.end();
+      } else if (route.local_originated || route.ebgp_learned) {
+        // Sent with this router as originator.
+        kept = ids[r] != peer_id && !listed();
+      } else {
+        // iBGP-learned: reflected per RFC 4456, keeping its originator and
+        // adding this router to the cluster list.
+        if (!from_client) {
+          from_client = false;
+          for (const std::size_t lj : sessions_of[r]) {
+            if (sessions[lj].peer_addr.value() == selected.from) {
+              from_client = sessions[lj].peer_is_client;
+              break;
+            }
+          }
+        }
+        kept = (*from_client || s.peer_is_client) && route.originator_id != peer_id &&
+               ids[r] != peer_id && !listed();
+      }
+      if (!kept) {
+        withdraw(si, k);
         continue;
       }
-      if (s.only_local_out && !route.local_originated) {
-        erase(s.peer, k, key);
-        continue;
-      }
-      bool advertised = false;
       adv = route;
-      adv.from_peer = s.local_addr;
       adv.weight = 0;
       adv.local_originated = false;
       if (s.ebgp) {
-        advertised = true;
         adv.as_path.insert(adv.as_path.begin(), routers[r].asn);
         adv.next_hop = s.local_addr;
         adv.local_pref = session_pref[si];
@@ -847,40 +987,20 @@ void predict_bgp(const Model& model, const std::set<Ipv4Prefix>& failed_subnets,
         adv.originator_id = Ipv4Addr{};
         adv.cluster_list.clear();
         adv.ebgp_learned = true;
-      } else {
+      } else if (route.local_originated || route.ebgp_learned) {
         adv.ebgp_learned = false;
-        if (route.local_originated || route.ebgp_learned) {
-          advertised = true;
-          if (s.next_hop_self || route.local_originated) adv.next_hop = session_nh_self[si];
-          adv.originator_id = ids[r];
-        } else {
-          if (!from_client) {
-            from_client = false;
-            for (const std::size_t lj : sessions_of[r]) {
-              if (sessions[lj].peer_addr == route.from_peer) {
-                from_client = sessions[lj].peer_is_client;
-                break;
-              }
-            }
-          }
-          advertised = *from_client || s.peer_is_client;
-          if (advertised) adv.cluster_list.push_back(ids[r]);
-        }
-      }
-      const bool drop =
-          !advertised ||
-          (s.ebgp ? std::ranges::find(adv.as_path, routers[s.peer].asn) != adv.as_path.end()
-                  : adv.originator_id == ids[s.peer] ||
-                        std::ranges::find(adv.cluster_list, ids[s.peer]) !=
-                            adv.cluster_list.end());
-      if (drop) {
-        erase(s.peer, k, key);
+        if (s.next_hop_self || route.local_originated) adv.next_hop = session_nh_self[si];
+        adv.originator_id = ids[r];
       } else {
-        write(s.peer, k, key, adv);
+        adv.cluster_list.push_back(ids[r]);
       }
+      send(si, k, adv);
     }
   };
 
+  const auto term = [&attrs](std::size_t r, std::size_t k, Held route) {
+    return state_term(r, k, attrs[route.attrs], route.from);
+  };
   std::map<std::uint64_t, std::size_t> seen_states;  // state hash -> round
   std::uint64_t state = 0;
   for (std::size_t round = 1; round <= max_rounds; ++round) {
@@ -898,19 +1018,17 @@ void predict_bgp(const Model& model, const std::set<Ipv4Prefix>& failed_subnets,
         for (const RibEntry& e : rib_in[slot]) {
           if (e.resolvable && (chosen == nullptr || better(r, e, *chosen))) chosen = &e;
         }
-        std::optional<Route>& selected = best[slot];
+        Held& selected = best[slot];
         if (chosen == nullptr) {
-          if (!selected) continue;
-          for (const std::size_t si : sessions_of[r]) {
-            erase(sessions[si].peer, k, sessions[si].local_addr.value());
-          }
-          state -= state_term(r, k, *selected);
-          selected.reset();
+          if (selected.empty()) continue;
+          for (const std::size_t si : sessions_of[r]) withdraw(si, k);
+          state -= term(r, k, selected);
+          selected = {};
         } else {
-          if (selected && *selected == chosen->route) continue;
+          if (selected == chosen->route) continue;
           advertise(r, k, chosen->route);
-          if (selected) state -= state_term(r, k, *selected);
-          state += state_term(r, k, chosen->route);
+          if (!selected.empty()) state -= term(r, k, selected);
+          state += term(r, k, chosen->route);
           selected = chosen->route;
         }
         changed = true;
@@ -926,40 +1044,82 @@ void predict_bgp(const Model& model, const std::set<Ipv4Prefix>& failed_subnets,
       break;
     }
   }
+  return rib;
+}
 
-  // Install: resolve each selected route's next hop (directly connected
-  // or recursively via a non-BGP route) and add the FIB entry.
-  for (std::size_t r = 0; r < n; ++r) {
-    auto& fib = out.fibs[r];
-    for (std::size_t k = 0; k < np; ++k) {
-      const std::optional<Route>& route = best[r * np + k];
-      if (!route || route->local_originated) continue;
-      std::string out_interface;
-      std::optional<Ipv4Addr> immediate;
-      bool resolved = false;
-      for (const auto& iface : routers[r].interfaces) {
-        if (iface.address.prefix.contains(route->next_hop)) {
-          out_interface = iface.id;
-          immediate = route->next_hop;
-          resolved = true;
-          break;
-        }
-      }
-      if (!resolved) {
-        const FibEntry* via = lookup(fib, route->next_hop);
-        if (via != nullptr && via->source != RouteSource::kEbgp &&
-            via->source != RouteSource::kIbgp) {
-          out_interface = via->out_interface;
-          immediate = via->next_hop ? via->next_hop : route->next_hop;
-          resolved = true;
-        }
-      }
-      if (!resolved) continue;
-      fib.push_back(FibEntry{prefixes[k].second,
-                             route->ebgp_learned ? RouteSource::kEbgp : RouteSource::kIbgp,
-                             out_interface, immediate,
-                             static_cast<double>(route->as_path.size())});
+/// Install: writes every router's FIB once, at its final size: connected
+/// routes, OSPF routes, then in prefix order each selected BGP route whose
+/// next hop resolves, directly connected or recursively via a non-BGP
+/// route, as the linear lookup over the FIB built so far finds it.
+void install(const std::vector<RouterConfig>& routers, const Igp& igp, const LocRib& bgp,
+             Prediction& out) {
+  // How a next hop resolves at one router, as installed routes see it.
+  struct NextHop {
+    Ipv4Addr address;
+    bool resolved = false;
+    std::string out_interface;
+    std::optional<Ipv4Addr> immediate;
+  };
+  std::vector<NextHop> hops;  // per router: each distinct next hop once
+  std::vector<FibEntry> fib;  // the router's FIB as it is built
+  const std::size_t np = bgp.prefixes.size();
+  out.fibs.resize(routers.size());
+  for (std::size_t r = 0; r < routers.size(); ++r) {
+    const RouterConfig& cfg = routers[r];
+    fib.clear();
+    for (const auto& iface : cfg.interfaces) {
+      fib.push_back(FibEntry{iface.address.prefix, RouteSource::kConnected, iface.id,
+                             std::nullopt, 0});
     }
+    if (cfg.loopback) {
+      fib.push_back(FibEntry{cfg.loopback->prefix, RouteSource::kConnected, "",
+                             std::nullopt, 0});
+    }
+    for (const OspfRoute& route : igp.routes[r]) {
+      fib.push_back(FibEntry{igp.prefixes[route.id], RouteSource::kOspf,
+                             *route.out_interface, route.next_hop, route.metric});
+    }
+    const auto resolve = [&](Ipv4Addr nh) -> const NextHop& {
+      for (const NextHop& hop : hops) {
+        if (hop.address == nh) return hop;
+      }
+      NextHop& hop = hops.emplace_back();
+      hop.address = nh;
+      for (const auto& iface : cfg.interfaces) {
+        if (iface.address.prefix.contains(nh)) {
+          hop.out_interface = iface.id;
+          hop.immediate = nh;
+          hop.resolved = true;
+          return hop;
+        }
+      }
+      const FibEntry* via = lookup(fib, nh);
+      if (via != nullptr && via->source != RouteSource::kEbgp &&
+          via->source != RouteSource::kIbgp) {
+        hop.out_interface = via->out_interface;
+        hop.immediate = via->next_hop ? via->next_hop : nh;
+        hop.resolved = true;
+      }
+      return hop;
+    };
+    for (std::size_t k = 0; k < np; ++k) {
+      const Held selected = bgp.best[r * np + k];
+      if (selected.empty()) continue;
+      const BgpAttrs& route = bgp.attrs[selected.attrs];
+      if (route.local_originated) continue;
+      const NextHop& hop = resolve(route.next_hop);
+      if (!hop.resolved) continue;
+      const Ipv4Prefix& prefix = bgp.prefixes[k];
+      fib.push_back(FibEntry{prefix,
+                             route.ebgp_learned ? RouteSource::kEbgp : RouteSource::kIbgp,
+                             hop.out_interface, hop.immediate,
+                             static_cast<double>(route.as_path.size())});
+      // The route may now be the longest match for a next hop resolved
+      // before it: those resolve again against the grown FIB.
+      std::erase_if(hops, [&prefix](const NextHop& h) { return prefix.contains(h.address); });
+    }
+    hops.clear();
+    out.fibs[r].assign(fib.begin(), fib.end());
   }
 }
 
@@ -968,10 +1128,10 @@ void predict_bgp(const Model& model, const std::set<Ipv4Prefix>& failed_subnets,
 Prediction predict(const Model& model, const std::set<Ipv4Prefix>& failed_subnets,
                    std::size_t max_bgp_rounds) {
   Prediction out;
-  out.fibs.assign(model.size(), {});
-  const IgpRows igp =
+  const Igp igp =
       predict_ospf(model.routers(), build_segments(model.routers(), failed_subnets), out);
-  predict_bgp(model, failed_subnets, igp, max_bgp_rounds, out);
+  const LocRib bgp = predict_bgp(model, failed_subnets, igp.rows, max_bgp_rounds, out);
+  install(model.routers(), igp, bgp, out);
   return out;
 }
 

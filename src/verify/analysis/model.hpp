@@ -14,10 +14,11 @@
 // mirroring src/emulation/ step for step, so that `--cross-check` can use
 // the emulation as a differential oracle; only the *inputs* differ (NIDB
 // records here, rendered-and-reparsed configs there). Its state is flat
-// and index-addressed, as the emulation's is, but shares no code with it:
-// SPF results are rows indexed by router, prefixes are interned once per
-// prediction, and BGP reruns a router's decision only for the prefixes
-// whose Adj-RIB-In changed.
+// and index-addressed, as the emulation's is: SPF results are rows
+// indexed by router, prefixes are interned once per prediction, path
+// attributes too, in the one container shared with the emulation
+// (emulation::BgpAttrTable, which decides nothing), and BGP reruns a
+// router's decision only for the prefixes whose Adj-RIB-In changed.
 #pragma once
 
 #include <cstdint>

@@ -255,9 +255,11 @@ void check_whatif(const RuleContext& ctx, Emitter& out) {
     }
   }
 
-  // Evaluate scenarios in a scoped worker batch (Workspace::whatif is
-  // thread-safe); merge results by scenario index so the emitted
-  // findings are deterministic regardless of scheduling.
+  // Evaluate scenarios on up to ctx.jobs threads (Workspace::whatif is
+  // thread-safe), this one alone when that is 1. Each holds one
+  // scenario's prediction and table at a time, so the job count also
+  // bounds the sweep's memory. Results merge by scenario index, so the
+  // emitted findings are deterministic regardless of scheduling.
   std::vector<std::vector<std::string>> lost(considered);
   std::atomic<std::size_t> cursor{0};
   auto worker = [&] {
@@ -272,13 +274,15 @@ void check_whatif(const RuleContext& ctx, Emitter& out) {
       }
     }
   };
-  const std::size_t workers = std::clamp<std::size_t>(
-      std::thread::hardware_concurrency(), 1,
-      std::min<std::size_t>(considered, 8));
-  std::vector<std::thread> threads;
-  threads.reserve(workers);
-  for (std::size_t i = 0; i < workers; ++i) threads.emplace_back(worker);
-  for (auto& t : threads) t.join();
+  const std::size_t workers = std::min(ctx.jobs, considered);
+  if (workers <= 1) {
+    worker();
+  } else {
+    std::vector<std::thread> threads;
+    threads.reserve(workers);
+    for (std::size_t i = 0; i < workers; ++i) threads.emplace_back(worker);
+    for (auto& t : threads) t.join();
+  }
 
   for (std::size_t i = 0; i < considered; ++i) {
     if (lost[i].empty()) continue;

@@ -175,6 +175,8 @@ Report run_lint(const LintInput& input, const LintOptions& options,
   ctx.input = &input;
   ctx.index = index ? &*index : nullptr;
   ctx.analysis = workspace ? &*workspace : nullptr;
+  ctx.jobs = std::clamp<std::size_t>(
+      options.jobs != 0 ? options.jobs : std::thread::hardware_concurrency(), 1, 8);
 
   // Rule bodies run on a worker pool; everything observable — findings,
   // spans, counters, flight-recorder events — is merged here on the
@@ -222,11 +224,7 @@ Report run_lint(const LintInput& input, const LintOptions& options,
       task.done.set_value();
     }
   };
-  std::size_t workers =
-      options.jobs != 0 ? options.jobs : std::thread::hardware_concurrency();
-  workers = std::clamp<std::size_t>(workers, 1,
-                                    std::max<std::size_t>(tasks.size(), 1));
-  workers = std::min<std::size_t>(workers, 8);
+  const std::size_t workers = std::min(ctx.jobs, std::max<std::size_t>(tasks.size(), 1));
   std::vector<std::thread> pool;
   struct Joiner {
     std::vector<std::thread>* pool;

@@ -69,6 +69,10 @@ struct RuleContext {
   /// cache); non-null iff input->nidb is non-null. Lazy: rules that
   /// never touch it cost nothing.
   const analysis::Workspace* analysis = nullptr;
+  /// Threads a rule may run its own work on: LintOptions::jobs resolved
+  /// (one per hardware thread when 0), from 1 to 8. With 1 a rule works
+  /// on the thread that calls it.
+  std::size_t jobs = 1;
 };
 
 /// Sink a rule emits findings through: the engine binds the rule id, its
@@ -128,9 +132,10 @@ struct LintOptions {
   std::map<std::string, Severity, std::less<>> severity;
   /// Gate threshold used by callers: fail on warnings too.
   bool fail_on_warning = false;
-  /// Worker threads for rule execution; 0 = one per hardware thread
-  /// (capped). Not part of the workflow options signature: it changes
-  /// scheduling only, never findings.
+  /// Worker threads for rule execution, and for the what-if sweep within
+  /// its rule; 0 = one per hardware thread; at most 8 either way. Not part
+  /// of the workflow options signature: it changes scheduling only, never
+  /// findings.
   std::size_t jobs = 0;
 
   [[nodiscard]] bool rule_enabled(std::string_view id) const;

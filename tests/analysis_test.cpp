@@ -421,6 +421,35 @@ TEST(AnalysisRules, ReportIsDeterministicAcrossWorkerCounts) {
   }
 }
 
+TEST(AnalysisRules, WhatIfSweepIsTheSameAtEveryJobCount) {
+  // small-internet's sweep evaluates every link, on as many threads as
+  // LintOptions::jobs gives it (one: the rule's own thread). The job
+  // count spreads the scenarios; it never changes what they find.
+  auto nidb = compiled(topology::small_internet());
+  const std::size_t links = Model::from_nidb(nidb).links().size();
+  ASSERT_GT(links, 1u);
+  std::string baseline;
+  for (std::size_t jobs : {1u, 2u, 8u}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    FibCache::global().clear();  // every scenario predicted, none served
+    obs::Registry reg;
+    obs::RegistryScope scope(reg);
+    verify::LintOptions opts;
+    opts.jobs = jobs;
+    auto report = analyze(nidb, opts);
+    EXPECT_EQ(reg.counter("analysis.whatif_scenarios").value(), links);
+    EXPECT_EQ(reg.counter("analysis.fib_builds").value(), 1 + links);
+    EXPECT_NE(find_code(report, "whatif-link-failure"), nullptr);
+    auto text = report.to_string() +
+                verify::to_sarif(report, verify::RuleRegistry::with_analysis());
+    if (baseline.empty()) {
+      baseline = text;
+    } else {
+      EXPECT_EQ(text, baseline);
+    }
+  }
+}
+
 TEST(AnalysisRules, IdenticalFindingsCollapse) {
   verify::RuleRegistry registry;
   verify::Rule rule;

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/workflow.hpp"
+#include "covered_next_hop.hpp"
 #include "emulation/network.hpp"
 #include "fuzz/scenario.hpp"
 #include "partial_ibgp_mesh.hpp"
@@ -600,6 +601,28 @@ TEST(BgpReference, ReflectedNextHopMovesAndResolvesAgain) {
   ASSERT_NE(route, fib.end());
   EXPECT_EQ(route->source, emulation::RouteSource::kIbgp);
   EXPECT_EQ(route->next_hop, addressing::Ipv4Addr::parse("10.1.0.2"));
+}
+
+TEST(BgpReference, CoveredNextHopStaysOut) {
+  // a's third route has the next hop its first resolved, now covered by
+  // its second, a BGP /25 (covered_next_hop.hpp): the install's next-hop
+  // cache must give the reference's linear lookup's answer.
+  const std::vector<emulation::RouterConfig> configs = fixtures::covered_next_hop();
+  auto fast = EmulatedNetwork::from_router_configs(configs);
+  auto slow = EmulatedNetwork::from_router_configs(configs);
+  expect_same(fast, slow, 128, "covered next hop");
+  EXPECT_TRUE(fast.last_report().converged);
+  const auto& fib = fast.router("a")->fib();
+  const auto holds = [&fib](const char* prefix) {
+    return std::ranges::find(fib, *addressing::Ipv4Prefix::parse(prefix),
+                             &emulation::FibEntry::prefix) != fib.end();
+  };
+  EXPECT_TRUE(holds("10.0.64.0/24"));
+  EXPECT_TRUE(holds("10.2.0.0/25"));
+  // Selected, but its next hop resolves only through the BGP /25.
+  EXPECT_NE(fast.router("a")->bgp_best().find("198.51.100.0/24"),
+            fast.router("a")->bgp_best().end());
+  EXPECT_FALSE(holds("198.51.100.0/24"));
 }
 
 TEST(BgpReference, BadGadgetOnEveryPlatformAndBudget) {

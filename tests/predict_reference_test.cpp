@@ -17,6 +17,7 @@
 #include <limits>
 #include <map>
 #include <queue>
+#include <random>
 #include <set>
 #include <string>
 #include <string_view>
@@ -24,12 +25,14 @@
 #include <vector>
 
 #include "core/workflow.hpp"
+#include "covered_next_hop.hpp"
 #include "emulation/network.hpp"
 #include "emulation/router.hpp"
 #include "fuzz/scenario.hpp"
 #include "partial_ibgp_mesh.hpp"
 #include "reflected_next_hop.hpp"
 #include "topology/builtin.hpp"
+#include "topology/generators.hpp"
 #include "verify/analysis/model.hpp"
 
 namespace {
@@ -681,6 +684,23 @@ TEST(PredictReference, FuzzScenariosCbgp) { check_scenarios("cbgp"); }
 
 /// Bad Gadget and MED churn oscillate on some platforms, so every round
 /// budget up to their periods gives a different partial state.
+TEST(PredictReference, Nren) {
+  // The 1158-router model (seed 2013), intact and with one inter-AS link
+  // down, drawn with a fixed seed: the reference at the scale the
+  // predictor is timed at.
+  const Model model = model_of(topology::make_nren_model(), "netkit", "mesh");
+  ASSERT_EQ(model.size(), 1158u);
+  std::vector<Ipv4Prefix> inter_as;
+  for (const auto& link : model.links()) {
+    if (model.router(link.a)->asn != model.router(link.b)->asn) inter_as.push_back(link.subnet);
+  }
+  ASSERT_FALSE(inter_as.empty());
+  std::mt19937_64 rng(2013);
+  const Ipv4Prefix down = inter_as[rng() % inter_as.size()];
+  expect_same(model, {}, 128, "nren intact");
+  expect_same(model, {down}, 128, "nren " + down.to_string() + " down");
+}
+
 TEST(PredictReference, BuiltinsOnEveryPlatformBudgetAndFailure) {
   const std::vector<std::size_t> budgets{1, 2, 3, 4, 5, 6, 7, 8, 128};
   for (const char* platform : {"netkit", "dynagen", "junosphere", "cbgp"}) {
@@ -754,6 +774,36 @@ TEST(PredictReference, ReflectedNextHopMovesAndResolvesAgain) {
   ASSERT_NE(route, fib.end());
   EXPECT_EQ(route->source, RouteSource::kIbgp);
   EXPECT_EQ(route->next_hop, Ipv4Addr::parse("10.1.0.2"));
+}
+
+TEST(PredictReference, CoveredNextHopStaysOut) {
+  // a's third route has the next hop its first resolved, now covered by
+  // its second, a BGP /25 (covered_next_hop.hpp).
+  const std::vector<RouterConfig> configs = fixtures::covered_next_hop();
+  const Model model = Model::from_router_configs(configs);
+  expect_same_under_failures(model, {128}, "covered next hop");
+  const Prediction prediction = verify::analysis::predict(model);
+  const auto& fib = prediction.fibs[*model.index_of("a")];
+  const auto source_of = [&fib](const char* prefix) -> std::string {
+    const auto route = std::ranges::find(fib, *Ipv4Prefix::parse(prefix), &FibEntry::prefix);
+    return route == fib.end() ? "none" : std::to_string(static_cast<int>(route->source));
+  };
+  EXPECT_EQ(source_of("10.2.0.0/24"), std::to_string(static_cast<int>(RouteSource::kOspf)));
+  EXPECT_EQ(source_of("10.0.64.0/24"), std::to_string(static_cast<int>(RouteSource::kIbgp)));
+  EXPECT_EQ(source_of("10.2.0.0/25"), std::to_string(static_cast<int>(RouteSource::kEbgp)));
+  EXPECT_EQ(source_of("198.51.100.0/24"), "none");
+  // The emulation, booted from the same configs, installs the same FIBs.
+  auto network = emulation::EmulatedNetwork::from_router_configs(configs);
+  EXPECT_TRUE(network.start().converged);
+  for (std::size_t r = 0; r < model.size(); ++r) {
+    const std::string& name = model.routers()[r].hostname;
+    const std::vector<FibEntry>& emulated = network.router(name)->fib();
+    const std::vector<FibEntry>& predicted = prediction.fibs[r];
+    ASSERT_EQ(emulated.size(), predicted.size()) << name;
+    for (std::size_t i = 0; i < predicted.size(); ++i) {
+      EXPECT_EQ(entry_text(emulated[i]), entry_text(predicted[i])) << name << " entry " << i;
+    }
+  }
 }
 
 TEST(PredictReference, PartialIbgpMeshWithdraws) {
